@@ -23,8 +23,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-import numpy as np
-
 from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
 from .errors import BudgetExceededError, PreconditionError
 from .families import pairing_model_regular, pairing_model_repaired
@@ -109,6 +107,8 @@ def _descend_pair(g: Graph, amask: int, bmask: int, rounds: int) -> tuple[int, i
 
 
 def _bidense_exact(g: Graph, eps: Fraction) -> BidenseReport:
+    import numpy as np
+
     m = g.m
     adj = np.zeros((m, m), dtype=np.int32)
     for v in range(m):

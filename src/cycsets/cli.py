@@ -37,18 +37,19 @@ from .families import (
     build_star_augmented,
     enumerate_regular_complements,
 )
-from .hamilton import gn_criterion, is_hamiltonian_exact
+from .hamilton import (
+    gn_criterion,
+    ham_cycle_near_bipartite,
+    ham_cycle_two_cliques,
+    ham_path_bipartite,
+    ham_path_dirac,
+    is_hamiltonian_exact,
+)
 from .instances import (
     bipartite_instance,
     dirac_instance,
     near_bipartite_instance,
     two_cliques_instance,
-)
-from .hamilton import (
-    ham_cycle_near_bipartite,
-    ham_cycle_two_cliques,
-    ham_path_bipartite,
-    ham_path_dirac,
 )
 from .numerics import (
     bindiff_check,
@@ -545,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph6 file, or - for stdin")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--force", action="store_true",
-                   help="lift the 20-vertex budget (may be very slow)")
+                   help="lift the 20-vertex budget; the DP table cap "
+                   "(2^23 entries) still applies")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_count)
 

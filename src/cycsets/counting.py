@@ -1,11 +1,14 @@
 """Cyclic-subset counting: exact enumeration, the polynomial-time exact
 evaluator for the extremal family, and seeded Monte Carlo estimators.
 
-A subset S is cyclic when G[S] has a Hamilton cycle.  Exact counts share
-one anchored DP: every cyclic S is counted at its minimum vertex a, via
-reachable-endpoint sets over subsets of {a+1..m-1}.  Work partitions by
-anchor, and Monte Carlo work by sample index with counter-based streams,
-so results never depend on worker count or scheduling.
+A subset S is cyclic when G[S] has a Hamilton cycle.  Exact counts run
+the anchored reach-set DP of `subsetdp`, the kernel the exact Hamiltonicity
+decider also runs: every cyclic S is counted at its minimum vertex a, via
+reachable-endpoint sets over subsets of {a+1..m-1}, one vectorised table
+per anchor.  A table above 2^23 entries is refused before it is allocated,
+whatever `max_vertices` allows.  Exact counts run in one process.  Monte
+Carlo work partitions by sample index with counter-based streams, so
+estimates never depend on worker count or scheduling.
 
 The extremal family evaluator avoids enumeration entirely: for each
 2-factor cycle the number of t-vertex subsets forming exactly c arcs is
@@ -32,6 +35,7 @@ from .hamilton import (
 )
 from .sampling import retention_mask, stream_base, wilson_interval
 from .structures import is_k_good_cut
+from .subsetdp import masks_by_popcount, reach_table
 
 CYC_EXACT_MAX = 20
 MEMO_MAX_VERTICES = 16
@@ -59,64 +63,38 @@ class EstimateReport:
     lower_bound_only: bool = False
 
 
-def _anchor_counts(g: Graph, anchors: list[int]) -> tuple[int, list[int]]:
-    """Cyclic subsets whose minimum vertex lies in `anchors` (+ size hist)."""
-    m = g.m
-    total = 0
-    hist = [0] * (m + 1)
-    for a in anchors:
-        k = m - a - 1  # universe: vertices a+1 .. m-1, local index v-(a+1)
-        if k < 2:
-            continue
-        shift = a + 1
-        adj = [g.rows[shift + i] >> shift for i in range(k)]
-        anchor_adj = g.rows[a] >> shift
-        if not anchor_adj:
-            continue
-        full = (1 << k) - 1
-        reach = [0] * (full + 1)
-        for w in bits_of(anchor_adj):
-            reach[1 << w] = 1 << w
-        for mask in range(1, full + 1):
-            r = reach[mask]
-            if not r:
-                continue
-            if r & anchor_adj and mask.bit_count() >= 2:
-                total += 1
-                hist[mask.bit_count() + 1] += 1
-            rest = ~mask & full
-            ends = r
-            while ends:
-                low = ends & -ends
-                ends ^= low
-                ext = adj[low.bit_length() - 1] & rest
-                while ext:
-                    ub = ext & -ext
-                    ext ^= ub
-                    reach[mask | ub] |= ub
-    return total, hist
-
-
 def cyc_count_exact(
     g: Graph, workers: int = 1, max_vertices: int = CYC_EXACT_MAX
 ) -> CycReport:
-    """Exact Cyc(g) by the shared anchored DP (budget 20 vertices)."""
+    """Exact Cyc(g) by the shared anchored DP (budget 20 vertices).
+
+    Every cyclic S with |S| >= 3 is counted once, at its minimum vertex a:
+    S - a is a mask M over {a+1..m-1} whose reach set meets N(a).  The
+    count runs in-process; `workers` is accepted for call compatibility
+    with `estimate_h` and does not change the work or the answer.
+    """
+    import numpy as np
+
     m = g.m
     if m > max_vertices:
         raise BudgetExceededError(
             f"exact counting budget: m={m} > {max_vertices}"
         )
-    anchors = list(range(m))
-    if workers <= 1 or m < 8:
-        total, hist = _anchor_counts(g, anchors)
-    else:
-        blocks = [anchors[i::workers] for i in range(workers)]
-        total = 0
-        hist = [0] * (m + 1)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for btotal, bhist in ex.map(_anchor_counts, [g] * len(blocks), blocks):
-                total += btotal
-                hist = [x + y for x, y in zip(hist, bhist)]
+    total = 0
+    hist = [0] * (m + 1)
+    for a in range(m):
+        shift = a + 1
+        k = m - shift  # universe: vertices a+1 .. m-1, local index v-(a+1)
+        anchor_adj = g.rows[a] >> shift
+        if k < 2 or not anchor_adj:
+            continue
+        reach, _ = reach_table([g.rows[shift + i] >> shift for i in range(k)], anchor_adj)
+        closing = reach & np.uint32(anchor_adj)
+        for j, layer in enumerate(masks_by_popcount(k)):
+            if j >= 2:  # |M| = 1 closes no cycle
+                n = int(np.count_nonzero(closing[layer]))
+                hist[j + 1] += n
+                total += n
     return CycReport(1 << m, total, Fraction(total, 1 << m), tuple(hist))
 
 

@@ -2,8 +2,10 @@
 
 Four layers:
 
-* an exact subset-DP decider (budget 24 vertices) producing certificates or
-  definitive refusals;
+* an exact decider (budget 24 vertices) on the anchored reach-set DP of
+  `subsetdp`, the kernel exact counting also runs; it reads the answer at
+  the full mask and backtracks a certificate from the same table, or gives
+  a definitive refusal;
 * a seeded rotation-extension engine: sound, incomplete, never claims
   non-Hamiltonicity;
 * constructive routines that build Hamilton paths/cycles in dense regimes
@@ -29,8 +31,9 @@ from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .families import ExtremalGraph
 from .sampling import StreamRng
 from .structures import LinearForest
+from .subsetdp import TABLE_MAX_BITS, reach_table
 
-EXACT_BUDGET = 24
+EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 ROTATION_RESTARTS = 32
 
 
@@ -108,11 +111,12 @@ def _connected_within(g: Graph, mask: int) -> bool:
 
 
 def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
-    """Definitive decision on g[scope] by DP over (visited-set, endpoint).
+    """Definitive decision on g[scope] by the reach-set DP of `subsetdp`.
 
     Paths are anchored at the lowest scope vertex; a certificate is
-    backtracked when the final state closes to the anchor.  Budget: 24
-    vertices.
+    backtracked when the final state closes to the anchor.  `work` is the
+    number of (visited-set, endpoint) states, sum |reach[M]|.  Budget: 24
+    vertices, i.e. a table of at most 2^23 entries.
     """
     if scope.size > EXACT_BUDGET:
         raise BudgetExceededError(
@@ -134,31 +138,11 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     for i, v in enumerate(verts):
         for u in bits_of(g.rows[v] & smask):
             adj[i] |= 1 << idx[u]
-    nfree = s - 1
-    full = (1 << nfree) - 1
-    # reach[mask] = endpoints (as bits over locals 1..s-1, shifted by 1) of
-    # anchor-rooted paths visiting exactly {anchor} + mask
-    reach = [0] * (full + 1)
-    for w in bits_of(adj[0] >> 1):
-        reach[1 << w] = 1 << w
-    work = 0
-    for mask in range(1, full + 1):
-        r = reach[mask]
-        if not r:
-            continue
-        rest = ~mask & full
-        ends = r
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            last = low.bit_length() - 1
-            ext = (adj[last + 1] >> 1) & rest
-            work += 1
-            while ext:
-                wbit = ext & -ext
-                ext ^= wbit
-                reach[mask | wbit] |= wbit
-    closers = reach[full] & (adj[0] >> 1)
+    # the anchor is local 0; the table runs over locals 1..s-1, shifted by 1
+    free_adj = [a >> 1 for a in adj[1:]]
+    reach, work = reach_table(free_adj, adj[0] >> 1)
+    full = (1 << (s - 1)) - 1
+    closers = int(reach[full]) & (adj[0] >> 1)
     if not closers:
         return HamDecision("not_hamiltonian", None, "dp", work)
     # backtrack a certificate
@@ -166,8 +150,7 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     order_local = [last + 1]
     mask = full ^ (1 << last)
     while mask:
-        cur = order_local[-1]
-        prevs = reach[mask] & ((adj[cur] >> 1) & mask)
+        prevs = int(reach[mask]) & free_adj[order_local[-1] - 1]
         if not prevs:
             raise VerificationError("DP backtrack failed (bug)")
         p = (prevs & -prevs).bit_length() - 1

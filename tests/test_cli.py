@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import sqrt
@@ -129,6 +130,16 @@ def test_count_budget_exit(tmp_path, capsys):
     code, _, err = run(capsys, "count", str(f))
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_count_force_stops_at_the_table_cap(tmp_path, capsys):
+    f = tmp_path / "k1313.g6"
+    f.write_text(to_graph6(build_knn(13)) + "\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count", str(f), "--force")
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert "table" in err
 
 
 def test_count_parse_errors(tmp_path, capsys):

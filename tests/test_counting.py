@@ -25,7 +25,9 @@ from cycsets.counting import (
 )
 from cycsets.errors import BudgetExceededError, PreconditionError
 from cycsets.families import build_competitor, build_extremal, build_knn
+from cycsets.hamilton import is_hamiltonian_exact
 from cycsets.structures import max_linear_forest_exact
+from cycsets.subsetdp import TABLE_MAX_BITS, reach_table
 
 
 # -- exact counts ------------------------------------------------------------
@@ -67,6 +69,20 @@ def test_count_matches_backtracking_oracle():
         assert cyc_count_exact(g).cyclic_count == brute_cyclic_count(g)
 
 
+@pytest.mark.parametrize("m", [5, 7, 9, 11])
+def test_count_histogram_matches_decider_on_every_subset(m):
+    for seed in range(3):
+        g = random_graph(m, 900 + 10 * m + seed, p=0.5)
+        hist = [0] * (m + 1)
+        for mask in range(1 << m):
+            if is_hamiltonian_exact(g, VertexSet(mask, m)).status == "hamiltonian":
+                hist[mask.bit_count()] += 1
+        rep = cyc_count_exact(g)
+        assert list(rep.per_size) == hist
+        if m <= 9:
+            assert rep.cyclic_count == brute_cyclic_count(g)
+
+
 def test_count_all_4_vertex_graphs():
     from itertools import combinations
 
@@ -99,6 +115,13 @@ def test_count_budget():
         cyc_count_exact(Graph.empty(21))
     with pytest.raises(BudgetExceededError):
         cyc_count_exact(Graph.complete(8), max_vertices=6)
+
+
+def test_table_cap_refuses_before_allocating():
+    with pytest.raises(BudgetExceededError, match="table"):
+        reach_table([0] * (TABLE_MAX_BITS + 1), 1)
+    with pytest.raises(BudgetExceededError, match="table"):
+        cyc_count_exact(build_knn(13), max_vertices=26)
 
 
 def test_count_monotone_under_edge_addition():

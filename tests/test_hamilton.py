@@ -62,6 +62,21 @@ def test_exact_petersen_not_hamiltonian():
     assert not brute_has_ham_cycle(g, list(range(10)))
 
 
+@pytest.mark.parametrize(
+    "graph, status, work",
+    [
+        (petersen(), "not_hamiltonian", 237),
+        (build_knn(5), "hamiltonian", 630),
+        (build_extremal(6, [7]).graph, "hamiltonian", 8228),
+    ],
+    ids=["petersen", "k55", "extremal_6_7"],
+)
+def test_exact_work_is_the_state_count(graph, status, work):
+    # values recorded on the per-mask loop that the vectorised kernel replaced
+    dec = is_hamiltonian_exact(graph, _full(graph.m))
+    assert (dec.status, dec.work) == (status, work)
+
+
 def test_exact_budget_error():
     g = Graph.complete(25)
     with pytest.raises(BudgetExceededError):
