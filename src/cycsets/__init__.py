@@ -30,6 +30,7 @@ from .families import (
 from .hamilton import (
     HamCycleCert,
     HamPathCert,
+    NotHamCert,
     decide_hamiltonian_auto,
     dirac_stability_witness,
     gn_criterion,
@@ -38,6 +39,7 @@ from .hamilton import (
     ham_path_bipartite,
     ham_path_dirac,
     is_hamiltonian_exact,
+    refute_toughness,
 )
 from .analysis import (
     AnalysisParams,

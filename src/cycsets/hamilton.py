@@ -1,11 +1,16 @@
-"""Hamiltonicity: exact decision, heuristic search, constructive builders.
+"""Hamiltonicity: exact decision, certified refutation, heuristic search,
+constructive builders.
 
-Four layers:
+Five layers:
 
 * an exact decider (budget 24 vertices) on the anchored reach-set DP of
   `subsetdp`, the kernel exact counting also runs; it reads the answer at
   the full mask and backtracks a certificate from the same table, or gives
   a definitive refusal;
+* a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
+  more than |X| components, found among twin classes, their
+  neighbourhoods, cut vertices and colour classes, and carried as a
+  validated `NotHamCert`; incomplete, never claims Hamiltonicity;
 * a seeded rotation-extension engine: sound, incomplete, never claims
   non-Hamiltonicity;
 * constructive routines that build Hamilton paths/cycles in dense regimes
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
 from .errors import BudgetExceededError, PreconditionError, VerificationError
@@ -35,6 +40,9 @@ from .subsetdp import TABLE_MAX_BITS, reach_table
 
 EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 ROTATION_RESTARTS = 32
+# decide_hamiltonian_auto caps rotation at s*s rotations on scopes this small,
+# which the DP decides in milliseconds anyway
+SMALL_SCOPE = 16
 
 
 @dataclass(frozen=True)
@@ -73,15 +81,36 @@ class HamPathCert:
 
 
 @dataclass(frozen=True)
+class NotHamCert:
+    """A toughness obstruction (Chvátal 1973): a nonempty X inside the scope
+    S such that G[S] - X has more than |X| components.  Removing X cuts a
+    Hamilton cycle of G[S] into at most |X| arcs, so there is none."""
+
+    x_mask: int
+
+    def validate(self, g: Graph, scope_mask: int) -> None:
+        if not self.x_mask:
+            raise VerificationError("toughness certificate has an empty X")
+        if self.x_mask & ~scope_mask:
+            raise VerificationError("toughness certificate leaves the scope")
+        if not _splits(g, scope_mask, self.x_mask):
+            raise VerificationError(
+                f"removing X leaves at most |X| = {self.x_mask.bit_count()} components"
+            )
+
+
+@dataclass(frozen=True)
 class HamDecision:
     status: str  # 'hamiltonian' | 'not_hamiltonian' | 'unknown'
-    cert: HamCycleCert | None
+    cert: HamCycleCert | NotHamCert | None
     method: str
     work: int
 
     def __post_init__(self) -> None:
-        if self.status == "hamiltonian" and self.cert is None:
-            raise VerificationError("hamiltonian decision lacks a certificate")
+        if self.status == "hamiltonian" and not isinstance(self.cert, HamCycleCert):
+            raise VerificationError("hamiltonian decision lacks a cycle certificate")
+        if isinstance(self.cert, NotHamCert) and self.status != "not_hamiltonian":
+            raise VerificationError("toughness certificate on a non-refusal")
 
 
 @dataclass(frozen=True)
@@ -97,17 +126,106 @@ class StabilityWitness:
 # ---------------------------------------------------------------------------
 
 
-def _connected_within(g: Graph, mask: int) -> bool:
-    start = mask & -mask
-    comp = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= g.rows[v] & mask & ~comp
-        comp |= nxt
-        frontier = nxt
-    return comp == mask
+def _components(g: Graph, mask: int):
+    """Yield the vertex masks of the components of g[mask]."""
+    rows = g.rows
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            for v in bits_of(frontier):
+                nxt |= rows[v]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        yield comp
+        mask &= ~comp
+
+
+def _splits(g: Graph, scope_mask: int, x_mask: int) -> bool:
+    """Whether g[scope] - X has more than |X| components."""
+    k = x_mask.bit_count()
+    rest = scope_mask & ~x_mask
+    if rest.bit_count() <= k:  # each component holds a vertex
+        return False
+    return next(islice(_components(g, rest), k, None), 0) != 0
+
+
+def _cheap_cut(g: Graph, scope_mask: int) -> int:
+    """X of one vertex that splits g[scope] (at least 3 vertices): the lone
+    neighbour of a vertex of scope-degree 1, else, for a disconnected scope,
+    a vertex of its largest component (any vertex when all are single).
+    0 when the scope is connected with minimum degree at least 2."""
+    for v in bits_of(scope_mask):
+        nbrs = g.rows[v] & scope_mask
+        if nbrs.bit_count() == 1:
+            return nbrs
+    comps = list(_components(g, scope_mask))
+    if len(comps) == 1:
+        return 0
+    big = max(comps, key=int.bit_count)
+    return big & -big
+
+
+def _unbalanced_side(g: Graph, scope_mask: int) -> int:
+    """The smaller colour class of a connected bipartite g[scope] whose
+    classes differ in size; 0 otherwise."""
+    sides = [0, 0]
+    layer = seen = scope_mask & -scope_mask
+    depth = 0
+    while layer:
+        nbrs = 0
+        for v in bits_of(layer):
+            nbrs |= g.rows[v]
+        if nbrs & layer:  # an edge inside a BFS layer closes an odd cycle
+            return 0
+        sides[depth & 1] |= layer
+        layer = nbrs & scope_mask & ~seen
+        seen |= layer
+        depth += 1
+    small, large = sorted(sides, key=int.bit_count)
+    return small if small.bit_count() < large.bit_count() else 0
+
+
+def _twin_cut(g: Graph, scope_mask: int) -> int:
+    """X = C or X = N_S(C) for a twin class C (vertices with equal
+    N(v) & S, hence independent) such that X splits g[scope]; 0 if none."""
+    classes: dict[int, int] = {}
+    for v in bits_of(scope_mask):
+        nbrs = g.rows[v] & scope_mask
+        classes[nbrs] = classes.get(nbrs, 0) | 1 << v
+    for nbrs, cls in classes.items():
+        for x in (cls, nbrs):
+            if _splits(g, scope_mask, x):
+                return x
+    return 0
+
+
+def refute_toughness(g: Graph, scope_mask: int) -> NotHamCert | None:
+    """A validated toughness certificate for g[scope], or None.
+
+    Candidates for X, cheapest first: the lone neighbour of a vertex of
+    scope-degree 1; one vertex of a disconnected scope; the smaller colour
+    class of an unbalanced bipartite scope; and, for every twin class C
+    (singletons included), X = C and X = N_S(C).  A cut vertex never has a
+    twin, so the singleton classes try every cut vertex.  On a member of
+    the extremal family, C = the B-part survivors gives both refutations of
+    `gn_criterion`: X = N_S(C) = T when d < 0, and X = C when e(T) < d.
+
+    None decides nothing: the Petersen graph is not Hamiltonian and has no
+    such X.
+    """
+    if scope_mask.bit_count() < 3:
+        return None
+    x = (
+        _cheap_cut(g, scope_mask)
+        or _unbalanced_side(g, scope_mask)
+        or _twin_cut(g, scope_mask)
+    )
+    if not x:
+        return None
+    cert = NotHamCert(x)
+    cert.validate(g, scope_mask)
+    return cert
 
 
 def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
@@ -116,7 +234,9 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     Paths are anchored at the lowest scope vertex; a certificate is
     backtracked when the final state closes to the anchor.  `work` is the
     number of (visited-set, endpoint) states, sum |reach[M]|.  Budget: 24
-    vertices, i.e. a table of at most 2^23 entries.
+    vertices, i.e. a table of at most 2^23 entries.  A scope with a vertex
+    of scope-degree 1, or a disconnected one, is refused before the table
+    with a `NotHamCert` and work 0; the table's own refusals carry none.
     """
     if scope.size > EXACT_BUDGET:
         raise BudgetExceededError(
@@ -126,11 +246,11 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     s = scope.size
     if s < 3:
         return HamDecision("not_hamiltonian", None, "dp", 0)
-    for v in bits_of(smask):
-        if (g.rows[v] & smask).bit_count() < 2:
-            return HamDecision("not_hamiltonian", None, "dp", 0)
-    if not _connected_within(g, smask):
-        return HamDecision("not_hamiltonian", None, "dp", 0)
+    x = _cheap_cut(g, smask)
+    if x:
+        cert = NotHamCert(x)
+        cert.validate(g, smask)
+        return HamDecision("not_hamiltonian", cert, "dp", 0)
 
     verts = scope.members()
     idx = {v: i for i, v in enumerate(verts)}
@@ -219,19 +339,27 @@ def find_ham_cycle_rotation(
 def decide_hamiltonian_auto(
     g: Graph, scope: VertexSet, seed: int = 0, budget: int = 20000
 ) -> HamDecision:
-    """Tiered policy: tiny scopes straight to DP, larger ones try rotation
-    first and fall back to DP while it stays within budget; beyond 24
-    vertices an unsuccessful rotation search stays unknown."""
-    if scope.size < 3:
+    """Tiered policy, every answer certified:
+
+    1. `refute_toughness`: a `NotHamCert`, method 'toughness';
+    2. rotation, within `budget` rotations, capped at s*s on scopes of at
+       most SMALL_SCOPE vertices, which bounds the cost of a refuter miss;
+    3. the exact DP, for scopes within its budget of 24 vertices.
+
+    Beyond 24 vertices a scope neither refuted nor rotated stays unknown.
+    """
+    s = scope.size
+    if s < 3:
         return HamDecision("not_hamiltonian", None, "auto", 0)
-    if scope.size <= 16:
-        return is_hamiltonian_exact(g, scope)
+    cert = refute_toughness(g, scope.mask)
+    if cert is not None:
+        return HamDecision("not_hamiltonian", cert, "toughness", 0)
+    if s <= SMALL_SCOPE:
+        budget = min(budget, s * s)
     dec = find_ham_cycle_rotation(g, scope, budget=budget, seed=seed)
-    if dec.status == "hamiltonian":
+    if dec.status == "hamiltonian" or s > EXACT_BUDGET:
         return dec
-    if scope.size <= EXACT_BUDGET:
-        return is_hamiltonian_exact(g, scope)
-    return dec
+    return is_hamiltonian_exact(g, scope)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,16 @@ def test_estimate_decider_agreement_on_family_member():
     assert abs(float(gn.p_hat) - p) <= 4 * se
 
 
+def test_estimate_auto_matches_gn_at_m40():
+    # every refusal is settled by a toughness certificate, not the DP
+    eg = build_extremal(20, [21])
+    for seed in (5, 6):
+        auto = estimate_h(eg.graph, Fraction(1, 2), 500, seed, decider="auto")
+        gn = estimate_h(eg.graph, Fraction(1, 2), 500, seed, decider="gn", eg=eg)
+        assert auto.successes == gn.successes
+        assert auto.undecided_fraction == 0
+
+
 def test_estimate_gn_requires_matching_graph():
     eg = build_extremal(4, [5])
     with pytest.raises(PreconditionError):

@@ -10,9 +10,11 @@ import pytest
 from conftest import brute_has_ham_cycle, petersen, random_graph
 
 from cycsets.bitgraph import Cut, Graph, VertexSet, mask_of
-from cycsets.errors import BudgetExceededError, PreconditionError
+from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
 from cycsets.families import build_extremal, build_knn
 from cycsets.hamilton import (
+    HamDecision,
+    NotHamCert,
     decide_hamiltonian_auto,
     dirac_stability_witness,
     find_ham_cycle_rotation,
@@ -22,6 +24,7 @@ from cycsets.hamilton import (
     ham_path_bipartite,
     ham_path_dirac,
     is_hamiltonian_exact,
+    refute_toughness,
 )
 from cycsets.instances import (
     dirac_instance,
@@ -167,6 +170,123 @@ def test_auto_decider_sound_fuzz():
         assert (dec.status == "hamiltonian") == want
         if dec.cert is not None:
             dec.cert.validate(g, scope.mask)
+
+
+def test_rotation_work_stays_within_budget():
+    for g in (petersen(), random_graph(12, 4, p=0.3), Graph.complete(9)):
+        for b in (0, 1, 9, 100, 1000):
+            assert find_ham_cycle_rotation(g, _full(g.m), budget=b).work <= b
+
+
+# -- toughness refutations ---------------------------------------------------
+
+
+def test_not_ham_cert_rejects_forgeries():
+    g = Graph.cycle(6)
+    with pytest.raises(VerificationError, match="empty"):
+        NotHamCert(0).validate(g, g.full_mask())
+    with pytest.raises(VerificationError, match="leaves the scope"):
+        NotHamCert(1 << 5).validate(g, 0b011111)
+    for x in (0b1, 0b1001):  # one vertex, two opposite vertices of C_6
+        with pytest.raises(VerificationError, match="components"):
+            NotHamCert(x).validate(g, g.full_mask())
+    # removing two vertices at distance 2 leaves an isolated vertex and a P3
+    with pytest.raises(VerificationError, match="components"):
+        NotHamCert(0b101).validate(g, g.full_mask())
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    NotHamCert(0b1).validate(star, star.full_mask())
+
+
+def test_hamiltonian_decision_needs_a_cycle_certificate():
+    for cert in (None, NotHamCert(1)):
+        with pytest.raises(VerificationError):
+            HamDecision("hamiltonian", cert, "dp", 0)
+    with pytest.raises(VerificationError):
+        HamDecision("unknown", NotHamCert(1), "toughness", 0)
+
+
+def test_exact_cheap_refusals_carry_certificates():
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    path = Graph.cycle(6)  # the scope 0..4 induces a path
+    for g, scope, x in (
+        (star, 0b1111, 0b1),  # the lone neighbour of a leaf
+        (two_triangles, 0b111111, 0b1),  # one vertex of a disconnected scope
+        (Graph.empty(4), 0b1111, 0b1),  # all components single vertices
+        (path, 0b11111, 0b10),
+    ):
+        dec = is_hamiltonian_exact(g, VertexSet(scope, g.m))
+        assert (dec.status, dec.cert, dec.method, dec.work) == (
+            "not_hamiltonian", NotHamCert(x), "dp", 0
+        )
+        dec.cert.validate(g, scope)
+    # only the DP table's own refutations lack a certificate
+    assert is_hamiltonian_exact(petersen(), _full(10)).cert is None
+
+
+def test_petersen_has_no_toughness_certificate():
+    g = petersen()
+    assert refute_toughness(g, g.full_mask()) is None
+    dec = decide_hamiltonian_auto(g, _full(10))
+    assert (dec.status, dec.method, dec.cert) == ("not_hamiltonian", "dp", None)
+
+
+def test_refuter_bipartite_and_cut_vertex_candidates():
+    k = Graph.complete_bipartite(3, 5)
+    assert refute_toughness(k, k.full_mask()) == NotHamCert(0b111)
+    # the balanced K_{4,4} is Hamiltonian: nothing to refute
+    assert refute_toughness(build_knn(4), 0xFF) is None
+    # two triangles sharing a vertex: the shared vertex is a cut vertex
+    bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    assert refute_toughness(bowtie, bowtie.full_mask()) == NotHamCert(0b100)
+
+
+@pytest.mark.parametrize(
+    "n, cycles", [(6, [7]), (6, [3, 4]), (7, [4, 4])], ids=str
+)
+def test_refuter_settles_every_family_refutation(n, cycles):
+    # the twin class of the B-part survivors covers both gn_criterion refusals
+    eg = build_extremal(n, cycles)
+    g = eg.graph
+    for mask in range(1 << g.m):
+        if mask.bit_count() < 3:
+            continue
+        cert = refute_toughness(g, mask)
+        assert (cert is None) == gn_criterion(eg, VertexSet(mask, g.m)), f"{mask:b}"
+
+
+@pytest.mark.parametrize(
+    "m, p, seeds",
+    [(6, 0.5, 3), (8, 0.3, 2), (8, 0.6, 2), (9, 0.45, 2), (11, 0.5, 1), (12, 0.35, 1)],
+)
+def test_deciders_agree_on_every_scope(m, p, seeds):
+    """Refuter, rotation, auto and the DP agree on every scope of >= 3
+    vertices, and on m <= 9 with plain backtracking; every certificate
+    validates."""
+    for seed in range(seeds):
+        g = random_graph(m, 7100 + 31 * m + seed, p=p)
+        for mask in range(1 << m):
+            s = mask.bit_count()
+            if s < 3:
+                continue
+            scope = VertexSet(mask, m)
+            exact = is_hamiltonian_exact(g, scope)
+            ham = exact.status == "hamiltonian"
+            if m <= 9:
+                assert ham == brute_has_ham_cycle(g, scope.members())
+            cert = refute_toughness(g, mask)
+            if cert is not None:
+                assert not ham
+                cert.validate(g, mask)
+            rot = find_ham_cycle_rotation(g, scope, budget=s * s, seed=seed)
+            assert rot.status in ("hamiltonian", "unknown")
+            if rot.status == "hamiltonian":
+                assert ham
+            auto = decide_hamiltonian_auto(g, scope, seed=seed)
+            assert auto.status == exact.status
+            for dec in (exact, rot, auto):
+                if dec.cert is not None:
+                    dec.cert.validate(g, mask)
 
 
 # -- Hamilton-connected path builders ----------------------------------------
