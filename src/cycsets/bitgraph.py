@@ -35,24 +35,49 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def nth_bit(mask: int, r: int) -> int:
+    """Position of the set bit of rank r (0-based, increasing order) in mask.
+
+    Equals list(bits_of(mask))[r], found by a popcount binary search."""
+    if not 0 <= r < mask.bit_count():
+        raise PreconditionError(f"rank {r} outside 0..{mask.bit_count() - 1}")
+    lo, hi = 0, mask.bit_length()  # exactly r set bits below lo, more below hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() > r:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _bit_matrix(m: int, rows) -> str:
+    """The m x m adjacency matrix as one '0'/'1' string, entry (v, u) at
+    v*m + u.  Rows must have no bits at or above m."""
+    return "".join(f"{row:0{m}b}"[::-1] for row in rows)
+
+
 @dataclass(frozen=True)
 class Graph:
     m: int
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 0 or len(self.rows) != self.m:
+        m, rows = self.m, self.rows
+        if m < 0 or len(rows) != m:
             raise PreconditionError("row count must equal vertex count")
-        full = (1 << self.m) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~full:
-                raise PreconditionError(f"row {v} has bits outside 0..{self.m - 1}")
+        for v, row in enumerate(rows):
+            if row >> m:
+                raise PreconditionError(f"row {v} has bits outside 0..{m - 1}")
             if row >> v & 1:
                 raise PreconditionError(f"self-loop at {v}")
-        for v, row in enumerate(self.rows):
-            for u in bits_of(row):
-                if not self.rows[u] >> v & 1:
-                    raise PreconditionError(f"asymmetric adjacency {v},{u}")
+        # symmetric iff every row of the bit matrix equals its column
+        bits = _bit_matrix(m, rows)
+        if any(bits[v * m : (v + 1) * m] != bits[v::m] for v in range(m)):
+            for v, row in enumerate(rows):
+                for u in bits_of(row):
+                    if not rows[u] >> v & 1:
+                        raise PreconditionError(f"asymmetric adjacency {v},{u}")
 
     # -- constructors ------------------------------------------------------
 
@@ -283,22 +308,16 @@ def _g6_encode_n(n: int) -> bytes:
 
 def to_graph6(g: Graph, header: bool = False) -> str:
     """Encode a graph in graph6: N(n) then the upper triangle column-major."""
+    m = g.m
+    bits = _bit_matrix(m, g.rows)
+    # column j of the upper triangle is row j's entries (i, j), i < j
+    body = "".join(bits[j * m : j * m + j] for j in range(1, m))
+    body += "0" * (-len(body) % 6)
     out = bytearray()
     if header:
         out += GRAPH6_HEADER.encode()
-    out += _g6_encode_n(g.m)
-    buf = 0
-    nbits = 0
-    for j in range(1, g.m):
-        col = g.rows[j]
-        for i in range(j):
-            buf = (buf << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(buf + 63)
-                buf = nbits = 0
-    if nbits:
-        out.append((buf << (6 - nbits)) + 63)
+    out += _g6_encode_n(m)
+    out += bytes(int(body[i : i + 6], 2) + 63 for i in range(0, len(body), 6))
     return out.decode("ascii")
 
 
@@ -337,21 +356,18 @@ def from_graph6(text: str) -> Graph:
         raise PreconditionError(
             f"graph6 body length {len(data) - pos} != expected {need} for n={n}"
         )
-    bits = 0
-    for b in data[pos:]:
-        bits = (bits << 6) | (b - 63)
-    total = 6 * need
-    rows = [0] * n
+    body = "".join(f"{b - 63:06b}" for b in data[pos:])
     k = n * (n - 1) // 2
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            bit = bits >> (total - 1 - idx) & 1
-            idx += 1
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    # lower[j*n + i] is the bit of pair (i, j), i < j: column j of the
+    # upper triangle, zero-padded to length n
+    lower = "".join(
+        body[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n)
+    )
+    rows = tuple(
+        int(lower[v * n : (v + 1) * n][::-1], 2) | int(lower[v::n][::-1], 2)
+        for v in range(n)
+    )
     # trailing pad bits must be zero for a bit-exact encoding
-    if k < total and bits & ((1 << (total - k)) - 1):
+    if "1" in body[k:]:
         raise PreconditionError("nonzero padding bits in graph6 body")
-    return Graph(n, tuple(rows))
+    return Graph(n, rows)

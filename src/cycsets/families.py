@@ -54,7 +54,7 @@ class ExtremalGraph:
                 raise PreconditionError("part B is not independent")
             if g.rows[v] != self.part_a.mask:
                 raise PreconditionError("A x B is not complete bipartite")
-        inside = set()
+        factor = [0] * g.m  # 2-factor neighbours of each vertex
         for cyc in self.cycles:
             if len(cyc) < 3:
                 raise PreconditionError("cycle shorter than 3")
@@ -62,12 +62,12 @@ class ExtremalGraph:
                 v = cyc[(i + 1) % len(cyc)]
                 if not g.has_edge(u, v):
                     raise PreconditionError(f"missing 2-factor edge ({u},{v})")
-                inside.add((min(u, v), max(u, v)))
+                factor[u] |= 1 << v
+                factor[v] |= 1 << u
+        # B is independent, so a declared cycle through B also meets A, and
+        # there factor[a] holds a bit outside A
         amask = self.part_a.mask
-        actual = {
-            (u, v) for u, v in g.edges() if amask >> u & 1 and amask >> v & 1
-        }
-        if actual != inside:
+        if any(g.rows[a] & amask != factor[a] for a in self.part_a.members()):
             raise PreconditionError("edges inside A are not exactly the 2-factor")
 
 
@@ -104,25 +104,21 @@ def build_extremal(n: int, cycle_lengths: list[int]) -> ExtremalGraph:
             f"cycle lengths must sum to n+1 = {n + 1}, got sum {sum(lengths)}"
         )
     m = 2 * n
-    a = list(range(n + 1))
-    b = list(range(n + 1, m))
-    edges = [(u, v) for u in a for v in b]
+    amask = (1 << (n + 1)) - 1
+    bmask = ((1 << m) - 1) ^ amask
+    rows = [bmask] * (n + 1) + [amask] * (n - 1)
     cycles = []
     off = 0
     for ell in lengths:
         cyc = tuple(range(off, off + ell))
         cycles.append(cyc)
-        edges.extend(
-            (cyc[i], cyc[(i + 1) % ell]) if cyc[i] < cyc[(i + 1) % ell] else (cyc[(i + 1) % ell], cyc[i])
-            for i in range(ell)
-        )
+        for i, u in enumerate(cyc):
+            v = cyc[(i + 1) % ell]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         off += ell
     eg = ExtremalGraph(
-        n,
-        Graph.from_edges(m, edges),
-        VertexSet(mask_of(a), m),
-        VertexSet(mask_of(b), m),
-        tuple(cycles),
+        n, Graph(m, tuple(rows)), VertexSet(amask, m), VertexSet(bmask, m), tuple(cycles)
     )
     eg.validate()
     return eg

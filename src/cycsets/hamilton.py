@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
+from math import ceil, floor
 
-from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
+from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of, nth_bit
 from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .families import ExtremalGraph
 from .sampling import StreamRng
@@ -313,8 +314,7 @@ def find_ham_cycle_rotation(
             end = path[-1]
             ext = g.rows[end] & smask & ~on_path
             if ext:
-                opts = list(bits_of(ext))
-                v = opts[rng.below(len(opts))]
+                v = nth_bit(ext, rng.below(ext.bit_count()))
                 path.append(v)
                 on_path |= 1 << v
                 continue
@@ -517,10 +517,11 @@ def _dense_side_path(
     common neighbors, and the dense remainder is finished by the Dirac path
     routine.
     """
-    m = g.m
+    # an int degree d has d <= low_threshold * m iff d <= low_cap
+    low_cap = floor(low_threshold * g.m)
     low = 0
     for v in bits_of(side_mask):
-        if (g.rows[v] & side_mask).bit_count() <= low_threshold * m:
+        if (g.rows[v] & side_mask).bit_count() <= low_cap:
             low |= 1 << v
     high = side_mask & ~low
     used = (1 << s) | (1 << t)
@@ -659,11 +660,13 @@ def ham_cycle_near_bipartite(
     crossing = g.edges_between(amask, bmask)
     if 4 * crossing < (1 - 4 * eps) * m * m:
         raise PreconditionError("crossing graph too sparse")
+    # an int d has d < gamma * m iff d < gamma_cap
+    gamma_cap = ceil(gamma * m)
     for v in bits_of(amask):
-        if (g.rows[v] & bmask).bit_count() * 3 < gamma * m:
+        if (g.rows[v] & bmask).bit_count() * 3 < gamma_cap:
             raise PreconditionError(f"crossing degree of {v} below gamma*m/3")
     for v in bits_of(bmask):
-        if (g.rows[v] & amask).bit_count() * 3 < gamma * m:
+        if (g.rows[v] & amask).bit_count() * 3 < gamma_cap:
             raise PreconditionError(f"crossing degree of {v} below gamma*m/3")
     k_good_witness.validate(g, amask)
     if k_good_witness.size != f:
@@ -671,13 +674,14 @@ def ham_cycle_near_bipartite(
             f"witness must have exactly |X|-|Y| = {f} edges, has {k_good_witness.size}"
         )
 
+    low_cap = floor(low_threshold * m)
     low_a = 0
     for v in bits_of(amask):
-        if (g.rows[v] & bmask).bit_count() <= low_threshold * m:
+        if (g.rows[v] & bmask).bit_count() <= low_cap:
             low_a |= 1 << v
     low_b = 0
     for v in bits_of(bmask):
-        if (g.rows[v] & amask).bit_count() <= low_threshold * m:
+        if (g.rows[v] & amask).bit_count() <= low_cap:
             low_b |= 1 << v
     high_a, high_b = amask & ~low_a, bmask & ~low_b
     used = 0

@@ -8,6 +8,7 @@ from cycsets.bitgraph import Graph
 from cycsets.canon import canonical_code
 from cycsets.errors import PreconditionError
 from cycsets.families import (
+    ExtremalGraph,
     build_competitor,
     build_extremal,
     build_knn,
@@ -69,6 +70,23 @@ def test_extremal_structure(n, lengths):
     for cyc in eg.cycles:
         for i, v in enumerate(cyc):
             assert g.has_edge(v, cyc[(i + 1) % len(cyc)])
+
+
+def test_extremal_validate_rejects_wrong_edges_inside_a():
+    eg = build_extremal(6, [3, 4])  # A = 0..6, B = 7..11
+    for cycles in (
+        eg.cycles[:1],  # the declared cycles miss A-edges
+        ((0, 7, 2), (3, 4, 5, 6)),  # a declared cycle runs through B
+    ):
+        bad = ExtremalGraph(eg.n, eg.graph, eg.part_a, eg.part_b, cycles)
+        with pytest.raises(PreconditionError) as exc:
+            bad.validate()
+        assert str(exc.value) == "edges inside A are not exactly the 2-factor"
+    swapped = eg.graph.without_edges([(0, 1), (3, 4)]).with_edges([(0, 4), (1, 3)])
+    bad = ExtremalGraph(eg.n, swapped, eg.part_a, eg.part_b, eg.cycles)
+    with pytest.raises(PreconditionError) as exc:
+        bad.validate()
+    assert str(exc.value) == "missing 2-factor edge (0,1)"
 
 
 def test_extremal_cycle_order_irrelevant():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+import time
+
 import pytest
 
 from conftest import random_graph
@@ -13,17 +17,34 @@ from cycsets.bitgraph import (
     bits_of,
     from_graph6,
     mask_of,
+    nth_bit,
     to_graph6,
 )
 from cycsets.canon import canonical_code, is_isomorphic_small
 from cycsets.errors import PreconditionError
-from cycsets.families import build_extremal
+from cycsets.families import build_extremal, build_knn
 
 
 def test_mask_bits_round_trip():
     for vertices in ([], [0], [3, 1, 7], list(range(40))):
         mask = mask_of(vertices)
         assert list(bits_of(mask)) == sorted(vertices)
+
+
+def test_nth_bit_matches_bit_list():
+    rnd = random.Random(5)
+    for width in (1, 2, 7, 63, 64, 65, 128, 300, 600, 700):
+        for density in (0.02, 0.5, 0.97):
+            mask = mask_of(v for v in range(width) if rnd.random() < density)
+            mask |= 1 << (width - 1)
+            members = list(bits_of(mask))
+            assert [nth_bit(mask, r) for r in range(len(members))] == members
+
+
+def test_nth_bit_rejects_rank_out_of_range():
+    for mask, r in ((0, 0), (0b1011, 3), (0b1011, -1)):
+        with pytest.raises(PreconditionError):
+            nth_bit(mask, r)
 
 
 def test_vertex_set_algebra():
@@ -62,6 +83,57 @@ def test_graph_edge_ops():
     assert not g3.has_edge(1, 2)
     assert sorted(g.edges()) == [(0, 1), (1, 2)]
     assert set(g.neighbors(1)) == {0, 2}
+
+
+def _rejection(m: int, rows) -> str:
+    with pytest.raises(PreconditionError) as exc:
+        Graph(m, tuple(rows))
+    return str(exc.value)
+
+
+def test_graph_rejects_bits_at_or_above_m():
+    assert _rejection(3, [0, 1 << 3, 0]) == "row 1 has bits outside 0..2"
+    assert _rejection(3, [1 << 70, 0, 0]) == "row 0 has bits outside 0..2"
+    assert _rejection(2, [0b10, -1]) == "row 1 has bits outside 0..1"
+    assert _rejection(3, [0, 0]) == "row count must equal vertex count"
+
+
+def test_graph_rejects_self_loop():
+    assert _rejection(4, [0, 0, 0b0100, 0]) == "self-loop at 2"
+    k4 = list(Graph.complete(4).rows)
+    k4[3] |= 1 << 3
+    assert _rejection(4, k4) == "self-loop at 3"
+
+
+def test_graph_rejects_asymmetric_pair_in_each_direction():
+    # (v, u) set without (u, v), for v < u and for v > u
+    assert _rejection(3, [0b100, 0, 0]) == "asymmetric adjacency 0,2"
+    assert _rejection(3, [0, 0, 0b001]) == "asymmetric adjacency 2,0"
+    assert _rejection(70, [0] * 69 + [1 << 68]) == "asymmetric adjacency 69,68"
+
+
+def _first_asymmetry(rows) -> str:
+    """The pair the row-by-row scan reports: first v, then first u."""
+    for v, row in enumerate(rows):
+        for u in bits_of(row):
+            if not rows[u] >> v & 1:
+                return f"asymmetric adjacency {v},{u}"
+    raise AssertionError("rows are symmetric")
+
+
+def test_graph_asymmetry_message_names_first_scanned_pair():
+    rnd = random.Random(11)
+    for m in (5, 9, 40, 130):
+        for seed in range(4):
+            rows = list(random_graph(m, 1000 * m + seed, p=0.3).rows)
+            for _ in range(1 + seed):
+                v, u = rnd.sample(range(m), 2)
+                rows[v] ^= 1 << u
+            if any(rows[u] >> v & 1 != rows[v] >> u & 1
+                   for v in range(m) for u in range(m)):
+                assert _rejection(m, rows) == _first_asymmetry(rows)
+            else:
+                assert Graph(m, tuple(rows)).m == m
 
 
 def test_complement_involution():
@@ -137,6 +209,43 @@ def test_graph6_long_form_large_graph():
     g = random_graph(70, 7, p=0.1)
     s = to_graph6(g)
     assert from_graph6(s).rows == g.rows
+
+
+def test_graph6_pinned_output():
+    assert to_graph6(build_extremal(3, [4]).graph) == "El~o"
+    assert to_graph6(build_knn(6)) == "K??F~z{~Fw^_"
+    s = to_graph6(build_extremal(300, [301]).graph)
+    assert hashlib.sha256(s.encode()).hexdigest() == (
+        "1af27139b79ee533e9f3789b4c127749195b49845bb946473bf19ba815c462f0"
+    )
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 62, 63, 64, 600])
+def test_graph6_round_trip_sizes(m):
+    for p in (0.0, 0.5, 1.0):
+        g = random_graph(m, m, p=p)
+        s = to_graph6(g)
+        assert len(s) == (1 if m <= 62 else 4) + (m * (m - 1) // 2 + 5) // 6
+        assert from_graph6(s) == g
+
+
+@pytest.mark.parametrize("m", [2, 3, 62, 63])
+def test_graph6_rejects_nonzero_padding(m):
+    s = to_graph6(Graph.complete(m))
+    last = ord(s[-1]) - 63
+    pad = -(m * (m - 1) // 2) % 6
+    assert pad and last & ((1 << pad) - 1) == 0
+    for bit in range(pad):
+        with pytest.raises(PreconditionError, match="nonzero padding bits"):
+            from_graph6(s[:-1] + chr((last | 1 << bit) + 63))
+
+
+def test_graph6_decode_m600_within_half_a_second():
+    s = to_graph6(build_extremal(300, [301]).graph)
+    start = time.perf_counter()
+    g = from_graph6(s)
+    assert time.perf_counter() - start < 0.5
+    assert g.m == 600 and g.degrees() == [301] * 600
 
 
 def test_graph6_rejects_garbage():

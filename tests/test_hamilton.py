@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -417,6 +418,30 @@ def test_near_bipartite_builder_instances():
         cert = ham_cycle_near_bipartite(g, cut, forest, seed=seed)
         cert.validate(g, g.full_mask())
         assert len(cert.order) == 600
+
+
+# Instance seeds of the benchmark's certify_dense workload for run seeds 1 and
+# 2026, and the sha256 of repr() of the four certificate orders each gives.
+BUILDER_ORDER_DIGESTS = {
+    2484195175: "89e1fc9ccba248bcaad7a74038f9a73d94d5578973e73f83427f3070bdf7bedd",
+    3800690240: "76ae0af13f66ac86497705589c1e9264b3f9b0dd9407ddde278aaad9fc4513e1",
+}
+
+
+@pytest.mark.parametrize("s", sorted(BUILDER_ORDER_DIGESTS))
+def test_builder_certificates_are_pinned(s):
+    g1, cut1 = two_cliques_instance(600, s)
+    g2, cut2, forest = near_bipartite_instance(600, s)
+    g3, a3, b3 = dirac_instance(200, s)
+    g4, left, right, a4, b4 = bipartite_instance(200, s)
+    orders = [
+        ham_cycle_two_cliques(g1, cut1, seed=s).order,
+        ham_cycle_near_bipartite(g2, cut2, forest, seed=s).order,
+        ham_path_dirac(g3, a3, b3, seed=s).order,
+        ham_path_bipartite(g4, left, right, a4, b4, seed=s).order,
+    ]
+    digest = hashlib.sha256(repr(orders).encode()).hexdigest()
+    assert digest == BUILDER_ORDER_DIGESTS[s]
 
 
 # -- fast criterion for the extremal family ----------------------------------
