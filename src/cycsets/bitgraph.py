@@ -188,6 +188,34 @@ class Graph:
                 rows[i] |= 1 << index[u]
         return Graph(len(verts), tuple(rows)), verts
 
+    def components(self, mask: int):
+        """Yield the vertex masks of the components of g[mask], in order of
+        their lowest vertex."""
+        rows = self.rows
+        while mask:
+            comp = frontier = mask & -mask
+            while frontier:
+                nxt = 0
+                for v in bits_of(frontier):
+                    nxt |= rows[v]
+                frontier = nxt & mask & ~comp
+                comp |= frontier
+            yield comp
+            mask &= ~comp
+
+    def bipartite_restriction(self, lmask: int, rmask: int) -> "Graph":
+        """Only the edges between the disjoint sets L and R, on all m
+        vertices (vertices outside L ∪ R become isolated)."""
+        rows = []
+        for v in range(self.m):
+            if lmask >> v & 1:
+                rows.append(self.rows[v] & rmask)
+            elif rmask >> v & 1:
+                rows.append(self.rows[v] & lmask)
+            else:
+                rows.append(0)
+        return Graph(self.m, tuple(rows))
+
     # -- edge counts between vertex sets -----------------------------------
 
     def edges_between(self, amask: int, bmask: int) -> int:

@@ -388,6 +388,10 @@ def _suite_calculus(args) -> list[dict]:
 def _suite_gncriterion(args) -> list[dict]:
     checks = []
     n = args.n
+    if 2 * n > CYC_EXACT_MAX:
+        raise BudgetExceededError(
+            f"gncriterion walks all 2^{2 * n} subsets; budget is m = 2n <= {CYC_EXACT_MAX}"
+        )
     for part in _cycle_partitions(n + 1):
         eg = build_extremal(n, part)
         g = eg.graph

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitgraph import Graph, VertexSet, mask_of
-from .canon import canonical_code
 from .errors import BudgetExceededError, PreconditionError
 
 
@@ -26,10 +25,6 @@ class ExtremalGraph:
     part_a: VertexSet
     part_b: VertexSet
     cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def cycle_lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cycles)
 
     def cycle_spans(self) -> tuple[tuple[int, int], ...]:
         """(offset, length) per cycle; cycles occupy consecutive indices."""
@@ -224,9 +219,13 @@ def enumerate_regular_complements(n: int) -> list[Graph]:
     """All (n+1)-regular graphs on 2n vertices, up to isomorphism.
 
     Generated through complements, which are (n-2)-regular: empty (n=2),
-    a perfect matching (n=3), or a disjoint union of cycles (n=4).  Beyond
-    n=4 the complement is 3-regular or denser and this complement trick no
-    longer enumerates anything, so larger n is rejected.
+    a perfect matching (n=3), or a disjoint union of cycles (n=4).  Two
+    2-regular graphs are isomorphic exactly when they have the same cycle
+    lengths, so the n=4 complements, one per partition of 8 into parts
+    >= 3 ([8], [5, 3], [4, 4]), are pairwise non-isomorphic and need no
+    deduplication.  Beyond n=4 the complement is 3-regular or denser and
+    this complement trick no longer enumerates anything, so larger n is
+    rejected.
     """
     if n == 2:
         return [Graph.empty(4).complement()]
@@ -234,15 +233,7 @@ def enumerate_regular_complements(n: int) -> list[Graph]:
         pm = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
         return [pm.complement()]
     if n == 4:
-        out = []
-        seen = set()
-        for part in _cycle_partitions(8):
-            g = _disjoint_cycles(8, part).complement()
-            code = canonical_code(g)
-            if code not in seen:
-                seen.add(code)
-                out.append(g)
-        return out
+        return [_disjoint_cycles(8, part).complement() for part in _cycle_partitions(8)]
     raise PreconditionError(
         f"supported for n in {{2, 3, 4}} only (got n={n}); the (n-2)-regular "
         "complement is no longer a union of cycles beyond that"

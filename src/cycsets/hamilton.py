@@ -127,28 +127,13 @@ class StabilityWitness:
 # ---------------------------------------------------------------------------
 
 
-def _components(g: Graph, mask: int):
-    """Yield the vertex masks of the components of g[mask]."""
-    rows = g.rows
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= rows[v]
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        yield comp
-        mask &= ~comp
-
-
 def _splits(g: Graph, scope_mask: int, x_mask: int) -> bool:
     """Whether g[scope] - X has more than |X| components."""
     k = x_mask.bit_count()
     rest = scope_mask & ~x_mask
     if rest.bit_count() <= k:  # each component holds a vertex
         return False
-    return next(islice(_components(g, rest), k, None), 0) != 0
+    return next(islice(g.components(rest), k, None), 0) != 0
 
 
 def _cheap_cut(g: Graph, scope_mask: int) -> int:
@@ -160,7 +145,7 @@ def _cheap_cut(g: Graph, scope_mask: int) -> int:
         nbrs = g.rows[v] & scope_mask
         if nbrs.bit_count() == 1:
             return nbrs
-    comps = list(_components(g, scope_mask))
+    comps = list(g.components(scope_mask))
     if len(comps) == 1:
         return 0
     big = max(comps, key=int.bit_count)
@@ -452,7 +437,7 @@ def _bipartite_path_scoped(
     for v in bits_of(rmask):
         if 4 * (g.rows[v] & lmask).bit_count() < m + 4:
             raise PreconditionError(f"crossing degree of {v} below m/4 + 1")
-    cross = _crossing_graph(g, lmask, rmask)
+    cross = g.bipartite_restriction(lmask, rmask)
     if nl == 2:
         # remainder is a single crossing edge; wire directly
         r2 = next(bits_of(rmask & ~(1 << b)))
@@ -476,18 +461,6 @@ def _bipartite_path_scoped(
     raise VerificationError("successor sets failed to intersect (out of regime)")
 
 
-def _crossing_graph(g: Graph, lmask: int, rmask: int) -> Graph:
-    rows = []
-    for v in range(g.m):
-        if lmask >> v & 1:
-            rows.append(g.rows[v] & rmask)
-        elif rmask >> v & 1:
-            rows.append(g.rows[v] & lmask)
-        else:
-            rows.append(0)
-    return Graph(g.m, tuple(rows))
-
-
 def ham_path_bipartite(
     g: Graph, left: VertexSet, right: VertexSet, a: int, b: int, seed: int = 0
 ) -> HamPathCert:
@@ -495,11 +468,6 @@ def ham_path_bipartite(
     the sides balance and every crossing degree is >= m/4 + 1."""
     path = _bipartite_path_scoped(g, left.mask, right.mask, a, b, seed)
     return HamPathCert(tuple(path))
-
-
-def _two_lowest(mask: int) -> tuple[int, int]:
-    it = bits_of(mask)
-    return next(it), next(it)
 
 
 def _dense_side_path(

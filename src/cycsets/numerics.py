@@ -30,13 +30,6 @@ class BinomTail:
     value: float | Fraction
 
 
-@dataclass(frozen=True)
-class NormalWindow:
-    a: float
-    b: float
-    value: float
-
-
 def _central_pmf(n: int) -> float:
     """P(B(2n,1/2) = n), correctly rounded for moderate n."""
     if n <= _COMB_ANCHOR_MAX_N:
@@ -157,10 +150,6 @@ def normal_I(a: float, b: float) -> float:
     if a > b:
         raise PreconditionError(f"need a <= b (got {a}, {b})")
     return (erf(b) - erf(a)) / 2.0
-
-
-def normal_window(a: float, b: float) -> NormalWindow:
-    return NormalWindow(a, b, normal_I(a, b))
 
 
 def f_alpha(alpha: float) -> float:

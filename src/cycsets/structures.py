@@ -1,8 +1,8 @@
 """Certified combinatorial primitives on bitgraphs.
 
 Matchings, vertex covers (Konig dual + exact branch-and-bound), linear
-forests (exact subset-DP and an edge-coloring lower bound), k-good cuts,
-and degree pruning.  Every returned structure can be re-validated against
+forests (exact subset-DP and an edge-coloring lower bound) and k-good
+cuts.  Every returned structure can be re-validated against
 its host graph; tie-breaking is lowest-vertex-index-first throughout so all
 outputs are deterministic.
 """
@@ -17,6 +17,14 @@ from .bitgraph import Cut, Graph, VertexSet, bits_of
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_NODE_BUDGET = 10**7
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find forest kept as a dict (path halving)."""
+    while parent.get(x, x) != x:
+        parent[x] = parent.get(parent[x], parent[x])
+        x = parent[x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -84,13 +92,6 @@ class LinearForest:
     def validate(self, g: Graph, scope_mask: int | None = None) -> None:
         deg: dict[int, int] = {}
         parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
         for u, v in self.edges:
             if not g.has_edge(u, v):
                 raise PreconditionError(f"forest pair ({u},{v}) is not an edge")
@@ -100,7 +101,7 @@ class LinearForest:
             deg[v] = deg.get(v, 0) + 1
             if deg[u] > 2 or deg[v] > 2:
                 raise PreconditionError(f"degree > 2 at forest edge ({u},{v})")
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 raise PreconditionError(f"cycle closed by forest edge ({u},{v})")
             parent[ru] = rv
@@ -247,22 +248,10 @@ def konig_min_cover(g: Graph, left: VertexSet, right: VertexSet) -> tuple[Matchi
         frontier = nxt
     cover_mask = (left.mask & ~z) | (right.mask & z)
     cover = VertexCover(VertexSet(cover_mask, g.m), VertexSet(left.mask | right.mask, g.m))
-    cover.validate(_bipartite_restriction(g, left.mask, right.mask))
+    cover.validate(g.bipartite_restriction(left.mask, right.mask))
     if cover.size != matching.size:
         raise AssertionError("Konig equality violated (implementation bug)")
     return matching, cover
-
-
-def _bipartite_restriction(g: Graph, lmask: int, rmask: int) -> Graph:
-    rows = []
-    for v in range(g.m):
-        if lmask >> v & 1:
-            rows.append(g.rows[v] & rmask)
-        elif rmask >> v & 1:
-            rows.append(g.rows[v] & lmask)
-        else:
-            rows.append(0)
-    return Graph(g.m, tuple(rows))
 
 
 def min_vertex_cover_exact(
@@ -415,24 +404,6 @@ def min_vertex_cover_exact(
 # ---------------------------------------------------------------------------
 
 
-def _components(rows: tuple[int, ...], mask: int) -> list[int]:
-    comps = []
-    left = mask
-    while left:
-        v = next(bits_of(left))
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in bits_of(frontier):
-                nxt |= rows[u] & left & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        left &= ~comp
-    return comps
-
-
 def _path_cycle_forest(rows, comp) -> list[tuple[int, int]] | None:
     """If the component is a path or cycle, its max linear forest directly."""
     verts = list(bits_of(comp))
@@ -524,7 +495,7 @@ def max_linear_forest_exact(g: Graph, scope: VertexSet) -> LinearForest:
     if scope.size > 20:
         raise BudgetExceededError(f"max_linear_forest_exact budget: |scope|={scope.size} > 20")
     edges: list[tuple[int, int]] = []
-    for comp in _components(g.rows, scope.mask):
+    for comp in g.components(scope.mask):
         if comp.bit_count() == 1:
             continue
         direct = _path_cycle_forest(g.rows, comp)
@@ -537,17 +508,10 @@ def max_linear_forest_exact(g: Graph, scope: VertexSet) -> LinearForest:
 def _break_cycles(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Edges have max degree <= 2; drop the lex-largest edge of each cycle."""
     parent: dict[int, int] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
     kept = []
     for e in sorted(edges):
         u, v = e
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             continue  # this edge would close its cycle; it is the one dropped
         parent[ru] = rv
@@ -558,17 +522,10 @@ def _break_cycles(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def _greedy_extend(g: Graph, scope_mask: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     deg: dict[int, int] = {}
     parent: dict[int, int] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
     for u, v in edges:
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
-        parent[find(u)] = find(v)
+        parent[_find(parent, u)] = _find(parent, v)
     out = list(edges)
     for u in bits_of(scope_mask):
         if deg.get(u, 0) >= 2:
@@ -580,7 +537,7 @@ def _greedy_extend(g: Graph, scope_mask: int, edges: list[tuple[int, int]]) -> l
                 continue
             if (u, v) in out:
                 continue
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 continue
             parent[ru] = rv
@@ -677,31 +634,3 @@ def is_k_good_cut(g: Graph, cut: Cut, k: int, exact: bool = True) -> GoodCutResu
         if not exact:
             indefinite_false = True
     return GoodCutResult(False, not indefinite_false, None, None)
-
-
-# ---------------------------------------------------------------------------
-# degree pruning
-# ---------------------------------------------------------------------------
-
-
-def prune_to_max_degree(
-    g: Graph, left: VertexSet, right: VertexSet, cap: int
-) -> tuple[Graph, int]:
-    """Bipartite restriction of g[left, right] pruned to max degree <= cap.
-
-    Scans vertices in index order; at each vertex over the cap, incident
-    edges are deleted largest-neighbor-index-first.  Returns the pruned
-    graph and the number of deleted edges.
-    """
-    if cap < 0:
-        raise PreconditionError("cap must be >= 0")
-    h = _bipartite_restriction(g, left.mask, right.mask)
-    rows = list(h.rows)
-    deleted = 0
-    for v in range(h.m):
-        while rows[v].bit_count() > cap:
-            u = rows[v].bit_length() - 1  # largest-index neighbor
-            rows[v] &= ~(1 << u)
-            rows[u] &= ~(1 << v)
-            deleted += 1
-    return Graph(h.m, tuple(rows)), deleted

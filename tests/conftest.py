@@ -1,15 +1,29 @@
 """Shared brute-force oracles and small fixture graphs.
 
 The oracles here are deliberately primitive (plain backtracking, no
-bitmask DP, no memoisation) so they are independent of the algorithms
-under test.
+bitmask DP, no memoisation) or come from networkx, so they are independent
+of the algorithms under test.
 """
 
 from __future__ import annotations
 
 import random
 
+import networkx as nx
+
 from cycsets.bitgraph import Graph
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.m))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    """Isomorphism oracle: networkx's VF2 on the two edge lists."""
+    return nx.is_isomorphic(to_networkx(g), to_networkx(h))
 
 
 def brute_has_ham_cycle(g: Graph, verts: list[int]) -> bool:

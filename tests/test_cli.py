@@ -10,8 +10,9 @@ from math import sqrt
 
 import pytest
 
+from conftest import isomorphic
+
 from cycsets.bitgraph import Graph, from_graph6, to_graph6
-from cycsets.canon import canonical_code
 from cycsets.cli import main
 from cycsets.families import build_competitor, build_extremal, build_knn
 from cycsets.instances import planted_two_cliques
@@ -48,7 +49,7 @@ def test_construct_octahedron_file_and_sidecar(tmp_path, capsys):
     )
     assert code == 0, err
     g = from_graph6(out.read_text())
-    assert canonical_code(g) == canonical_code(from_graph6("E}lw"))
+    assert isomorphic(g, from_graph6("E}lw"))
     sidecar = json.loads((tmp_path / "octa.g6.json").read_text())
     assert sidecar["report"]["family"] == "extremal"
     assert sidecar["report"]["validated"] is True
@@ -60,7 +61,7 @@ def test_construct_stdout_graph6_only(capsys):
     code, out, _ = run(capsys, "construct", "knn", "--n", "2")
     assert code == 0
     g = from_graph6(out.strip())
-    assert canonical_code(g) == canonical_code(Graph.cycle(4))
+    assert isomorphic(g, Graph.cycle(4))
 
 
 def test_construct_rejects_two_cycle(capsys):
@@ -261,6 +262,14 @@ def test_verify_calculus(capsys):
 def test_verify_gncriterion_n4(capsys):
     payload = run_json(capsys, "verify", "gncriterion", "--n", "4")
     assert payload["report"]["all_pass"] is True
+
+
+def test_verify_gncriterion_refuses_past_the_exact_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "gncriterion", "--n", "11")
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert "budget" in err and out == ""
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

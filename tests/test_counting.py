@@ -9,7 +9,7 @@ from math import comb, sqrt
 
 import pytest
 
-from conftest import brute_cyclic_count, random_graph
+from conftest import brute_cyclic_count, isomorphic, random_graph
 
 from cycsets.bitgraph import Cut, Graph, VertexSet, mask_of
 from cycsets.counting import (
@@ -21,10 +21,14 @@ from cycsets.counting import (
     mainplus_report,
     p_exact_extremal,
     p_exact_knn,
-    pn_table,
 )
 from cycsets.errors import BudgetExceededError, PreconditionError
-from cycsets.families import build_competitor, build_extremal, build_knn
+from cycsets.families import (
+    build_competitor,
+    build_extremal,
+    build_knn,
+    enumerate_regular_complements,
+)
 from cycsets.hamilton import is_hamiltonian_exact
 from cycsets.structures import max_linear_forest_exact
 from cycsets.subsetdp import TABLE_MAX_BITS, reach_table
@@ -200,12 +204,9 @@ def test_p_exact_extremal_large_n_in_range():
 
 
 def test_pn_table_consistent():
-    table = pn_table([2, 3, 4])
-    assert table == {
-        2: Fraction(5, 16),
-        3: Fraction(15, 32),
-        4: Fraction(143, 256),
-    }
+    assert p_exact_extremal(2, [3]) == Fraction(5, 16)
+    assert p_exact_extremal(3, [4]) == Fraction(15, 32)
+    assert p_exact_extremal(4, [5]) == Fraction(143, 256)
 
 
 def test_p_exact_knn_closed_form_and_oracle():
@@ -228,6 +229,27 @@ def test_mainplus_report_table():
         assert r["p_exact"] == Fraction(r["cyclic_count"], 256)
     members = [r["complement_of"] for r in rows if r["is_extremal_member"]]
     assert members == ["C5+C3"]
+
+
+def test_mainplus_report_rows_pinned():
+    rows = mainplus_report()
+    assert rows == [
+        {"complement_of": "C8", "cyclic_count": 147,
+         "p_exact": Fraction(147, 256), "is_extremal_member": False},
+        {"complement_of": "C5+C3", "cyclic_count": 143,
+         "p_exact": Fraction(143, 256), "is_extremal_member": True},
+        {"complement_of": "C4+C4", "cyclic_count": 137,
+         "p_exact": Fraction(137, 256), "is_extremal_member": False},
+    ]
+    assert all(
+        list(r) == ["complement_of", "cyclic_count", "p_exact", "is_extremal_member"]
+        for r in rows
+    )
+    # the flag, set from cycle lengths, agrees with an isomorphism oracle
+    member = build_extremal(4, [5]).graph
+    assert [isomorphic(g, member) for g in enumerate_regular_complements(4)] == [
+        r["is_extremal_member"] for r in rows
+    ]
 
 
 # -- Monte Carlo estimator ---------------------------------------------------

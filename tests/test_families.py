@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from cycsets.bitgraph import Graph
-from cycsets.canon import canonical_code
+from conftest import isomorphic
+
+from cycsets.bitgraph import Graph, to_graph6
 from cycsets.errors import PreconditionError
 from cycsets.families import (
     ExtremalGraph,
@@ -35,13 +36,13 @@ def _disjoint_cycles_graph(m: int, lengths: list[int]) -> Graph:
 
 def test_extremal_n2_is_k4():
     eg = build_extremal(2, [3])
-    assert canonical_code(eg.graph) == canonical_code(Graph.complete(4))
+    assert isomorphic(eg.graph, Graph.complete(4))
 
 
 def test_extremal_n3_is_octahedron():
     eg = build_extremal(3, [4])
     pm = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    assert canonical_code(eg.graph) == canonical_code(pm.complement())
+    assert isomorphic(eg.graph, pm.complement())
 
 
 def test_extremal_rejects_bad_partitions():
@@ -90,9 +91,9 @@ def test_extremal_validate_rejects_wrong_edges_inside_a():
 
 
 def test_extremal_cycle_order_irrelevant():
-    # canonical_code is capped at 9 vertices, so for multi-cycle types
-    # (possible only at 2n >= 10) we exhibit the isomorphism explicitly:
-    # match cycles of equal length block by block, identity on part B.
+    # multi-cycle types exist only at 2n >= 10; the isomorphism is
+    # exhibited explicitly: match cycles of equal length block by block,
+    # identity on part B.
     for n, lengths in [(5, [3, 3]), (6, [4, 3]), (6, [3, 4]), (9, [4, 3, 3])]:
         a = build_extremal(n, lengths)
         b = build_extremal(n, sorted(lengths, reverse=True))
@@ -126,7 +127,7 @@ def test_knn_examples():
 
 
 def test_knn_n2_is_c4():
-    assert canonical_code(build_knn(2)) == canonical_code(Graph.cycle(4))
+    assert isomorphic(build_knn(2), Graph.cycle(4))
 
 
 def test_star_augmented_degrees():
@@ -178,12 +179,19 @@ def test_enumerate_regular_complements_sizes():
 
 
 def test_enumerate_regular_complements_n4_members():
-    got = {canonical_code(g) for g in enumerate_regular_complements(4)}
-    want = {
-        canonical_code(_disjoint_cycles_graph(8, L).complement())
-        for L in ([8], [5, 3], [4, 4])
-    }
-    assert got == want
+    got = enumerate_regular_complements(4)
+    want = [_disjoint_cycles_graph(8, L).complement() for L in ([8], [5, 3], [4, 4])]
+    assert [[isomorphic(g, h) for h in want] for g in got] == [
+        [True, False, False],
+        [False, True, False],
+        [False, False, True],
+    ]
+
+
+def test_enumerate_regular_complements_graph6_pinned():
+    # n = 4 lists the complements of C8, C5+C3 and C4+C4, in that order
+    got = {n: [to_graph6(g) for g in enumerate_regular_complements(n)] for n in (2, 3, 4)}
+    assert got == {2: ["C~"], 3: ["E]~o"], 4: ["GUzvrw", "GUZ~vo", "GQ~vvg"]}
 
 
 def test_enumerate_regular_complements_are_regular():

@@ -6,9 +6,10 @@ import hashlib
 import random
 import time
 
+import networkx as nx
 import pytest
 
-from conftest import random_graph
+from conftest import isomorphic, random_graph, to_networkx
 
 from cycsets.bitgraph import (
     Cut,
@@ -20,7 +21,6 @@ from cycsets.bitgraph import (
     nth_bit,
     to_graph6,
 )
-from cycsets.canon import canonical_code, is_isomorphic_small
 from cycsets.errors import PreconditionError
 from cycsets.families import build_extremal, build_knn
 
@@ -152,7 +152,32 @@ def test_induced_subgraph_and_relabel():
     assert sorted(sub.edges()) == [(0, 1), (0, 3), (1, 2)]
     perm = [2, 0, 1, 3, 4, 5]
     h = g.relabel(perm)
-    assert canonical_code(h) == canonical_code(g)
+    assert isomorphic(h, g)
+
+
+def test_components_match_networkx():
+    rnd = random.Random(17)
+    for m in (0, 1, 2, 5, 13, 27, 40):
+        for seed in range(4):
+            g = random_graph(m, 1000 * m + seed, p=rnd.choice([0.03, 0.08, 0.2]))
+            for _ in range(5):
+                mask = rnd.getrandbits(m) if m else 0
+                got = list(g.components(mask))
+                want = nx.connected_components(to_networkx(g).subgraph(bits_of(mask)))
+                assert sorted(got) == sorted(mask_of(c) for c in want)
+                # yielded in order of their lowest vertex
+                assert got == sorted(got, key=lambda c: c & -c)
+
+
+def test_bipartite_restriction_keeps_only_crossing_edges():
+    g = random_graph(12, 5, p=0.5)
+    lmask, rmask = mask_of([0, 2, 4, 6]), mask_of([1, 3, 5, 7, 9])
+    h = g.bipartite_restriction(lmask, rmask)
+    assert h.m == g.m
+    assert sorted(h.edges()) == sorted(
+        (u, v) for u, v in g.edges() if (lmask >> u & 1 and rmask >> v & 1)
+        or (rmask >> u & 1 and lmask >> v & 1)
+    )
 
 
 def test_edges_between_and_inside():
@@ -200,8 +225,7 @@ def test_graph6_known_octahedron_string():
     theirs = from_graph6("E}lw")
     assert theirs.m == 6
     assert theirs.degrees() == [4, 4, 4, 4, 4, 4]
-    assert is_isomorphic_small(ours, theirs)
-    assert canonical_code(ours) == canonical_code(theirs)
+    assert isomorphic(ours, theirs)
 
 
 def test_graph6_long_form_large_graph():
@@ -254,20 +278,22 @@ def test_graph6_rejects_garbage():
             from_graph6(bad)
 
 
-def test_canonical_code_is_isomorphism_invariant():
-    import random as _r
-
+def test_relabel_matches_networkx():
     for seed in range(8):
         g = random_graph(8, seed + 500)
         perm = list(range(8))
-        _r.Random(seed).shuffle(perm)
+        random.Random(seed).shuffle(perm)
         h = g.relabel(perm)
-        assert canonical_code(g) == canonical_code(h)
-        assert is_isomorphic_small(g, h)
+        want = nx.relabel_nodes(to_networkx(g), dict(enumerate(perm)))
+        assert {frozenset(e) for e in h.edges()} == {frozenset(e) for e in want.edges()}
+        assert isomorphic(g, h)
 
 
-def test_canonical_code_separates_non_isomorphic():
-    assert canonical_code(Graph.cycle(6)) != canonical_code(
-        Graph.complete_bipartite(3, 3)
-    )
-    assert not is_isomorphic_small(Graph.cycle(6), Graph.complete_bipartite(3, 3))
+def test_relabel_keeps_non_isomorphic_graphs_apart():
+    c6, k33 = Graph.cycle(6), Graph.complete_bipartite(3, 3)
+    assert not isomorphic(c6, k33)
+    for seed in range(4):
+        perm = list(range(6))
+        random.Random(seed).shuffle(perm)
+        assert isomorphic(c6.relabel(perm), c6)
+        assert not isomorphic(c6.relabel(perm), k33)

@@ -19,7 +19,6 @@ from cycsets.numerics import (
     g_of,
     g_roots,
     normal_I,
-    normal_window,
     pn_expansion_check,
     window_m1_m2,
 )
@@ -143,12 +142,6 @@ def test_normal_I_additive_and_antisymmetric():
             normal_I(a, c), abs=1e-11
         )
         assert normal_I(-b, -a) == pytest.approx(normal_I(a, b), abs=1e-13)
-
-
-def test_normal_window_wrapper():
-    w = normal_window(-0.5, 0.5)
-    assert w.a == -0.5 and w.b == 0.5
-    assert w.value == normal_I(-0.5, 0.5)
 
 
 def test_clt_window_agreement_at_scale():

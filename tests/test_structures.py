@@ -23,7 +23,6 @@ from cycsets.structures import (
     linear_forest_lower_bound,
     max_linear_forest_exact,
     min_vertex_cover_exact,
-    prune_to_max_degree,
 )
 
 
@@ -243,40 +242,6 @@ def test_k_good_cut_heuristic_mode_sound():
         if r.good:
             side = cut.x if r.side == "x" else cut.y
             r.witness.validate(g, side.mask)
-
-
-# -- degree pruning ----------------------------------------------------------
-
-
-def test_prune_identity_when_under_cap():
-    g = Graph.complete_bipartite(3, 3)
-    left = VertexSet.of(6, [0, 1, 2])
-    right = left.complement()
-    pruned, deleted = prune_to_max_degree(g, left, right, 3)
-    assert deleted == 0 and pruned.rows == g.rows
-
-
-def test_prune_star_cap_two():
-    star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-    left = VertexSet.of(6, [0])
-    right = left.complement()
-    pruned, deleted = prune_to_max_degree(star, left, right, 2)
-    assert deleted == 3
-    assert pruned.degree(0) == 2
-
-
-def test_prune_respects_cap_random():
-    for seed in range(10):
-        g = random_graph(12, seed + 13, p=0.6)
-        left = VertexSet.of(12, list(range(6)))
-        right = left.complement()
-        keep = [
-            (u, v) for u, v in g.edges() if left.contains(u) != left.contains(v)
-        ]
-        bg = Graph.from_edges(12, keep)
-        pruned, deleted = prune_to_max_degree(bg, left, right, 2)
-        assert pruned.max_degree() <= 2
-        assert deleted == bg.edge_count() - pruned.edge_count()
 
 
 # -- validator fuzz ----------------------------------------------------------
