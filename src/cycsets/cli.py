@@ -388,6 +388,8 @@ def _suite_calculus(args) -> list[dict]:
 def _suite_gncriterion(args) -> list[dict]:
     checks = []
     n = args.n
+    if n < 2:
+        raise PreconditionError(f"gncriterion needs --n >= 2, got {n}")
     if 2 * n > CYC_EXACT_MAX:
         raise BudgetExceededError(
             f"gncriterion walks all 2^{2 * n} subsets; budget is m = 2n <= {CYC_EXACT_MAX}"

@@ -20,7 +20,6 @@ the independent part.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
@@ -33,7 +32,7 @@ from .hamilton import (
     gn_criterion,
     is_hamiltonian_exact,
 )
-from .sampling import retention_mask, stream_base, wilson_interval
+from .sampling import retention_masks, wilson_interval
 from .structures import is_k_good_cut
 from .subsetdp import masks_by_popcount, reach_table
 
@@ -200,12 +199,11 @@ def _estimate_block(args) -> tuple[int, int]:
     g, p_num, p_den, seed, lo, hi, decider, eg = args
     succ = undec = 0
     memo: dict[int, bool] | None = {} if g.m <= MEMO_MAX_VERTICES else None
-    for i in range(lo, hi):
-        mask = retention_mask(seed, i, g.m, p_num, p_den)
+    for mask, base in retention_masks(seed, lo, hi, g.m, p_num, p_den):
         if memo is not None and mask in memo:
             ok, und = memo[mask], False
         else:
-            engine_seed = int(stream_base(seed, i) & 0x3FFFFFFF)
+            engine_seed = base & 0x3FFFFFFF
             ok, und = _decide_sample(g, mask, decider, eg, engine_seed)
             if memo is not None and not und:
                 memo[mask] = ok
@@ -253,6 +251,9 @@ def estimate_h(
     if workers <= 1:
         parts = [_estimate_block(a) for a in arglist]
     else:
+        # imported here: the pool machinery costs every CLI process ~15 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_estimate_block, arglist))
     succ = sum(p_[0] for p_ in parts)
@@ -297,8 +298,7 @@ def edge_concentration_experiment(
     tot = 0
     tot_sq = 0
     devs = 0
-    for i in range(samples):
-        mask = retention_mask(seed, i, m, 1, 2)
+    for mask, _ in retention_masks(seed, 0, samples, m, 1, 2):
         es = sum((g.rows[v] & mask).bit_count() for v in bits_of(mask)) // 2
         tot += es
         tot_sq += es * es
@@ -330,8 +330,7 @@ def good_cut_probability(
     m = g.m
     succ = 0
     indefinite = 0
-    for i in range(samples):
-        mask = retention_mask(seed, i, m, 1, 2)
+    for mask, _ in retention_masks(seed, 0, samples, m, 1, 2):
         sub, _ = g.induced(mask)
         rcut = cut.restrict(mask)
         exact = max(rcut.x.size, rcut.y.size) <= 20

@@ -29,24 +29,23 @@ def two_cliques_instance(m: int, seed: int) -> tuple[Graph, Cut]:
     half = m // 2
     xs = list(range(half))
     ys = list(range(half, m))
-    edges = set()
-    for side in (xs, ys):
-        for i, u in enumerate(side):
-            for v in side[i + 1 :]:
-                edges.add((u, v))
+    xmask = (1 << half) - 1
+    ymask = ((1 << m) - 1) ^ xmask
+    rows = [(xmask if v < half else ymask) & ~(1 << v) for v in range(m)]
     removals = min(14, m * m // (2 * 10**4))
     for side in (xs, ys):
         dropped = 0
         while dropped < removals:
             u, v = _sample_distinct(rng, side, 2)
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                edges.remove(e)
+            if rows[u] >> v & 1:
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
                 dropped += 1
     k = 2 + rng.below(4)
     for u, v in zip(_sample_distinct(rng, xs, k), _sample_distinct(rng, ys, k)):
-        edges.add((u, v))
-    g = Graph.from_edges(m, sorted(edges))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    g = Graph(m, tuple(rows))
     cut = Cut(VertexSet.of(m, xs), VertexSet.of(m, ys))
     for side in (cut.x.mask, cut.y.mask):
         assert 100 * side.bit_count() >= 49 * m
@@ -66,25 +65,29 @@ def near_bipartite_instance(
     na = m // 2 + d
     xs = list(range(na))
     ys = list(range(na, m))
-    full_cross = {(u, v) for u in xs for v in ys}
+    xmask = (1 << na) - 1
+    ymask = ((1 << m) - 1) ^ xmask
+    rows = [ymask if v < na else xmask for v in range(m)]
     # delete crossing pairs, but stay above the density threshold
     slack = eps_hundredths * m * m // 100 - d * d
     for _ in range(rng.below(max(slack // 2, 1))):
         u = xs[rng.below(len(xs))]
         v = ys[rng.below(len(ys))]
-        full_cross.discard((u, v))
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
     picks = _sample_distinct(rng, xs, 4 * d) if d else []  # |X|-|Y| = 2d edges
     witness_edges = tuple(
         (min(picks[2 * i], picks[2 * i + 1]), max(picks[2 * i], picks[2 * i + 1]))
         for i in range(2 * d)
     )
-    edges = set(full_cross) | set(witness_edges)
+    extra = list(witness_edges)
     for _ in range(4):  # distractor within-side edges the builder must ignore
-        u, v = _sample_distinct(rng, xs, 2)
-        edges.add((min(u, v), max(u, v)))
-        u, v = _sample_distinct(rng, ys, 2)
-        edges.add((min(u, v), max(u, v)))
-    g = Graph.from_edges(m, sorted(edges))
+        extra.append(tuple(_sample_distinct(rng, xs, 2)))
+        extra.append(tuple(_sample_distinct(rng, ys, 2)))
+    for u, v in extra:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    g = Graph(m, tuple(rows))
     cut = Cut(VertexSet.of(m, xs), VertexSet.of(m, ys))
     forest = LinearForest(witness_edges)
     amask, bmask = cut.x.mask, cut.y.mask
@@ -156,11 +159,15 @@ def planted_two_cliques(m: int, seed: int) -> Graph:
     minimum degree is exactly m/2, the sparse-cut regime for classify."""
     rng = StreamRng(seed, 0)
     half = m // 2
-    edges = [(u, v) for u in range(half) for v in range(u + 1, half)]
-    edges += [(u, v) for u in range(half, m) for v in range(u + 1, m)]
+    xmask = (1 << half) - 1
+    ymask = ((1 << m) - 1) ^ xmask
+    rows = [(xmask if v < half else ymask) & ~(1 << v) for v in range(m)]
     shift = rng.below(half)
-    edges += [(i, half + (i + shift) % half) for i in range(half)]
-    return Graph.from_edges(m, edges)
+    for i in range(half):
+        j = half + (i + shift) % half
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(m, tuple(rows))
 
 
 def planted_near_bipartite(m: int, seed: int) -> Graph:
@@ -168,8 +175,11 @@ def planted_near_bipartite(m: int, seed: int) -> Graph:
     degree m/2, the dense-crossing regime for classify."""
     rng = StreamRng(seed, 0)
     half = m // 2
-    edges = {(u, v) for u in range(half) for v in range(half, m)}
+    xmask = (1 << half) - 1
+    ymask = ((1 << m) - 1) ^ xmask
+    rows = [ymask if v < half else xmask for v in range(m)]
     for _ in range(rng.below(3)):
         u, v = _sample_distinct(rng, list(range(half)), 2)
-        edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(m, sorted(edges))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(m, tuple(rows))

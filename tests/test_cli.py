@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import sqrt
+from pathlib import Path
 
 import pytest
 
 from conftest import isomorphic
 
+import cycsets
 from cycsets.bitgraph import Graph, from_graph6, to_graph6
 from cycsets.cli import main
 from cycsets.families import build_competitor, build_extremal, build_knn
@@ -270,6 +275,27 @@ def test_verify_gncriterion_refuses_past_the_exact_budget(capsys):
     assert code == 3
     assert time.perf_counter() - start < 1.0
     assert "budget" in err and out == ""
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_verify_gncriterion_rejects_small_n(capsys, n):
+    code, out, err = run(capsys, "verify", "gncriterion", f"--n={n}")
+    assert code == 2
+    assert out == "" and "--n >= 2" in err
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    code = (
+        "import sys, cycsets.cli\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(cycsets.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

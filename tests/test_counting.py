@@ -303,6 +303,28 @@ def test_estimate_auto_matches_gn_at_m40():
         assert auto.undecided_fraction == 0
 
 
+# successes of estimate_h(G, p, samples, seed=11) as the scalar mask loop
+# drew them, before masks were drawn in numpy blocks
+ESTIMATE_PINS = [
+    ("auto", 10, Fraction(1, 2), 300, 203),
+    ("auto", 10, Fraction(1, 3), 300, 141),
+    ("auto", 20, Fraction(1, 2), 300, 211),
+    ("gn", 300, Fraction(1, 2), 1000, 563),
+    ("exact", 3, Fraction(1, 2), 4000, 1837),
+    ("exact", 3, Fraction(7, 10), 4000, 3248),
+]
+
+
+@pytest.mark.parametrize("decider,n,p,samples,successes", ESTIMATE_PINS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_successes_pinned(decider, n, p, samples, successes, workers):
+    eg = build_extremal(n, [n + 1])
+    rep = estimate_h(eg.graph, p, samples, 11, decider=decider,
+                     eg=eg if decider == "gn" else None, workers=workers)
+    assert rep.successes == successes
+    assert rep.undecided_fraction == 0
+
+
 def test_estimate_gn_requires_matching_graph():
     eg = build_extremal(4, [5])
     with pytest.raises(PreconditionError):
@@ -345,6 +367,18 @@ def test_edge_concentration_deviation_shrinks_with_scale():
     assert big.deviation_fraction <= Fraction(1, 100)
 
 
+def test_edge_concentration_reports_pinned():
+    # mean, variance and deviation fraction as the scalar mask loop gave them
+    cases = [
+        (build_extremal(6, [7]).graph, 3000, 9, ("15751/1500", "94307999/2249250", "1541/3000")),
+        (build_competitor(5).graph, 2000, 4, ("323873/2000", "8582101871/3998000", "337/2000")),
+        (build_extremal(300, [301]).graph, 200, 2, ("90075/4", "1197175987/398", "0")),
+    ]
+    for g, samples, seed, want in cases:
+        rep = edge_concentration_experiment(g, samples, seed)
+        assert (rep.mean, rep.variance, rep.deviation_fraction) == tuple(map(Fraction, want))
+
+
 # -- good-cut probability ----------------------------------------------------
 
 
@@ -357,6 +391,17 @@ def test_good_cut_knn_balanced_equality_probability():
     assert rep.undecided_fraction == 0 and not rep.lower_bound_only
     exact = comb(16, 8) / 4**8
     assert rep.ci_low <= exact <= rep.ci_high
+
+
+def test_good_cut_reports_pinned():
+    # successes as the scalar mask loop gave them
+    knn = build_knn(8)
+    cut = Cut(VertexSet.of(16, list(range(8))), VertexSet.of(16, list(range(8, 16))))
+    assert good_cut_probability(knn, cut, 0, 10_000, seed=5).successes == 1983
+    comp = build_competitor(4).graph
+    cut = Cut(VertexSet.of(32, list(range(16))), VertexSet.of(32, list(range(16, 32))))
+    rep = good_cut_probability(comp, cut, 0, 5000, seed=5)
+    assert (rep.successes, rep.undecided_fraction) == (4114, 0)
 
 
 def _competitor_cut_probability_oracle(k: int) -> Fraction:
