@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -620,5 +621,19 @@ def main(argv=None) -> int:
         return EXIT_VERIFICATION
 
 
+def entry() -> int:
+    """Process entry point of `cycsets` and `python -m cycsets.cli`.
+
+    No command does linear algebra, but numpy (loaded by Monte Carlo mask
+    generation) starts an OpenBLAS worker per extra core on import, and each
+    worker spins for about 70 ms of CPU before it sleeps.  One BLAS thread
+    keeps that from competing with the command itself.  Set here, not in
+    `main`, so that calling `main` in process leaves the caller's
+    environment alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

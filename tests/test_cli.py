@@ -298,6 +298,51 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_entry_runs_with_one_blas_thread(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "octa.g6"
+    path.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(sys, "argv", ["cycsets", "count", str(path)])
+    assert cycsets.cli.entry() == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert json.loads(capsys.readouterr().out)["report"]["cyclic_count"] == 30
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert cycsets.cli.entry() == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_main_leaves_the_environment_alone(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "octa.g6"
+    path.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["count", str(path)]) == 0
+    assert dict(os.environ) == before
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc thread list")
+def test_cli_process_starts_no_blas_workers(tmp_path):
+    path = tmp_path / "octa.g6"
+    path.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    code = (
+        "import os, sys, runpy\n"
+        f"sys.argv = ['cycsets', 'estimate', {str(path)!r}, '--p', '1/2', '--samples', '50']\n"
+        "try:\n"
+        "    runpy.run_module('cycsets.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(cycsets.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "1"
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
