@@ -624,9 +624,9 @@ def main(argv=None) -> int:
 def entry() -> int:
     """Process entry point of `cycsets` and `python -m cycsets.cli`.
 
-    No command does linear algebra, but numpy (loaded by Monte Carlo mask
-    generation) starts an OpenBLAS worker per extra core on import, and each
-    worker spins for about 70 ms of CPU before it sleeps.  One BLAS thread
+    No command does linear algebra, but numpy (loaded by the subset DP and
+    the Monte Carlo masks) starts an OpenBLAS worker per extra core on
+    import, and each worker spins for about 70 ms of CPU before it sleeps.  One BLAS thread
     keeps that from competing with the command itself.  Set here, not in
     `main`, so that calling `main` in process leaves the caller's
     environment alone.
