@@ -28,7 +28,13 @@ from .analysis import (
     random_regular_graph,
 )
 from .bitgraph import Cut, Graph, VertexSet, from_graph6, to_graph6
-from .counting import CYC_EXACT_MAX, cyc_count_exact, estimate_h, mainplus_report
+from .counting import (
+    CYC_EXACT_MAX,
+    closing_sets,
+    cyc_count_exact,
+    estimate_h,
+    mainplus_report,
+)
 from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .families import (
     _cycle_partitions,
@@ -44,7 +50,6 @@ from .hamilton import (
     ham_cycle_two_cliques,
     ham_path_bipartite,
     ham_path_dirac,
-    is_hamiltonian_exact,
 )
 from .instances import (
     bipartite_instance,
@@ -399,11 +404,16 @@ def _suite_gncriterion(args) -> list[dict]:
         eg = build_extremal(n, part)
         g = eg.graph
         m = g.m
+        # cyclic[a] has bit M set iff {a} + (M << (a+1)) is cyclic
+        cyclic = [0] * m
+        for a in range(m):
+            for _, closing in closing_sets(g, a):
+                cyclic[a] |= closing
         bad = 0
         for mask in range(1 << m):
-            scope = VertexSet(mask, m)
-            want = is_hamiltonian_exact(g, scope).status == "hamiltonian"
-            if gn_criterion(eg, scope) != want:
+            a = (mask & -mask).bit_length() - 1
+            want = a >= 0 and bool(cyclic[a] >> (mask >> (a + 1)) & 1)
+            if gn_criterion(eg, VertexSet(mask, m)) != want:
                 bad += 1
         checks.append(
             _check(f"type_{'_'.join(map(str, part))}", bad == 0,
@@ -624,11 +634,12 @@ def main(argv=None) -> int:
 def entry() -> int:
     """Process entry point of `cycsets` and `python -m cycsets.cli`.
 
-    No command does linear algebra, but numpy (loaded by the subset DP and
-    the Monte Carlo masks) starts an OpenBLAS worker per extra core on
-    import, and each worker spins for about 70 ms of CPU before it sleeps.  One BLAS thread
-    keeps that from competing with the command itself.  Set here, not in
-    `main`, so that calling `main` in process leaves the caller's
+    No command does floating-point linear algebra, but numpy (loaded by the
+    Monte Carlo masks of `estimate` and by the exact bi-density check of
+    `analysis`) starts an OpenBLAS worker per extra core on import, and
+    each worker spins for about 70 ms of CPU before it sleeps.  One BLAS
+    thread keeps that from competing with the command itself.  Set here,
+    not in `main`, so that calling `main` in process leaves the caller's
     environment alone.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -3,12 +3,16 @@ evaluator for the extremal family, and seeded Monte Carlo estimators.
 
 A subset S is cyclic when G[S] has a Hamilton cycle.  Exact counts run
 the anchored reach-set DP of `subsetdp`, the kernel the exact Hamiltonicity
-decider also runs: every cyclic S is counted at its minimum vertex a, via
-reachable-endpoint sets over subsets of {a+1..m-1}, one vectorised table
-per anchor.  A table above 2^23 entries is refused before it is allocated,
-whatever `max_vertices` allows.  Exact counts run in one process.  Monte
-Carlo work partitions by sample index with counter-based streams, so
-estimates never depend on worker count or scheduling.
+decider also runs: every cyclic S is counted at its minimum vertex a, from
+one kernel run per anchor over the vertices {a+1..m-1}.  Round t of that
+run gives the closing set of a: a 2^k-bit int (k = m-1-a) with bit M set
+iff {a} + M is cyclic, for the masks |M| = t; its popcount is the number
+of cyclic subsets of size t+1 with minimum a.  The kernel holds at most
+three sets of k such ints, 72,351,744 bytes at k = 23, and a universe
+wider than 23 is refused before it is allocated, whatever `max_vertices`
+allows.  Exact counts run in one process and load no numpy.  Monte Carlo
+work partitions by sample index with counter-based streams, so estimates
+never depend on worker count or scheduling.
 
 The extremal family evaluator avoids enumeration entirely: for each
 2-factor cycle the number of t-vertex subsets forming exactly c arcs is
@@ -34,7 +38,7 @@ from .hamilton import (
 )
 from .sampling import retention_masks, wilson_interval
 from .structures import is_k_good_cut
-from .subsetdp import masks_by_popcount, reach_table
+from .subsetdp import reach_rounds
 
 CYC_EXACT_MAX = 20
 MEMO_MAX_VERTICES = 16
@@ -62,18 +66,40 @@ class EstimateReport:
     lower_bound_only: bool = False
 
 
+def closing_sets(g: Graph, a: int):
+    """Yield (t, C) for t = 2, 3, ...: C has bit M set iff {a} + (M << (a+1))
+    is cyclic, for every mask M with |M| = t over the vertices above a,
+    shifted down by a + 1.
+
+    C is the OR over w in N(a) of round t of the anchored kernel: the masks
+    whose reach set meets N(a).  A cyclic S has |S| >= 3 and is found once,
+    at its minimum vertex.
+    """
+    shift = a + 1
+    k = g.m - shift  # universe: vertices a+1 .. m-1, local index v-(a+1)
+    anchor_adj = g.rows[a] >> shift
+    if k < 2 or not anchor_adj:
+        return
+    closers = list(bits_of(anchor_adj))
+    rounds = reach_rounds([g.rows[shift + i] >> shift for i in range(k)], anchor_adj)
+    for t, reach in enumerate(rounds, 1):
+        if t >= 2:  # |M| = 1 closes no cycle
+            closing = 0
+            for w in closers:
+                closing |= reach[w]
+            yield t, closing
+
+
 def cyc_count_exact(
     g: Graph, workers: int = 1, max_vertices: int = CYC_EXACT_MAX
 ) -> CycReport:
     """Exact Cyc(g) by the shared anchored DP (budget 20 vertices).
 
-    Every cyclic S with |S| >= 3 is counted once, at its minimum vertex a:
-    S - a is a mask M over {a+1..m-1} whose reach set meets N(a).  The
-    count runs in-process; `workers` is accepted for call compatibility
-    with `estimate_h` and does not change the work or the answer.
+    Every cyclic S is counted once, at its minimum vertex a, from the
+    closing sets of a.  The count runs in-process; `workers` is accepted
+    for call compatibility with `estimate_h` and does not change the work
+    or the answer.
     """
-    import numpy as np
-
     m = g.m
     if m > max_vertices:
         raise BudgetExceededError(
@@ -82,18 +108,10 @@ def cyc_count_exact(
     total = 0
     hist = [0] * (m + 1)
     for a in range(m):
-        shift = a + 1
-        k = m - shift  # universe: vertices a+1 .. m-1, local index v-(a+1)
-        anchor_adj = g.rows[a] >> shift
-        if k < 2 or not anchor_adj:
-            continue
-        reach, _ = reach_table([g.rows[shift + i] >> shift for i in range(k)], anchor_adj)
-        closing = reach & np.uint32(anchor_adj)
-        for j, layer in enumerate(masks_by_popcount(k)):
-            if j >= 2:  # |M| = 1 closes no cycle
-                n = int(np.count_nonzero(closing[layer]))
-                hist[j + 1] += n
-                total += n
+        for t, closing in closing_sets(g, a):
+            n = closing.bit_count()
+            hist[t + 1] += n
+            total += n
     return CycReport(1 << m, total, Fraction(total, 1 << m), tuple(hist))
 
 

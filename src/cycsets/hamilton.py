@@ -4,9 +4,11 @@ constructive builders.
 Five layers:
 
 * an exact decider (budget 24 vertices) on the anchored reach-set DP of
-  `subsetdp`, the kernel exact counting also runs; it reads the answer at
-  the full mask and backtracks a certificate from the same table, or gives
-  a definitive refusal;
+  `subsetdp`, the kernel exact counting also runs; it ORs the kernel's
+  rounds into one table of k = |scope|-1 ints of 2^k bits (96,468,992
+  bytes of ints at its peak for k = 23, with the kernel's own), reads the
+  answer at the full mask and backtracks a certificate from that table,
+  or gives a definitive refusal;
 * a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
@@ -37,7 +39,7 @@ from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .families import ExtremalGraph
 from .sampling import StreamRng
 from .structures import LinearForest
-from .subsetdp import TABLE_MAX_BITS, reach_table
+from .subsetdp import TABLE_MAX_BITS, reach_rounds
 
 EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 ROTATION_RESTARTS = 32
@@ -218,11 +220,12 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     """Definitive decision on g[scope] by the reach-set DP of `subsetdp`.
 
     Paths are anchored at the lowest scope vertex; a certificate is
-    backtracked when the final state closes to the anchor.  `work` is the
-    number of (visited-set, endpoint) states, sum |reach[M]|.  Budget: 24
-    vertices, i.e. a table of at most 2^23 entries.  A scope with a vertex
-    of scope-degree 1, or a disconnected one, is refused before the table
-    with a `NotHamCert` and work 0; the table's own refusals carry none.
+    backtracked when the final state closes to the anchor, each step
+    taking the lowest vertex that fits.  `work` is the number of
+    (visited-set, endpoint) states, sum |reach[M]|.  Budget: 24 vertices,
+    i.e. a universe of at most 23 bits next to the anchor.  A scope with a
+    vertex of scope-degree 1, or a disconnected one, is refused before the
+    DP with a `NotHamCert` and work 0; the DP's own refusals carry none.
     """
     if scope.size > EXACT_BUDGET:
         raise BudgetExceededError(
@@ -244,24 +247,28 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     for i, v in enumerate(verts):
         for u in bits_of(g.rows[v] & smask):
             adj[i] |= 1 << idx[u]
-    # the anchor is local 0; the table runs over locals 1..s-1, shifted by 1
+    # the anchor is local 0; the kernel runs over locals 1..s-1, shifted by 1
     free_adj = [a >> 1 for a in adj[1:]]
-    reach, work = reach_table(free_adj, adj[0] >> 1)
-    full = (1 << (s - 1)) - 1
-    closers = int(reach[full]) & (adj[0] >> 1)
-    if not closers:
-        return HamDecision("not_hamiltonian", None, "dp", work)
-    # backtrack a certificate
-    last = (closers & -closers).bit_length() - 1
-    order_local = [last + 1]
-    mask = full ^ (1 << last)
+    seed = adj[0] >> 1
+    # table[w] is the OR of R_w over all rounds: bit M set iff w in reach[M]
+    table = [0] * (s - 1)
+    for reach in reach_rounds(free_adj, seed):
+        for w, r in enumerate(reach):
+            table[w] |= r
+    work = sum(r.bit_count() for r in table)
+    mask = (1 << (s - 1)) - 1
+    want = seed  # the last vertex closes to the anchor
+    order_local = []
     while mask:
-        prevs = int(reach[mask]) & free_adj[order_local[-1] - 1]
-        if not prevs:
+        # the lowest w next to the vertex after it that ends a path through mask
+        p = next((w for w in bits_of(want) if table[w] >> mask & 1), None)
+        if p is None:
+            if not order_local:
+                return HamDecision("not_hamiltonian", None, "dp", work)
             raise VerificationError("DP backtrack failed (bug)")
-        p = (prevs & -prevs).bit_length() - 1
         order_local.append(p + 1)
         mask ^= 1 << p
+        want = free_adj[p]
     order_local.append(0)
     order = tuple(verts[i] for i in reversed(order_local))
     cert = HamCycleCert(order)

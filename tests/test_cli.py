@@ -298,6 +298,27 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_count_process_leaves_numpy_unloaded(tmp_path):
+    path = tmp_path / "octa.g6"
+    path.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    code = (
+        "import sys, runpy\n"
+        f"sys.argv = ['cycsets', 'count', {str(path)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('cycsets.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(cycsets.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["cyclic_count"] == 30
+
+
 def test_entry_runs_with_one_blas_thread(tmp_path, capsys, monkeypatch):
     path = tmp_path / "octa.g6"
     path.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")

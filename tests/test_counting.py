@@ -31,7 +31,7 @@ from cycsets.families import (
 )
 from cycsets.hamilton import is_hamiltonian_exact
 from cycsets.structures import max_linear_forest_exact
-from cycsets.subsetdp import TABLE_MAX_BITS, reach_table
+from cycsets.subsetdp import TABLE_MAX_BITS, reach_rounds as reach_table
 
 
 # -- exact counts ------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import brute_has_ham_cycle, petersen, random_graph
 
+from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import Cut, Graph, VertexSet, mask_of
 from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
 from cycsets.families import build_extremal, build_knn
@@ -79,6 +80,27 @@ def test_exact_work_is_the_state_count(graph, status, work):
     # values recorded on the per-mask loop that the vectorised kernel replaced
     dec = is_hamiltonian_exact(graph, _full(graph.m))
     assert (dec.status, dec.work) == (status, work)
+
+
+@pytest.mark.parametrize(
+    "graph, digest",
+    [
+        (petersen(), "26a44a2ee962afd84f6244e2f05ddddd8a378e483e3547d793a3143c12b55339"),
+        (build_extremal(5, [6]).graph,
+         "6b41d2a01bfa90d92adf466f831505d58b5f8390429fc4ff9be289ef01384195"),
+        (random_regular_graph(12, 6, seed=8),
+         "32db36dff2cc4ad1b3d7c2e7ff8939de7de57cb8d0989453867d585c57e7dbd3"),
+    ],
+    ids=["petersen", "extremal_5_6", "random_6_regular_12"],
+)
+def test_exact_decisions_are_pinned_on_every_scope(graph, digest):
+    # sha256 of repr() of (status, cert.order or None, work) for every scope
+    # mask in increasing order, as the numpy layer-table kernel decided them
+    rows = []
+    for mask in range(1 << graph.m):
+        dec = is_hamiltonian_exact(graph, VertexSet(mask, graph.m))
+        rows.append((dec.status, getattr(dec.cert, "order", None), dec.work))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_exact_budget_error():
