@@ -67,13 +67,13 @@ class EstimateReport:
 
 
 def closing_sets(g: Graph, a: int):
-    """Yield (t, C) for t = 2, 3, ...: C has bit M set iff {a} + (M << (a+1))
-    is cyclic, for every mask M with |M| = t over the vertices above a,
-    shifted down by a + 1.
+    """Yield (t, C) for t = 2, 3, ...: for each mask M of t vertices above
+    a, shifted down by a + 1, bit M of C is set iff the vertex set
+    {a} + (M << (a+1)) is cyclic.
 
-    C is the OR over w in N(a) of round t of the anchored kernel: the masks
-    whose reach set meets N(a).  A cyclic S has |S| >= 3 and is found once,
-    at its minimum vertex.
+    C is the OR over w in N(a) of R_w in round t of the anchored kernel:
+    the masks whose reach set meets N(a).  Every cyclic set has at least
+    three vertices and appears once, in the closing sets of its minimum.
     """
     shift = a + 1
     k = g.m - shift  # universe: vertices a+1 .. m-1, local index v-(a+1)

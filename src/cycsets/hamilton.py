@@ -5,10 +5,9 @@ Five layers:
 
 * an exact decider (budget 24 vertices) on the anchored reach-set DP of
   `subsetdp`, the kernel exact counting also runs; it ORs the kernel's
-  rounds into one table of k = |scope|-1 ints of 2^k bits (96,468,992
-  bytes of ints at its peak for k = 23, with the kernel's own), reads the
-  answer at the full mask and backtracks a certificate from that table,
-  or gives a definitive refusal;
+  rounds into one table, reads the answer at the full mask and backtracks
+  a certificate from that table, or gives a definitive refusal; at 24
+  vertices its ints peak at 96,468,992 bytes;
 * a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
@@ -223,7 +222,7 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     backtracked when the final state closes to the anchor, each step
     taking the lowest vertex that fits.  `work` is the number of
     (visited-set, endpoint) states, sum |reach[M]|.  Budget: 24 vertices,
-    i.e. a universe of at most 23 bits next to the anchor.  A scope with a
+    i.e. a universe of at most 23 vertices besides the anchor.  A scope with a
     vertex of scope-degree 1, or a disconnected one, is refused before the
     DP with a `NotHamCert` and work 0; the DP's own refusals carry none.
     """

@@ -36,10 +36,10 @@ def reach_rounds(adj: list[int], seed: int):
     """Iterator over the rounds t = 1..k of the kernel for len(adj) = k
     local vertices: round t is the list of R_w, the layer |M| = t.
 
-    adj[w] is N(w) within the universe, seed is N(anchor) within it.  The
-    iterator stops early after the first round that is all zero, since
-    every later round would be zero too.  Raises BudgetExceededError at
-    the call, before allocating, above TABLE_MAX_BITS.
+    adj[w] is N(w) within the universe, seed is N(anchor) within it.  After
+    round 1 the iterator ends at the first round that would be all zero,
+    since every later round would be zero too.  Raises BudgetExceededError
+    at the call, before allocating, above TABLE_MAX_BITS.
     """
     k = len(adj)
     if k > TABLE_MAX_BITS:
