@@ -38,9 +38,14 @@ def bits_of(mask: int):
 def nth_bit(mask: int, r: int) -> int:
     """Position of the set bit of rank r (0-based, increasing order) in mask.
 
-    Equals list(bits_of(mask))[r], found by a popcount binary search."""
+    Equals list(bits_of(mask))[r]: for small r the r lowest bits are
+    cleared one by one, otherwise a popcount binary search finds it."""
     if not 0 <= r < mask.bit_count():
         raise PreconditionError(f"rank {r} outside 0..{mask.bit_count() - 1}")
+    if r < 8:
+        for _ in range(r):
+            mask &= mask - 1
+        return (mask & -mask).bit_length() - 1
     lo, hi = 0, mask.bit_length()  # exactly r set bits below lo, more below hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -196,8 +201,10 @@ class Graph:
             comp = frontier = mask & -mask
             while frontier:
                 nxt = 0
-                for v in bits_of(frontier):
-                    nxt |= rows[v]
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= rows[low.bit_length() - 1]
+                    frontier ^= low
                 frontier = nxt & mask & ~comp
                 comp |= frontier
             yield comp

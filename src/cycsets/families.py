@@ -13,6 +13,7 @@ promises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitgraph import Graph, VertexSet, mask_of
 from .errors import BudgetExceededError, PreconditionError
@@ -26,12 +27,15 @@ class ExtremalGraph:
     part_b: VertexSet
     cycles: tuple[tuple[int, ...], ...]
 
+    @cached_property
     def cycle_spans(self) -> tuple[tuple[int, int], ...]:
         """(offset, length) per cycle; cycles occupy consecutive indices."""
-        out = []
-        for c in self.cycles:
-            out.append((c[0], len(c)))
-        return tuple(out)
+        return tuple((c[0], len(c)) for c in self.cycles)
+
+    @cached_property
+    def cycle_masks(self) -> tuple[int, ...]:
+        """The vertex mask of each cycle."""
+        return tuple(mask_of(c) for c in self.cycles)
 
     def validate(self) -> None:
         g, n = self.graph, self.n
@@ -162,21 +166,22 @@ def build_competitor(k: int) -> CompetitorGraph:
         raise PreconditionError("k must be >= 3")
     n = k * k
     m = 2 * n
-    edges = []
+    left = (1 << n) - 1
+    rows = [left << n] * n + [left] * n
     for off in (0, n):
-        for j in range(k):
-            c = off + j * k
-            edges.extend((c, c + i) for i in range(1, k))
-    deleted = {
-        (i * k, n + ((i + d) % k) * k) for i in range(k) for d in range(1, k - 1)
-    }
-    for u in range(n):
-        for v in range(n, m):
-            if (u, v) not in deleted:
-                edges.append((u, v))
+        for c in range(off, off + n, k):
+            rows[c] |= ((1 << (k - 1)) - 1) << (c + 1)
+            for leaf in range(c + 1, c + k):
+                rows[leaf] |= 1 << c
+    for i in range(k):
+        u = i * k
+        for d in range(1, k - 1):
+            v = n + ((i + d) % k) * k
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
     cg = CompetitorGraph(
         k,
-        Graph.from_edges(m, edges),
+        Graph(m, tuple(rows)),
         VertexSet(mask_of(range(0, n, k)), m),
         VertexSet(mask_of(range(n, m, k)), m),
     )
@@ -204,15 +209,15 @@ def _cycle_partitions(total: int) -> list[list[int]]:
 
 
 def _disjoint_cycles(m: int, lengths: list[int]) -> Graph:
-    edges = []
+    rows = [0] * m
     off = 0
     for ell in lengths:
-        edges.extend(
-            (min(off + i, off + (i + 1) % ell), max(off + i, off + (i + 1) % ell))
-            for i in range(ell)
-        )
+        for i in range(ell):
+            u, v = off + i, off + (i + 1) % ell
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         off += ell
-    return Graph.from_edges(m, edges)
+    return Graph(m, tuple(rows))
 
 
 def enumerate_regular_complements(n: int) -> list[Graph]:
@@ -251,19 +256,17 @@ def pairing_model_regular(m: int, d: int, rng) -> Graph | None:
     if m * d % 2:
         raise PreconditionError("m*d must be even")
     points = list(range(m * d))
-    edges = set()
+    rows = [0] * m
     while points:
         a = points.pop()
         idx = rng.below(len(points))
         b = points.pop(idx)
         u, v = a // d, b // d
-        if u == v:
+        if u == v or rows[u] >> v & 1:
             return None
-        e = (min(u, v), max(u, v))
-        if e in edges:
-            return None
-        edges.add(e)
-    return Graph.from_edges(m, sorted(edges))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(m, tuple(rows))
 
 
 def pairing_model_repaired(m: int, d: int, rng, max_attempts: int = 10**6) -> Graph:
@@ -320,7 +323,11 @@ def pairing_model_repaired(m: int, d: int, rng, max_attempts: int = 10**6) -> Gr
         mult[_key(*new2)] = mult.get(_key(*new2), 0) + 1
     else:
         raise BudgetExceededError("pairing repair did not converge")
-    return Graph.from_edges(m, sorted(_key(u, v) for u, v in pairs))
+    rows = [0] * m
+    for u, v in pairs:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(m, tuple(rows))
 
 
 def _key(u: int, v: int) -> tuple[int, int]:

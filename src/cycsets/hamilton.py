@@ -11,7 +11,9 @@ Five layers:
 * a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
-  validated `NotHamCert`; incomplete, never claims Hamiltonicity;
+  validated `NotHamCert`; incomplete, never claims Hamiltonicity; it
+  first skips every scope that Chvátal's degree-sequence condition
+  (Chvátal 1972) proves Hamiltonian, where no such X can exist;
 * a seeded rotation-extension engine: sound, incomplete, never claims
   non-Hamiltonicity;
 * constructive routines that build Hamilton paths/cycles in dense regimes
@@ -187,21 +189,43 @@ def _twin_cut(g: Graph, scope_mask: int) -> int:
     return 0
 
 
+def _chvatal(g: Graph, scope_mask: int) -> bool:
+    """Chvátal's degree-sequence condition (Chvátal 1972) on g[scope], s >= 3
+    vertices: with scope degrees d_1 <= ... <= d_s, no i < s/2 has both
+    d_i <= i and d_{s-i} < s - i.  When it holds, g[scope] is Hamiltonian."""
+    rows = g.rows
+    degs = []
+    rest = scope_mask
+    while rest:
+        low = rest & -rest
+        degs.append((rows[low.bit_length() - 1] & scope_mask).bit_count())
+        rest ^= low
+    degs.sort()
+    s = len(degs)
+    # degs[i - 1] is d_i
+    return all(
+        degs[i - 1] > i or degs[s - i - 1] >= s - i for i in range(1, (s + 1) // 2)
+    )
+
+
 def refute_toughness(g: Graph, scope_mask: int) -> NotHamCert | None:
     """A validated toughness certificate for g[scope], or None.
 
-    Candidates for X, cheapest first: the lone neighbour of a vertex of
-    scope-degree 1; one vertex of a disconnected scope; the smaller colour
-    class of an unbalanced bipartite scope; and, for every twin class C
-    (singletons included), X = C and X = N_S(C).  A cut vertex never has a
-    twin, so the singleton classes try every cut vertex.  On a member of
-    the extremal family, C = the B-part survivors gives both refutations of
-    `gn_criterion`: X = N_S(C) = T when d < 0, and X = C when e(T) < d.
+    A scope that meets Chvátal's degree condition (`_chvatal`) is
+    Hamiltonian, hence 1-tough, so no X exists and None is returned before
+    any candidate is tried.  Candidates for X, cheapest first: the lone
+    neighbour of a vertex of scope-degree 1; one vertex of a disconnected
+    scope; the smaller colour class of an unbalanced bipartite scope; and,
+    for every twin class C (singletons included), X = C and X = N_S(C).  A
+    cut vertex never has a twin, so the singleton classes try every cut
+    vertex.  On a member of the extremal family, C = the B-part survivors
+    gives both refutations of `gn_criterion`: X = N_S(C) = T when d < 0,
+    and X = C when e(T) < d.
 
     None decides nothing: the Petersen graph is not Hamiltonian and has no
     such X.
     """
-    if scope_mask.bit_count() < 3:
+    if scope_mask.bit_count() < 3 or _chvatal(g, scope_mask):
         return None
     x = (
         _cheap_cut(g, scope_mask)
@@ -332,7 +356,8 @@ def decide_hamiltonian_auto(
 ) -> HamDecision:
     """Tiered policy, every answer certified:
 
-    1. `refute_toughness`: a `NotHamCert`, method 'toughness';
+    1. `refute_toughness`: a `NotHamCert`, method 'toughness'; a scope
+       that meets Chvátal's degree condition skips its candidates;
     2. rotation, within `budget` rotations, capped at s*s on scopes of at
        most SMALL_SCOPE vertices, which bounds the cost of a refuter miss;
     3. the exact DP, for scopes within its budget of 24 vertices.
@@ -773,33 +798,38 @@ def gn_criterion(eg: ExtremalGraph, s: VertexSet) -> bool:
     and the 2-factor edges induced on T (capped at len-1 for a fully chosen
     cycle) number at least d.
     """
-    smask = s.mask
-    if smask & ~eg.graph.full_mask():
+    return gn_criterion_mask(eg, s.mask)
+
+
+def gn_criterion_mask(eg: ExtremalGraph, smask: int) -> bool:
+    """`gn_criterion` on the subset given by its vertex mask."""
+    if smask >> eg.graph.m:
         raise PreconditionError("subset leaves the graph")
     if smask.bit_count() < 3:
         return False
     t = smask & eg.part_a.mask
     bcount = (smask & eg.part_b.mask).bit_count()
     if bcount == 0:
-        return any(t == mask_of(c) for c in eg.cycles)
+        return t in eg.cycle_masks
     d = t.bit_count() - bcount
     if d < 0:
         return False
     if d == 0:
         return True
     maxlf = 0
-    for lo, ell in eg.cycle_spans():
-        bits = (t >> lo) & ((1 << ell) - 1)
+    for lo, ell in eg.cycle_spans:
+        full = (1 << ell) - 1
+        bits = (t >> lo) & full
         if not bits:
             continue
-        rot = (bits >> 1) | ((bits & 1) << (ell - 1))
-        e = (bits & rot).bit_count()
-        if bits == (1 << ell) - 1:
-            e = ell - 1
-        maxlf += e
+        if bits == full:
+            maxlf += ell - 1
+        else:
+            rot = (bits >> 1) | ((bits & 1) << (ell - 1))
+            maxlf += (bits & rot).bit_count()
         if maxlf >= d:
             return True
-    return maxlf >= d
+    return False
 
 
 def dirac_stability_witness(g: Graph, epsilon: Fraction) -> StabilityWitness:

@@ -65,7 +65,9 @@ class StreamRng:
 
     def below(self, n: int) -> int:
         """Uniform int in [0, n) (multiply-shift; bias < n/2^64)."""
-        return (self.word() * n) >> 64
+        w = stream_word(self._base, self._ctr)
+        self._ctr += 1
+        return (w * n) >> 64
 
     def uniform(self) -> float:
         return self.word() / 2.0**64

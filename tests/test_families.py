@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import isomorphic
 
+from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import Graph, to_graph6
 from cycsets.errors import PreconditionError
 from cycsets.families import (
@@ -19,6 +22,13 @@ from cycsets.families import (
     pairing_model_repaired,
 )
 from cycsets.sampling import StreamRng
+
+
+def _graph6_digest(graphs) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(to_graph6(g).encode() + b"\n")
+    return h.hexdigest()
 
 
 def _disjoint_cycles_graph(m: int, lengths: list[int]) -> Graph:
@@ -164,6 +174,12 @@ def test_competitor_regular_all_k(k):
     assert cg.graph.degrees() == [n + 1] * (2 * n)
 
 
+def test_competitor_graph6_pinned():
+    # k = 3..6, as the edge-tuple builder made them
+    got = _graph6_digest(build_competitor(k).graph for k in range(3, 7))
+    assert got == "d52d6a20c137a06307be5992e9e7ae8b6e5de76ae803ef500e344ec5d5589fec"
+
+
 def test_competitor_rejects_small_k():
     with pytest.raises(PreconditionError):
         build_competitor(2)
@@ -239,3 +255,18 @@ def test_pairing_model_repaired_dense(m, d):
     assert again.rows == g.rows
     other = pairing_model_repaired(m, d, StreamRng(32, 0))
     assert other.degrees() == [d] * m
+
+
+@pytest.mark.parametrize(
+    "m, d, digest",
+    [
+        (16, 3, "ea5232775f1b2749d823a4406d9a06cb1d3f1fe3c5d867882060ab8038d3008e"),
+        (20, 5, "c69e460fd1a03d11957c828dd800f286f7963dd01543702988ccc978607501ac"),
+        (20, 11, "04682bfcc2b37a654d4edbea54fb573e9a3c0a0f2c567721c11ed4f363560dd2"),
+        (22, 12, "6bde1d579b5e3c12033ce3eb827726ef38c25455c1025bb22b40af2fc5625d67"),
+    ],
+)
+def test_random_regular_graph_pinned(m, d, digest):
+    # seeds 0..19, as the edge-tuple samplers drew them: (16, 3) takes the
+    # strict pairing model, (20, 11) and (22, 12) the repaired one, (20, 5) both
+    assert _graph6_digest(random_regular_graph(m, d, seed=s) for s in range(20)) == digest

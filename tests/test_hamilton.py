@@ -10,6 +10,7 @@ import pytest
 
 from conftest import brute_has_ham_cycle, petersen, random_graph
 
+from cycsets import hamilton
 from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import Cut, Graph, VertexSet, mask_of
 from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
@@ -34,6 +35,7 @@ from cycsets.instances import (
     near_bipartite_instance,
     two_cliques_instance,
 )
+from cycsets.sampling import retention_masks
 from cycsets.structures import LinearForest
 
 
@@ -276,6 +278,62 @@ def test_refuter_settles_every_family_refutation(n, cycles):
             continue
         cert = refute_toughness(g, mask)
         assert (cert is None) == gn_criterion(eg, VertexSet(mask, g.m)), f"{mask:b}"
+
+
+@pytest.mark.parametrize(
+    "m, p, seed", [(8, 0.6, 1), (9, 0.7, 2), (10, 0.65, 3), (11, 0.75, 4), (12, 0.7, 5)]
+)
+def test_chvatal_gate_holds_only_on_hamiltonian_scopes(m, p, seed):
+    g = random_graph(m, 7700 + seed, p=p)
+    held = 0
+    for mask in range(1 << m):
+        if mask.bit_count() < 3 or not hamilton._chvatal(g, mask):
+            continue
+        held += 1
+        assert is_hamiltonian_exact(g, VertexSet(mask, m)).status == "hamiltonian"
+        assert refute_toughness(g, mask) is None
+        # nor would any candidate have refuted it without the gate
+        assert not (
+            hamilton._cheap_cut(g, mask)
+            or hamilton._unbalanced_side(g, mask)
+            or hamilton._twin_cut(g, mask)
+        )
+    assert held > 0
+
+
+def test_chvatal_gate_skips_the_candidates(monkeypatch):
+    def unreachable(g, scope_mask):
+        raise AssertionError("the refuter searched a Chvátal scope")
+
+    monkeypatch.setattr(hamilton, "_twin_cut", unreachable)
+    g = build_extremal(6, [7]).graph
+    assert refute_toughness(g, g.full_mask()) is None
+
+
+def _auto_stream_digest(g: Graph, seed: int, samples: int) -> str:
+    """sha256 over the auto decisions of estimate_h's sample stream at
+    p = 1/2: (status, method, work, cert order or x_mask) per sample."""
+    rows = []
+    for mask, base in retention_masks(seed, 0, samples, g.m, 1, 2):
+        dec = decide_hamiltonian_auto(g, VertexSet(mask, g.m), seed=base & 0x3FFFFFFF)
+        cert = getattr(dec.cert, "order", None) or getattr(dec.cert, "x_mask", None)
+        rows.append((dec.status, dec.method, dec.work, cert))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "graph, digest",
+    [
+        (build_extremal(10, [11]).graph,
+         "c22fb810118d6c5aae9569bca7bf0655f8e806f953eb56e96da0e9c0dd5c83b4"),
+        (random_regular_graph(22, 12, seed=4),
+         "e0c539cdc50db48409500efe9caae529fdc2cdb10a533b18c2ef960f431c397b"),
+    ],
+    ids=["extremal_m20", "random_12_regular_22"],
+)
+def test_auto_decisions_are_pinned_on_the_sample_stream(graph, digest):
+    # taken before the Chvátal gate and the cheaper rotation pick
+    assert _auto_stream_digest(graph, 1, 600) == digest
 
 
 @pytest.mark.parametrize(
