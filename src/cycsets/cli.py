@@ -6,6 +6,9 @@ version, input digests, wall time); identical invocations produce
 byte-identical output except for the wall-time field.  Exit codes:
 0 success, 2 precondition or parse failure, 3 budget exceeded,
 4 verification failure.
+
+Each command and verify suite imports the package modules it runs, so a
+process loads only those (README, "Install").
 """
 
 from __future__ import annotations
@@ -18,55 +21,13 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import sqrt
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import (
-    AnalysisParams,
-    balanced_cut_cover_product,
-    classify,
-    random_regular_graph,
-)
-from .bitgraph import Cut, Graph, VertexSet, from_graph6, to_graph6
-from .counting import (
-    CYC_EXACT_MAX,
-    closing_sets,
-    cyc_count_exact,
-    estimate_h,
-    mainplus_report,
-)
 from .errors import BudgetExceededError, PreconditionError, VerificationError
-from .families import (
-    _cycle_partitions,
-    build_competitor,
-    build_extremal,
-    build_knn,
-    build_star_augmented,
-    enumerate_regular_complements,
-)
-from .hamilton import (
-    gn_criterion_mask,
-    ham_cycle_near_bipartite,
-    ham_cycle_two_cliques,
-    ham_path_bipartite,
-    ham_path_dirac,
-)
-from .instances import (
-    bipartite_instance,
-    dirac_instance,
-    near_bipartite_instance,
-    two_cliques_instance,
-)
-from .numerics import (
-    bindiff_check,
-    chernoff_check,
-    emit_f_alpha_curve,
-    f_alpha,
-    fn_second_estimate_check,
-    g_roots,
-    pn_expansion_check,
-)
-from .sampling import StreamRng
+
+if TYPE_CHECKING:
+    from .bitgraph import Graph
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -113,6 +74,8 @@ def _emit(report: dict, manifest: dict, out: str) -> None:
 
 
 def _read_graph(path: str) -> tuple[Graph, dict[str, str]]:
+    from .bitgraph import from_graph6
+
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -134,19 +97,35 @@ def _read_graph(path: str) -> tuple[Graph, dict[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_cycles(text: str) -> list[int]:
+def _parse_ints(text: str, what: str) -> list[int]:
+    """The comma-separated integers of `text`, at least one."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise PreconditionError(f"bad cycle list {text!r}") from None
+        values = []
+    if not values:
+        raise PreconditionError(f"bad {what} {text!r}")
+    return values
+
+
+def _at_least_one(args, *names: str) -> None:
+    """Refuse a zero or negative instance count, which would pass vacuously."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise PreconditionError(f"{args.suite} needs {flag} >= 1, got {value}")
 
 
 def cmd_construct(args) -> int:
+    from .bitgraph import to_graph6
+    from .families import build_competitor, build_extremal, build_knn, build_star_augmented
+
     start = time.perf_counter()
     if args.family == "extremal":
         if args.n is None:
             raise PreconditionError("extremal needs --n")
-        lengths = _parse_cycles(args.cycles) if args.cycles else [args.n + 1]
+        lengths = _parse_ints(args.cycles, "cycle list") if args.cycles else [args.n + 1]
         built = build_extremal(args.n, lengths)
         g = built.graph
         params = {"n": args.n, "cycles": lengths}
@@ -186,6 +165,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .counting import CYC_EXACT_MAX, cyc_count_exact
+
     start = time.perf_counter()
     g, digests = _read_graph(args.input)
     budget = g.m if args.force else CYC_EXACT_MAX
@@ -208,6 +189,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .counting import estimate_h
+
     start = time.perf_counter()
     g, digests = _read_graph(args.input)
     try:
@@ -218,7 +201,9 @@ def cmd_estimate(args) -> int:
     if args.decider == "gn":
         if args.n is None:
             raise PreconditionError("decider=gn needs --n (and optionally --cycles)")
-        lengths = _parse_cycles(args.cycles) if args.cycles else [args.n + 1]
+        from .families import build_extremal
+
+        lengths = _parse_ints(args.cycles, "cycle list") if args.cycles else [args.n + 1]
         eg = build_extremal(args.n, lengths)
         if eg.graph != g:
             raise PreconditionError(
@@ -250,6 +235,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import AnalysisParams, classify
+
     start = time.perf_counter()
     g, digests = _read_graph(args.input)
     params = AnalysisParams(eps=Fraction(args.eps))
@@ -279,6 +266,12 @@ def _check(name: str, ok: bool, detail) -> dict:
 
 
 def _suite_balancedcut(args) -> list[dict]:
+    from .analysis import balanced_cut_cover_product, random_regular_graph
+    from .bitgraph import Cut, VertexSet
+    from .families import enumerate_regular_complements
+    from .sampling import StreamRng
+
+    _at_least_one(args, "instances", "cuts")
     checks = []
     tested = violations = 0
     for n in (2, 3, 4):
@@ -321,6 +314,9 @@ def _suite_balancedcut(args) -> list[dict]:
 
 
 def _suite_chernoff(args) -> list[dict]:
+    from .numerics import chernoff_check
+
+    _at_least_one(args, "n_max")
     worst = 0.0
     worst_n = 0
     for n in range(1, args.n_max + 1):
@@ -334,6 +330,8 @@ def _suite_chernoff(args) -> list[dict]:
 
 
 def _suite_bindiff(args) -> list[dict]:
+    from .numerics import bindiff_check
+
     return [
         _check(f"conv_{n}_{m}", bindiff_check(n, m), "exact pmf equality")
         for n, m in ((1, 1), (3, 5), (8, 8))
@@ -341,7 +339,9 @@ def _suite_bindiff(args) -> list[dict]:
 
 
 def _suite_pn(args) -> list[dict]:
-    ns = [int(x) for x in args.n_list.split(",")]
+    from .numerics import pn_expansion_check
+
+    ns = _parse_ints(args.n_list, "--n-list")
     table = pn_expansion_check(ns)
     checks = [
         _check(f"residual_n{n}", table[n] <= 2.0, f"scaled residual {table[n]:.4f}")
@@ -356,17 +356,19 @@ def _suite_pn(args) -> list[dict]:
 
 
 def _suite_fnsecond(args) -> list[dict]:
+    from .numerics import fn_second_estimate_check
+
     out = []
-    for n in (int(x) for x in args.n_list.split(",")):
+    for n in _parse_ints(args.n_list, "--n-list"):
         r = fn_second_estimate_check(n)
         out.append(_check(f"second_estimate_n{n}", r <= 1.0, f"max ratio {r:.4f}"))
     return out
 
 
 def _suite_calculus(args) -> list[dict]:
-    checks = []
-    from .numerics import g_of
+    from .numerics import emit_f_alpha_curve, f_alpha, g_of, g_roots
 
+    checks = []
     checks.append(_check("g_at_4_exact_zero", g_of(4.0) == 0.0, "direct cancellation"))
     r1, r2, r3 = g_roots()
     checks.append(
@@ -392,6 +394,10 @@ def _suite_calculus(args) -> list[dict]:
 
 
 def _suite_gncriterion(args) -> list[dict]:
+    from .counting import CYC_EXACT_MAX, closing_sets
+    from .families import _cycle_partitions, build_extremal
+    from .hamilton import gn_criterion_mask
+
     checks = []
     n = args.n
     if n < 2:
@@ -423,6 +429,12 @@ def _suite_gncriterion(args) -> list[dict]:
 
 
 def _suite_builders(args) -> list[dict]:
+    from .hamilton import ham_cycle_near_bipartite, ham_cycle_two_cliques
+    from .hamilton import ham_path_bipartite, ham_path_dirac
+    from .instances import bipartite_instance, dirac_instance
+    from .instances import near_bipartite_instance, two_cliques_instance
+
+    _at_least_one(args, "count")
     checks = []
     ok = 0
     for s in range(args.count):
@@ -454,6 +466,8 @@ def _suite_builders(args) -> list[dict]:
 
 
 def _suite_mainplus(args) -> list[dict]:
+    from .counting import mainplus_report
+
     rows = mainplus_report()
     member = [r["complement_of"] for r in rows if r["is_extremal_member"]]
     return [
@@ -490,6 +504,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .numerics import emit_f_alpha_curve
+
     rows = emit_f_alpha_curve(args.alpha_min, args.alpha_max, args.points)
     lines = ["alpha,f_alpha,is_extremum"]
     lines += [f"{a:.12g},{v:.12g},{int(e)}" for a, v, e in rows]

@@ -20,6 +20,13 @@ The extremal family evaluator avoids enumeration entirely: for each
 vertices, induced linear-forest edges, capped at l-1 for the full cycle);
 profiles convolve across cycles and combine with binomial prefix sums over
 the independent part.
+
+Only what exact counts run is imported at module level, so `cycsets count`
+loads `bitgraph`, `errors` and `subsetdp` and nothing else of the package.
+The other paths import their modules where they start: the Monte Carlo
+block imports `sampling` and resolves its `hamilton` decider once per
+block, never per sample; `good_cut_probability` imports `structures`, and
+`mainplus_report` imports `families`.
 """
 
 from __future__ import annotations
@@ -27,18 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
+from typing import TYPE_CHECKING
 
 from .bitgraph import Graph, VertexSet, bits_of
 from .errors import BudgetExceededError, PreconditionError
-from .families import ExtremalGraph, _disjoint_cycles, build_extremal
-from .hamilton import (
-    decide_hamiltonian_auto,
-    gn_criterion,
-    is_hamiltonian_exact,
-)
-from .sampling import retention_masks, wilson_interval
-from .structures import is_k_good_cut
 from .subsetdp import reach_rounds
+
+if TYPE_CHECKING:
+    from .families import ExtremalGraph
 
 CYC_EXACT_MAX = 20
 MEMO_MAX_VERTICES = 16
@@ -199,30 +202,34 @@ def p_exact_knn(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _decide_sample(
-    g: Graph, mask: int, decider: str, eg: ExtremalGraph | None, engine_seed: int
-) -> tuple[bool, bool]:
-    """(hamiltonian?, undecided?) for one retained-vertex mask."""
-    scope = VertexSet(mask, g.m)
+def _sample_decider(g: Graph, decider: str, eg: ExtremalGraph | None):
+    """(mask, engine seed) -> (hamiltonian?, undecided?) for one retained-vertex mask."""
+    from .hamilton import decide_hamiltonian_auto, gn_criterion_mask, is_hamiltonian_exact
+
     if decider == "gn":
-        return gn_criterion(eg, scope), False
-    if decider == "exact":
-        dec = is_hamiltonian_exact(g, scope)
-        return dec.status == "hamiltonian", False
-    dec = decide_hamiltonian_auto(g, scope, seed=engine_seed)
-    return dec.status == "hamiltonian", dec.status == "unknown"
+        return lambda mask, engine_seed: (gn_criterion_mask(eg, mask), False)
+
+    def decide(mask: int, engine_seed: int) -> tuple[bool, bool]:
+        scope = VertexSet(mask, g.m)
+        if decider == "exact":
+            return is_hamiltonian_exact(g, scope).status == "hamiltonian", False
+        dec = decide_hamiltonian_auto(g, scope, seed=engine_seed)
+        return dec.status == "hamiltonian", dec.status == "unknown"
+    return decide
 
 
 def _estimate_block(args) -> tuple[int, int]:
+    from .sampling import retention_masks
+
     g, p_num, p_den, seed, lo, hi, decider, eg = args
+    decide = _sample_decider(g, decider, eg)
     succ = undec = 0
     memo: dict[int, bool] | None = {} if g.m <= MEMO_MAX_VERTICES else None
     for mask, base in retention_masks(seed, lo, hi, g.m, p_num, p_den):
         if memo is not None and mask in memo:
             ok, und = memo[mask], False
         else:
-            engine_seed = base & 0x3FFFFFFF
-            ok, und = _decide_sample(g, mask, decider, eg, engine_seed)
+            ok, und = decide(mask, base & 0x3FFFFFFF)
             if memo is not None and not und:
                 memo[mask] = ok
         succ += ok
@@ -247,6 +254,8 @@ def estimate_h(
     certified lower bound.  Counter-based streams keyed by sample index
     make the report identical for every worker count.
     """
+    from .sampling import wilson_interval
+
     if samples < 1:
         raise PreconditionError("need samples >= 1")
     p = Fraction(p_retention)
@@ -307,6 +316,8 @@ def edge_concentration_experiment(
 ) -> EdgeConcentrationReport:
     """Samples e(G[1/2]) and reports mean / variance / the fraction of
     samples deviating from e(G)/4 by more than 0.1 e(G)."""
+    from .sampling import retention_masks
+
     e = g.edge_count()
     if e < 1:
         raise PreconditionError("need at least one edge")
@@ -343,6 +354,9 @@ def good_cut_probability(
     the forest lower bound, whose failures are indefinite — those count as
     failures and flag the whole estimate as a lower bound.
     """
+    from .sampling import retention_masks, wilson_interval
+    from .structures import is_k_good_cut
+
     if samples < 1:
         raise PreconditionError("need samples >= 1")
     m = g.m
@@ -380,6 +394,8 @@ def mainplus_report() -> list[dict]:
     exactly when their cycle lengths agree.  So the flagged row is the one
     whose partition equals the sorted component sizes of the member's
     complement ([5, 3] for K_{3,5} plus a 5-cycle)."""
+    from .families import _disjoint_cycles, build_extremal
+
     co = build_extremal(4, [5]).graph.complement()
     member_type = sorted((c.bit_count() for c in co.components(co.full_mask())), reverse=True)
     rows = []

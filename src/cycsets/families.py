@@ -68,6 +68,10 @@ class ExtremalGraph:
         amask = self.part_a.mask
         if any(g.rows[a] & amask != factor[a] for a in self.part_a.members()):
             raise PreconditionError("edges inside A are not exactly the 2-factor")
+        # `cycle_spans` and `gn_criterion_mask` read each cycle as an index run
+        for cyc in self.cycles:
+            if tuple(cyc) != tuple(range(cyc[0], cyc[0] + len(cyc))):
+                raise PreconditionError(f"cycle {cyc} is not on consecutive indices")
 
 
 @dataclass(frozen=True)

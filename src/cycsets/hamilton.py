@@ -26,6 +26,11 @@ Five layers:
 All thresholds of the constructive routines are keyword parameters with the
 regime defaults, so out-of-regime experimentation stays possible; soundness
 never depends on the thresholds because certificates are always validated.
+
+`ExtremalGraph` (`families`) and `LinearForest` (`structures`) appear here
+only in annotations, so they are imported under `TYPE_CHECKING`: a process
+that decides Hamiltonicity, such as `cycsets estimate`, loads neither
+module.
 """
 
 from __future__ import annotations
@@ -34,13 +39,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import ceil, floor
+from typing import TYPE_CHECKING
 
 from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of, nth_bit
 from .errors import BudgetExceededError, PreconditionError, VerificationError
-from .families import ExtremalGraph
 from .sampling import StreamRng
-from .structures import LinearForest
 from .subsetdp import TABLE_MAX_BITS, reach_rounds
+
+if TYPE_CHECKING:
+    from .families import ExtremalGraph
+    from .structures import LinearForest
 
 EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 ROTATION_RESTARTS = 32

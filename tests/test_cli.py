@@ -284,6 +284,26 @@ def test_verify_gncriterion_rejects_small_n(capsys, n):
     assert out == "" and "--n >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pn", "--n-list", "64,abc"], "bad --n-list '64,abc'"),
+        (["pn", "--n-list", ","], "bad --n-list ','"),
+        (["fnsecond", "--n-list", "x"], "bad --n-list 'x'"),
+        (["builders", "--count", "0"], "builders needs --count >= 1, got 0"),
+        (["chernoff", "--n-max", "0"], "chernoff needs --n-max >= 1, got 0"),
+        (["balancedcut", "--instances", "0"], "balancedcut needs --instances >= 1, got 0"),
+        (["balancedcut", "--cuts", "-1"], "balancedcut needs --cuts >= 1, got -1"),
+    ],
+    ids=["pn-word", "pn-empty", "fnsecond-word", "builders-0", "chernoff-0",
+         "balancedcut-instances-0", "balancedcut-cuts-negative"],
+)
+def test_verify_rejects_malformed_or_empty_input(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     code = (
         "import sys, cycsets.cli\n"
@@ -298,17 +318,35 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_count_process_leaves_numpy_unloaded(tmp_path):
+_ESTIMATE = ["estimate", "OCTA", "--p", "1/2", "--samples", "50"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules, numpy_loaded",
+    [
+        (["count", "OCTA"], {"bitgraph", "counting", "errors", "subsetdp"}, False),
+        (["verify", "calculus"], {"errors", "numerics"}, False),
+        (_ESTIMATE + ["--decider", "auto"],
+         {"bitgraph", "counting", "errors", "hamilton", "sampling", "subsetdp"}, True),
+        (_ESTIMATE + ["--decider", "gn", "--n", "3"],
+         {"bitgraph", "counting", "errors", "families", "hamilton", "sampling",
+          "subsetdp"}, True),
+    ],
+    ids=["count", "verify-calculus", "estimate-auto", "estimate-gn"],
+)
+def test_command_loads_only_its_modules(tmp_path, capsys, argv, modules, numpy_loaded):
     path = tmp_path / "octa.g6"
     path.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    argv = [str(path) if a == "OCTA" else a for a in argv]
     code = (
-        "import sys, runpy\n"
-        f"sys.argv = ['cycsets', 'count', {str(path)!r}]\n"
+        "import json, sys, runpy\n"
+        f"sys.argv = ['cycsets', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('cycsets.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0\n"
-        "assert 'numpy' not in sys.modules\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('cycsets.'))\n"
+        "print(json.dumps([loaded, 'numpy' in sys.modules]), file=sys.stderr)\n"
     )
     env = dict(os.environ)
     src = str(Path(cycsets.__file__).resolve().parent.parent)
@@ -316,7 +354,9 @@ def test_count_process_leaves_numpy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["report"]["cyclic_count"] == 30
+    assert json.loads(proc.stdout)["report"] == run_json(capsys, *argv)["report"]
+    loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert loaded == [sorted("cycsets." + m for m in modules), numpy_loaded]
 
 
 def test_entry_runs_with_one_blas_thread(tmp_path, capsys, monkeypatch):

@@ -100,6 +100,19 @@ def test_extremal_validate_rejects_wrong_edges_inside_a():
     assert str(exc.value) == "missing 2-factor edge (0,1)"
 
 
+def test_extremal_validate_rejects_a_scattered_cycle():
+    # A = 0..4 carries the 5-cycle 0-2-4-1-3; `gn_criterion_mask` would read
+    # it as 0-1-2-3-4 and disagree with the exact decider on 60 of 256 subsets
+    n, cyc = 4, (0, 2, 4, 1, 3)
+    a_edges = [(cyc[i], cyc[(i + 1) % 5]) for i in range(5)]
+    g = Graph.from_edges(2 * n, a_edges + [(u, v) for u in range(5) for v in range(5, 8)])
+    eg = build_extremal(n, [5])
+    bad = ExtremalGraph(n, g, eg.part_a, eg.part_b, (cyc,))
+    with pytest.raises(PreconditionError) as exc:
+        bad.validate()
+    assert str(exc.value) == "cycle (0, 2, 4, 1, 3) is not on consecutive indices"
+
+
 def test_extremal_cycle_order_irrelevant():
     # multi-cycle types exist only at 2n >= 10; the isomorphism is
     # exhibited explicitly: match cycles of equal length block by block,
