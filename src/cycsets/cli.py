@@ -109,12 +109,14 @@ def _parse_ints(text: str, what: str) -> list[int]:
 
 
 def _at_least_one(args, *names: str) -> None:
-    """Refuse a zero or negative instance count, which would pass vacuously."""
+    """Refuse a zero or negative count of instances or workers, which would
+    pass vacuously or be written into the manifest as given."""
     for name in names:
         value = getattr(args, name)
         if value < 1:
             flag = "--" + name.replace("_", "-")
-            raise PreconditionError(f"{args.suite} needs {flag} >= 1, got {value}")
+            who = getattr(args, "suite", args.cmd)
+            raise PreconditionError(f"{who} needs {flag} >= 1, got {value}")
 
 
 def cmd_construct(args) -> int:
@@ -168,6 +170,7 @@ def cmd_count(args) -> int:
     from .counting import CYC_EXACT_MAX, cyc_count_exact
 
     start = time.perf_counter()
+    _at_least_one(args, "workers")
     g, digests = _read_graph(args.input)
     budget = g.m if args.force else CYC_EXACT_MAX
     rep = cyc_count_exact(g, workers=args.workers, max_vertices=budget)
@@ -192,6 +195,7 @@ def cmd_estimate(args) -> int:
     from .counting import estimate_h
 
     start = time.perf_counter()
+    _at_least_one(args, "workers")
     g, digests = _read_graph(args.input)
     try:
         p = Fraction(args.p)
@@ -395,8 +399,7 @@ def _suite_calculus(args) -> list[dict]:
 
 def _suite_gncriterion(args) -> list[dict]:
     from .counting import CYC_EXACT_MAX, closing_sets
-    from .families import _cycle_partitions, build_extremal
-    from .hamilton import gn_criterion_mask
+    from .families import _cycle_partitions, build_extremal, gn_criterion_mask
 
     checks = []
     n = args.n

@@ -8,9 +8,10 @@ one kernel run per anchor over the vertices {a+1..m-1}.  Round t of that
 run gives the closing set of a: a 2^k-bit int (k = m-1-a) with bit M set
 iff {a} + M is cyclic, for the masks |M| = t; its popcount is the number
 of cyclic subsets of size t+1 with minimum a.  The kernel holds at most
-three sets of k such ints, 72,351,744 bytes at k = 23, and a universe
-wider than 23 is refused before it is allocated, whatever `max_vertices`
-allows.  Exact counts run in one process and load no numpy.  Monte Carlo
+three sets of k such ints and two more in flight, 79,414,068 bytes at
+k = 23; twin classes in the universe add at most floor(k/2) ints,
+12,303,588 bytes at k = 23.  A universe wider than 23 is refused before it
+is allocated, whatever `max_vertices` allows.  Exact counts run in one process and load no numpy.  Monte Carlo
 work partitions by sample index with counter-based streams, so estimates
 never depend on worker count or scheduling.
 
@@ -24,9 +25,10 @@ the independent part.
 Only what exact counts run is imported at module level, so `cycsets count`
 loads `bitgraph`, `errors` and `subsetdp` and nothing else of the package.
 The other paths import their modules where they start: the Monte Carlo
-block imports `sampling` and resolves its `hamilton` decider once per
-block, never per sample; `good_cut_probability` imports `structures`, and
-`mainplus_report` imports `families`.
+block imports `sampling` and resolves its decider once per block, never
+per sample, from `hamilton`, or from `families` for the `gn` criterion;
+`good_cut_probability` imports `structures`, and `mainplus_report` imports
+`families`.
 """
 
 from __future__ import annotations
@@ -204,10 +206,11 @@ def p_exact_knn(n: int) -> Fraction:
 
 def _sample_decider(g: Graph, decider: str, eg: ExtremalGraph | None):
     """(mask, engine seed) -> (hamiltonian?, undecided?) for one retained-vertex mask."""
-    from .hamilton import decide_hamiltonian_auto, gn_criterion_mask, is_hamiltonian_exact
-
     if decider == "gn":
+        from .families import gn_criterion_mask
+
         return lambda mask, engine_seed: (gn_criterion_mask(eg, mask), False)
+    from .hamilton import decide_hamiltonian_auto, is_hamiltonian_exact
 
     def decide(mask: int, engine_seed: int) -> tuple[bool, bool]:
         scope = VertexSet(mask, g.m)

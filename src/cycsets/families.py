@@ -74,6 +74,46 @@ class ExtremalGraph:
                 raise PreconditionError(f"cycle {cyc} is not on consecutive indices")
 
 
+def gn_criterion_mask(eg: ExtremalGraph, smask: int) -> bool:
+    """Exact cyclic-subset test for members of the extremal family, on the
+    subset given by its vertex mask, O(#cycles) per call.
+
+    With T = A-part survivors and d = |T| - |B-part survivors|: subsets
+    smaller than 3 fail; B-free subsets succeed exactly when T is the whole
+    vertex set of a single 2-factor cycle; otherwise success means d >= 0
+    and the 2-factor edges induced on T (capped at len-1 for a fully chosen
+    cycle) number at least d.  It reads only the parts and the cycle layout
+    of `eg`, so its callers load no Hamiltonicity decider.
+    """
+    if smask >> eg.graph.m:
+        raise PreconditionError("subset leaves the graph")
+    if smask.bit_count() < 3:
+        return False
+    t = smask & eg.part_a.mask
+    bcount = (smask & eg.part_b.mask).bit_count()
+    if bcount == 0:
+        return t in eg.cycle_masks
+    d = t.bit_count() - bcount
+    if d < 0:
+        return False
+    if d == 0:
+        return True
+    maxlf = 0
+    for lo, ell in eg.cycle_spans:
+        full = (1 << ell) - 1
+        bits = (t >> lo) & full
+        if not bits:
+            continue
+        if bits == full:
+            maxlf += ell - 1
+        else:
+            rot = (bits >> 1) | ((bits & 1) << (ell - 1))
+            maxlf += (bits & rot).bit_count()
+        if maxlf >= d:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class CompetitorGraph:
     k: int

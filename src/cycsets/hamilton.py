@@ -7,7 +7,8 @@ Five layers:
   `subsetdp`, the kernel exact counting also runs; it ORs the kernel's
   rounds into one table, reads the answer at the full mask and backtracks
   a certificate from that table, or gives a definitive refusal; at 24
-  vertices its ints peak at 96,468,992 bytes;
+  vertices its ints peak at 105,139,752 bytes, and twin classes in the
+  scope add at most 12,303,588 more;
 * a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
@@ -20,8 +21,10 @@ Five layers:
   the way the existence arguments do (delete-and-splice, pigeonhole on
   cycle successors, cherry matchings over low-degree vertices, crossing
   connectors of length 2/3), validating every certificate;
-* an O(#cycles) exact criterion for membership-sampled subsets of the
-  extremal family.
+* `gn_criterion`, the O(#cycles) exact criterion for subsets of the
+  extremal family on a `VertexSet`; the criterion itself is
+  `families.gn_criterion_mask`, beside the cycle layout it reads, so its
+  callers need not load this module.
 
 All thresholds of the constructive routines are keyword parameters with the
 regime defaults, so out-of-regime experimentation stays possible; soundness
@@ -30,7 +33,7 @@ never depends on the thresholds because certificates are always validated.
 `ExtremalGraph` (`families`) and `LinearForest` (`structures`) appear here
 only in annotations, so they are imported under `TYPE_CHECKING`: a process
 that decides Hamiltonicity, such as `cycsets estimate`, loads neither
-module.
+module.  `gn_criterion` imports `families` when it is called.
 """
 
 from __future__ import annotations
@@ -797,47 +800,11 @@ def ham_cycle_near_bipartite(
 
 
 def gn_criterion(eg: ExtremalGraph, s: VertexSet) -> bool:
-    """Exact cyclic-subset test for members of the extremal family,
-    O(#cycles) per call.
+    """`families.gn_criterion_mask` on a `VertexSet`: the exact O(#cycles)
+    cyclic-subset test for members of the extremal family."""
+    from .families import gn_criterion_mask
 
-    With T = A-part survivors and d = |T| - |B-part survivors|: subsets
-    smaller than 3 fail; B-free subsets succeed exactly when T is the whole
-    vertex set of a single 2-factor cycle; otherwise success means d >= 0
-    and the 2-factor edges induced on T (capped at len-1 for a fully chosen
-    cycle) number at least d.
-    """
     return gn_criterion_mask(eg, s.mask)
-
-
-def gn_criterion_mask(eg: ExtremalGraph, smask: int) -> bool:
-    """`gn_criterion` on the subset given by its vertex mask."""
-    if smask >> eg.graph.m:
-        raise PreconditionError("subset leaves the graph")
-    if smask.bit_count() < 3:
-        return False
-    t = smask & eg.part_a.mask
-    bcount = (smask & eg.part_b.mask).bit_count()
-    if bcount == 0:
-        return t in eg.cycle_masks
-    d = t.bit_count() - bcount
-    if d < 0:
-        return False
-    if d == 0:
-        return True
-    maxlf = 0
-    for lo, ell in eg.cycle_spans:
-        full = (1 << ell) - 1
-        bits = (t >> lo) & full
-        if not bits:
-            continue
-        if bits == full:
-            maxlf += ell - 1
-        else:
-            rot = (bits >> 1) | ((bits & 1) << (ell - 1))
-            maxlf += (bits & rot).bit_count()
-        if maxlf >= d:
-            return True
-    return False
 
 
 def dirac_stability_witness(g: Graph, epsilon: Fraction) -> StabilityWitness:

@@ -16,15 +16,33 @@ ends next to w extends to w.  Round t holds exactly the layer |M| = t, so
 the sum of popcount(R_w) over all rounds is the number of states,
 sum |reach[M]|.
 
-A round holds k ints of 2^k bits, 23 * 2^23 / 8 = 24,117,248 bytes at
-k = TABLE_MAX_BITS = 23, and the NOT_w masks take as much again.  While it
-builds a round the kernel holds three such sets, 72,351,744 bytes at
-k = 23; the exact decider keeps a fourth, the OR of all rounds, for
-96,468,992 bytes.  Wider universes are refused before anything is
-allocated.  The kernel needs no numpy.
+Twins, vertices of equal N(w), are never adjacent, and N(w) is a union of
+whole twin classes: if u is in N(w), so is every twin of u.  So each round
+ORs the R_u of a class of two or more members once, builds the OR over
+N(w) once per class from one value per class in it, and applies the mask
+and shift to each member.  The rounds are the same as those of the
+per-vertex formula, and a twin-free universe does exactly its ORs.  The
+extremal family's part of size n-1, and each part of K_{n,n}, is one
+class, which roughly halves the time of a count or decision there.
+
+A round holds k ints of 2^k bits.  CPython stores 30 bits in every 4 bytes,
+so one such int takes 1,118,508 bytes at k = TABLE_MAX_BITS = 23
+(`sys.getsizeof`), and a round 25,725,684 bytes.  The NOT_w masks take as
+much again.  While it builds a round the kernel holds three such sets and
+at most two ints in flight: 3k + 2 ints, 79,414,068 bytes at k = 23.  Twin
+classes add one int per class of two or more members, the class's OR, so
+at most floor(k/2) ints, 12,303,588 bytes at k = 23.  They are released
+before the round is yielded, and a twin-free universe allocates none, so
+its peak stays 3k + 2 ints.  The exact decider keeps a fourth set, the OR
+of all rounds: at most 4k + 2 + floor(k/2) ints, 117,443,340 bytes at
+k = 23.  Wider universes are refused before anything is allocated.  The
+kernel needs no numpy.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 from .bitgraph import bits_of
 from .errors import BudgetExceededError
@@ -53,7 +71,15 @@ def reach_rounds(adj: list[int], seed: int):
 def _rounds(adj: list[int], seed: int):
     k = len(adj)
     size = 1 << k
-    nbrs = [list(bits_of(a)) for a in adj]
+    classes: dict[int, list[int]] = {}  # N(w) -> its twin class, lowest first
+    for w, a in enumerate(adj):
+        classes.setdefault(a, []).append(w)
+    firsts = sum(1 << members[0] for members in classes.values())
+    # N(w) is a union of whole classes, so it reads each class at its lowest
+    # member; a class of one is read from the round itself
+    plan = [(list(bits_of(a & firsts)), members) for a, members in classes.items()]
+    # classes of twins that some vertex sees, ORed once per round
+    shared = [members for a, members in classes.items() if a and len(members) > 1]
     without = []  # without[w] = NOT_w, built by doubling its period
     for w in range(k):
         x = (1 << (1 << w)) - 1
@@ -65,12 +91,18 @@ def _rounds(adj: list[int], seed: int):
     cur = [1 << (1 << w) if seed >> w & 1 else 0 for w in range(k)]
     yield cur
     for _ in range(k - 1):
-        nxt = []
-        for w in range(k):
+        src = cur.copy()
+        for members in shared:
+            src[members[0]] = reduce(or_, [cur[u] for u in members])
+        nxt = [0] * k
+        for heads, members in plan:
             acc = 0
-            for u in nbrs[w]:
-                acc |= cur[u]
-            nxt.append((acc & without[w]) << (1 << w) if acc else 0)
+            for u in heads:
+                acc |= src[u]
+            if acc:
+                for w in members:
+                    nxt[w] = (acc & without[w]) << (1 << w)
+        src = None  # the class unions die before the round is handed out
         if not any(nxt):
             return
         cur = nxt

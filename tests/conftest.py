@@ -2,7 +2,9 @@
 
 The oracles here are deliberately primitive (plain backtracking, no
 bitmask DP, no memoisation) or come from networkx, so they are independent
-of the algorithms under test.
+of the algorithms under test.  `reference_reach_rounds` is the subset DP's
+own definition, run one visited set at a time, kept as the reference the
+bit-parallel kernel must equal.
 """
 
 from __future__ import annotations
@@ -117,6 +119,31 @@ def brute_min_vertex_cover(g: Graph, verts: list[int]) -> int:
             if all(u in chosen or v in chosen for u, v in edges):
                 return size
     return len(verts)
+
+
+def reference_reach_rounds(adj: list[int], seed: int) -> list[list[int]]:
+    """The rounds of `subsetdp.reach_rounds`, one visited set at a time.
+
+    Holds reach[M] as a Python set per mask M and extends every path by one
+    vertex per round, then packs round t as the ints R_w with bit M set iff
+    w is in reach[M].  Like the kernel it always gives round 1 and stops
+    before the first later round that is all zero.
+    """
+    k = len(adj)
+    layer = {1 << w: {w} for w in range(k) if seed >> w & 1}
+    rounds = []
+    while True:
+        rounds.append([sum(1 << mask for mask, ends in layer.items() if w in ends)
+                       for w in range(k)])
+        grown: dict[int, set[int]] = {}
+        for mask, ends in layer.items():
+            for u in ends:
+                for w in range(k):
+                    if adj[u] >> w & 1 and not mask >> w & 1:
+                        grown.setdefault(mask | 1 << w, set()).add(w)
+        if not grown or len(rounds) == k:
+            return rounds
+        layer = grown
 
 
 def random_graph(m: int, seed: int, p: float = 0.5) -> Graph:

@@ -165,6 +165,17 @@ def test_count_worker_invariance(tmp_path, capsys):
     assert a["report"] == b["report"]
 
 
+@pytest.mark.parametrize("cmd", ["count", "estimate"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_refused(tmp_path, capsys, cmd, workers):
+    f = tmp_path / "octa.g6"
+    f.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    extra = ["--p", "1/2", "--samples", "10"] if cmd == "estimate" else []
+    code, out, err = run(capsys, cmd, str(f), *extra, f"--workers={workers}")
+    assert code == 2
+    assert out == "" and err == f"error: {cmd} needs --workers >= 1, got {workers}\n"
+
+
 # -- estimate ----------------------------------------------------------------
 
 
@@ -329,10 +340,11 @@ _ESTIMATE = ["estimate", "OCTA", "--p", "1/2", "--samples", "50"]
         (_ESTIMATE + ["--decider", "auto"],
          {"bitgraph", "counting", "errors", "hamilton", "sampling", "subsetdp"}, True),
         (_ESTIMATE + ["--decider", "gn", "--n", "3"],
-         {"bitgraph", "counting", "errors", "families", "hamilton", "sampling",
-          "subsetdp"}, True),
+         {"bitgraph", "counting", "errors", "families", "sampling", "subsetdp"}, True),
+        (["verify", "gncriterion", "--n", "3"],
+         {"bitgraph", "counting", "errors", "families", "subsetdp"}, False),
     ],
-    ids=["count", "verify-calculus", "estimate-auto", "estimate-gn"],
+    ids=["count", "verify-calculus", "estimate-auto", "estimate-gn", "verify-gncriterion"],
 )
 def test_command_loads_only_its_modules(tmp_path, capsys, argv, modules, numpy_loaded):
     path = tmp_path / "octa.g6"

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random as _random
+import sys
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, sqrt
 
 import pytest
 
-from conftest import brute_cyclic_count, isomorphic, random_graph
+from conftest import brute_cyclic_count, isomorphic, random_graph, reference_reach_rounds
 
-from cycsets.bitgraph import Cut, Graph, VertexSet, mask_of
+from cycsets.bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
 from cycsets.counting import (
     cyc_count_exact,
     cycle_profile,
@@ -126,6 +128,93 @@ def test_table_cap_refuses_before_allocating():
         reach_table([0] * (TABLE_MAX_BITS + 1), 1)
     with pytest.raises(BudgetExceededError, match="table"):
         cyc_count_exact(build_knn(13), max_vertices=26)
+
+
+def _bipartite_universe(a: int, b: int) -> list[int]:
+    """K_{a,b} on locals 0..a+b-1, the first a on one side."""
+    left = (1 << a) - 1
+    right = ((1 << (a + b)) - 1) ^ left
+    return [right] * a + [left] * b
+
+
+def _paired(rows: list[int]) -> list[int]:
+    """Each vertex v of `rows` becomes the non-adjacent twins 2v and 2v+1."""
+    out = []
+    for r in rows:
+        wide = sum(3 << 2 * u for u in bits_of(r))
+        out += [wide, wide]
+    return out
+
+
+def _complete_universe(k: int) -> list[int]:
+    return [((1 << k) - 1) ^ 1 << w for w in range(k)]
+
+
+def _anchored_universes(g: Graph):
+    """(adj, seed) of the kernel run of every anchor of a count of g."""
+    for a in range(g.m - 1):
+        shift = a + 1
+        yield [g.rows[shift + i] >> shift for i in range(g.m - shift)], g.rows[a] >> shift
+
+
+_C5 = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
+REACH_UNIVERSES = {
+    "k0": ([], 0),
+    "k1": ([0], 1),
+    "k1_unseeded": ([0], 0),
+    "k2_edge": ([0b10, 0b01], 0b01),
+    "k2_twins": ([0, 0], 0b11),
+    "K3_4": (_bipartite_universe(3, 4), 0b1111111),
+    "K5_5": (_bipartite_universe(5, 5), 0b0000011111),
+    # anchor adjacency splits both classes
+    "K4_6_split": (_bipartite_universe(4, 6), 0b0101100110),
+    # 0, 3 and 4 are isolated and form one class that nothing reads
+    "isolated": ([0, 0b00100, 0b00010, 0, 0], 0b11011),
+    "pairs_C5": (_paired(_C5), 0b1100000011),
+    "pairs_C5_split": (_paired(_C5), 0b0110100101),
+    "pairs_K5": (_paired(_complete_universe(5)), 0b0000000001),
+    "K6": (_complete_universe(6), 0b111111),
+    "random_10": ([r for r in random_graph(10, 3, p=0.5).rows], 0b1001011010),
+}
+
+
+@pytest.mark.parametrize("adj, seed", REACH_UNIVERSES.values(), ids=REACH_UNIVERSES)
+def test_reach_rounds_equal_the_per_vertex_reference(adj, seed):
+    assert [list(r) for r in reach_table(adj, seed)] == reference_reach_rounds(adj, seed)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_extremal(5, [6]).graph, build_extremal(6, [3, 4]).graph, build_knn(5)],
+    ids=["extremal_5_6", "extremal_6_3_4", "K5_5"],
+)
+def test_reach_rounds_equal_the_reference_at_every_anchor(g):
+    for adj, seed in _anchored_universes(g):
+        assert list(reach_table(adj, seed)) == reference_reach_rounds(adj, seed)
+
+
+def _traced_peak(adj: list[int], seed: int) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rounds = 0
+        for _ in reach_table(adj, seed):
+            rounds += 1
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rounds == len(adj)
+    return peak
+
+
+def test_reach_rounds_peak_memory_is_bounded():
+    # the subsetdp docstring's bound: 3k + 2 ints of 2^k bits while a round
+    # is built, and one more per twin class of two or more members
+    k = 16
+    one = sys.getsizeof((1 << (1 << k)) - 1)
+    assert _traced_peak(_complete_universe(k), 1) <= (3 * k + 2) * one
+    pairs = _paired(_complete_universe(k // 2))
+    assert _traced_peak(pairs, 1) <= (3 * k + k // 2 + 2) * one
 
 
 def test_count_monotone_under_edge_addition():
