@@ -21,16 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
 
 from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .families import pairing_model_regular, pairing_model_repaired
 from .sampling import StreamRng
-from .structures import Matching, hopcroft_karp, min_vertex_cover_exact
+from .structures import min_vertex_cover_exact
 
 BIDENSE_EXACT_MAX = 14
 CLASSIFY_EXACT_MAX = 14
+CLIMB_RESTARTS = 4
+# strict pairing-model draws random_regular_graph makes before it repairs
+STRICT_PAIRING_TRIES = 60
 
 
 @dataclass(frozen=True)
@@ -146,16 +148,14 @@ def check_bidense(
     mode: str = "exact",
     samples: int = 400,
     seed: int = 0,
-    workers: int = 1,
     extra_pairs: list[tuple[int, int]] | None = None,
 ) -> BidenseReport:
     """Does every half-set pair (A,B), overlap allowed, span e(A,B) >= eps*m^2?
 
-    Exact mode enumerates all pairs (m <= 14).  Sampled mode draws random
-    pairs — the budget is partitioned into `workers` index blocks so the
-    outcome is independent of how the blocks are executed — follows the
-    best one (and any extra_pairs masks supplied by a caller) with greedy
-    single-swap descent, and reports the smallest pair found.
+    Exact mode enumerates all pairs (m <= 14).  Sampled mode draws
+    `samples` random pairs, each from its own counter-based stream, follows
+    the best ones (and any extra_pairs masks supplied by a caller) with
+    greedy single-swap descent, and reports the smallest pair found.
     """
     m = g.m
     if mode == "exact":
@@ -166,13 +166,11 @@ def check_bidense(
         raise PreconditionError(f"unknown mode {mode!r}")
     sizes = _half_sizes(m)
     cands: list[tuple[int, int, int]] = []
-    per = (samples + workers - 1) // workers
-    for w in range(workers):
-        for i in range(w * per, min((w + 1) * per, samples)):
-            rng = StreamRng(seed, i)
-            am = _sample_subset(rng, m, sizes[i % len(sizes)])
-            bm = _sample_subset(rng, m, sizes[(i // 2) % len(sizes)])
-            cands.append((g.edges_between(am, bm), am, bm))
+    for i in range(samples):
+        rng = StreamRng(seed, i)
+        am = _sample_subset(rng, m, sizes[i % len(sizes)])
+        bm = _sample_subset(rng, m, sizes[(i // 2) % len(sizes)])
+        cands.append((g.edges_between(am, bm), am, bm))
     for am, bm in extra_pairs or []:
         cands.append((g.edges_between(am, bm), am, bm))
     cands.sort(key=lambda t: t[0])
@@ -200,10 +198,9 @@ class Classification:
     data: dict = field(default_factory=dict)
 
 
-def _climb_cut(
-    g: Graph, sizes: range, seed: int, maximize: bool, restarts: int = 4
-) -> int:
-    """Hill-climb e(A, complement) over |A| in sizes; swap + resize moves."""
+def _climb_cut(g: Graph, sizes: range, seed: int, maximize: bool) -> int:
+    """Hill-climb e(A, complement) over |A| in sizes; swap + resize moves,
+    from CLIMB_RESTARTS random starts."""
     m = g.m
     full = g.full_mask()
     sign = -1 if maximize else 1
@@ -212,7 +209,7 @@ def _climb_cut(
         return sign * g.edges_between(am, full & ~am)
 
     best_mask, best_val = 0, None
-    for r in range(restarts):
+    for r in range(CLIMB_RESTARTS):
         rng = StreamRng(seed, 1000 + r)
         am = _sample_subset(rng, m, sizes[r % len(sizes)])
         val = score(am)
@@ -355,10 +352,10 @@ class CoverProductReport:
     holds: bool
 
 
-def balanced_cut_cover_product(g: Graph, cut: Cut, node_budget: int = 10**7) -> CoverProductReport:
+def balanced_cut_cover_product(g: Graph, cut: Cut) -> CoverProductReport:
     """On an (n+1)-regular graph on 2n vertices with a balanced cut:
-    exact minimum covers A', B' of the two sides; checks
-    (|A'|+1)(|B'|+1) >= n+1."""
+    exact minimum covers A', B' of the two sides, each within the default
+    node budget; checks (|A'|+1)(|B'|+1) >= n+1."""
     m = g.m
     if m % 2:
         raise PreconditionError("need an even vertex count 2n")
@@ -367,48 +364,26 @@ def balanced_cut_cover_product(g: Graph, cut: Cut, node_budget: int = 10**7) -> 
         raise PreconditionError("graph must be (n+1)-regular")
     if not cut.is_balanced():
         raise PreconditionError("cut must be balanced")
-    ca = min_vertex_cover_exact(g, cut.x, node_budget=node_budget).size
-    cb = min_vertex_cover_exact(g, cut.y, node_budget=node_budget).size
+    ca = min_vertex_cover_exact(g, cut.x).size
+    cb = min_vertex_cover_exact(g, cut.y).size
     product = (ca + 1) * (cb + 1)
     return CoverProductReport(ca, cb, product, product >= n + 1)
 
 
-def cross_matching_floor(g: Graph, cut: Cut) -> Matching:
-    """Maximum crossing matching of a balanced-degree instance, asserted to
-    reach ceil(sqrt(n)/100) on (n+1)-regular hosts."""
-    m = g.m
-    if m % 2:
-        raise PreconditionError("need an even vertex count 2n")
-    n = m // 2
-    if any(d != n + 1 for d in g.degrees()):
-        raise PreconditionError("graph must be (n+1)-regular")
-    floor_target = isqrt(max(n - 1, 0) // 10**4) + 1  # ceil(sqrt(n)/100)
-    if cut.x.size * 100 <= isqrt(n) or cut.y.size * 100 <= isqrt(n):
-        raise PreconditionError("both sides must exceed sqrt(n)/100")
-    matching = hopcroft_karp(g, cut.x, cut.y)
-    matching.validate(g)
-    if matching.size < floor_target:
-        raise AssertionError(
-            f"crossing matching {matching.size} below floor {floor_target}"
-        )
-    return matching
-
-
-def random_regular_graph(n_vertices: int, degree: int, seed: int, retries: int = 2000) -> Graph:
+def random_regular_graph(n_vertices: int, degree: int, seed: int) -> Graph:
     """Pairing-model d-regular graph, loops/multi-edges rejected and retried."""
     if n_vertices * degree % 2:
         raise PreconditionError("degree * n_vertices must be even")
     if degree >= n_vertices:
         raise PreconditionError("degree must be < n_vertices")
-    strict_tries = min(retries, 60)
-    for attempt in range(strict_tries):
+    for attempt in range(STRICT_PAIRING_TRIES):
         rng = StreamRng(seed, attempt)
         g = pairing_model_regular(n_vertices, degree, rng)
         if g is not None:
             break
     else:
         # dense degrees: whole-graph rejection is hopeless; repair instead
-        g = pairing_model_repaired(n_vertices, degree, StreamRng(seed, strict_tries))
+        g = pairing_model_repaired(n_vertices, degree, StreamRng(seed, STRICT_PAIRING_TRIES))
     if any(d != degree for d in g.degrees()):
         raise AssertionError("pairing model produced wrong degrees (bug)")
     return g

@@ -26,16 +26,15 @@ Only what exact counts run is imported at module level, so `cycsets count`
 loads `bitgraph`, `errors` and `subsetdp` and nothing else of the package.
 The other paths import their modules where they start: the Monte Carlo
 block imports `sampling` and resolves its decider once per block, never
-per sample, from `hamilton`, or from `families` for the `gn` criterion;
-`good_cut_probability` imports `structures`, and `mainplus_report` imports
-`families`.
+per sample, from `hamilton`, or from `families` for the `gn` criterion,
+and `mainplus_report` imports `families`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb
 from typing import TYPE_CHECKING
 
 from .bitgraph import Graph, VertexSet, bits_of
@@ -68,7 +67,6 @@ class EstimateReport:
     undecided_fraction: Fraction
     successes: int
     decider: str
-    lower_bound_only: bool = False
 
 
 def closing_sets(g: Graph, a: int):
@@ -299,93 +297,6 @@ def estimate_h(
         undecided_fraction=Fraction(undec, samples),
         successes=succ,
         decider=decider,
-    )
-
-
-@dataclass(frozen=True)
-class EdgeConcentrationReport:
-    samples: int
-    seed: int
-    mean: Fraction
-    variance: Fraction
-    expected: Fraction
-    deviation_fraction: Fraction
-    stderr: float
-    mean_within_3se: bool
-
-
-def edge_concentration_experiment(
-    g: Graph, samples: int, seed: int
-) -> EdgeConcentrationReport:
-    """Samples e(G[1/2]) and reports mean / variance / the fraction of
-    samples deviating from e(G)/4 by more than 0.1 e(G)."""
-    from .sampling import retention_masks
-
-    e = g.edge_count()
-    if e < 1:
-        raise PreconditionError("need at least one edge")
-    if samples < 2:
-        raise PreconditionError("need samples >= 2")
-    m = g.m
-    tot = 0
-    tot_sq = 0
-    devs = 0
-    for mask, _ in retention_masks(seed, 0, samples, m, 1, 2):
-        es = sum((g.rows[v] & mask).bit_count() for v in bits_of(mask)) // 2
-        tot += es
-        tot_sq += es * es
-        if 10 * abs(4 * es - e) > 4 * e:
-            devs += 1
-    mean = Fraction(tot, samples)
-    var = Fraction(tot_sq, samples - 1) - Fraction(tot * tot, samples * (samples - 1))
-    expected = Fraction(e, 4)
-    se = sqrt(float(var) / samples)
-    within = abs(float(mean - expected)) <= 3 * se
-    return EdgeConcentrationReport(
-        samples, seed, mean, var, expected, Fraction(devs, samples), se, within
-    )
-
-
-def good_cut_probability(
-    g: Graph, cut, k: int, samples: int, seed: int
-) -> EstimateReport:
-    """Estimates P over S (vertex retention 1/2) that the induced cut of
-    G[S] is k-good: the larger surviving side holds a linear forest with
-    k + (size difference) edges.
-
-    Sides up to 20 vertices are decided exactly; larger sides fall back to
-    the forest lower bound, whose failures are indefinite — those count as
-    failures and flag the whole estimate as a lower bound.
-    """
-    from .sampling import retention_masks, wilson_interval
-    from .structures import is_k_good_cut
-
-    if samples < 1:
-        raise PreconditionError("need samples >= 1")
-    m = g.m
-    succ = 0
-    indefinite = 0
-    for mask, _ in retention_masks(seed, 0, samples, m, 1, 2):
-        sub, _ = g.induced(mask)
-        rcut = cut.restrict(mask)
-        exact = max(rcut.x.size, rcut.y.size) <= 20
-        res = is_k_good_cut(sub, rcut, k, exact=exact)
-        if res.good:
-            succ += 1
-        elif not res.definite:
-            indefinite += 1
-    lo_ci, hi_ci = wilson_interval(succ, samples)
-    return EstimateReport(
-        p_hat=Fraction(succ, samples),
-        ci_low=lo_ci,
-        ci_high=hi_ci,
-        samples=samples,
-        seed=seed,
-        p_retention=Fraction(1, 2),
-        undecided_fraction=Fraction(indefinite, samples),
-        successes=succ,
-        decider="linear_forest",
-        lower_bound_only=indefinite > 0,
     )
 
 

@@ -18,6 +18,8 @@ from functools import cached_property
 from .bitgraph import Graph, VertexSet, mask_of
 from .errors import BudgetExceededError, PreconditionError
 
+REPAIR_STEPS = 10**6  # switchings pairing_model_repaired tries before it gives up
+
 
 @dataclass(frozen=True)
 class ExtremalGraph:
@@ -313,15 +315,16 @@ def pairing_model_regular(m: int, d: int, rng) -> Graph | None:
     return Graph(m, tuple(rows))
 
 
-def pairing_model_repaired(m: int, d: int, rng, max_attempts: int = 10**6) -> Graph:
+def pairing_model_repaired(m: int, d: int, rng) -> Graph:
     """Pairing-model d-regular graph with defect-directed switchings.
 
     Whole-graph rejection dies for dense degrees (the chance of a simple
     pairing is about e^{-lam-lam^2}, lam = (d-1)/2 -- hopeless already at
     d ~ m/2).  Instead the defective pairs (loops, repeats) are rejected
     individually: each is re-wired by a random degree-preserving double
-    swap that strictly reduces the defect count.  Deterministic given rng;
-    distribution is near-uniform, which is all the instance tests need.
+    swap that strictly reduces the defect count, for at most REPAIR_STEPS
+    steps.  Deterministic given rng; distribution is near-uniform, which is
+    all the instance tests need.
     """
     if m * d % 2:
         raise PreconditionError("m*d must be even")
@@ -338,7 +341,7 @@ def pairing_model_repaired(m: int, d: int, rng, max_attempts: int = 10**6) -> Gr
     def defective(uv: tuple[int, int]) -> bool:
         return uv[0] == uv[1] or mult[_key(*uv)] > 1
 
-    for _ in range(max_attempts):
+    for _ in range(REPAIR_STEPS):
         bad = [i for i, uv in enumerate(pairs) if defective(uv)]
         if not bad:
             break

@@ -26,9 +26,9 @@ Five layers:
   `families.gn_criterion_mask`, beside the cycle layout it reads, so its
   callers need not load this module.
 
-All thresholds of the constructive routines are keyword parameters with the
-regime defaults, so out-of-regime experimentation stays possible; soundness
-never depends on the thresholds because certificates are always validated.
+The thresholds of the constructive routines are the regime constants
+below; soundness never depends on them, because certificates are always
+validated.
 
 `ExtremalGraph` (`families`) and `LinearForest` (`structures`) appear here
 only in annotations, so they are imported under `TYPE_CHECKING`: a process
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from math import ceil, floor
 from typing import TYPE_CHECKING
 
@@ -55,9 +55,20 @@ if TYPE_CHECKING:
 
 EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 ROTATION_RESTARTS = 32
-# decide_hamiltonian_auto caps rotation at s*s rotations on scopes this small,
-# which the DP decides in milliseconds anyway
+# rotations decide_hamiltonian_auto spends before the exact DP, capped at
+# s*s on scopes of at most SMALL_SCOPE vertices, which the DP decides in
+# milliseconds anyway
+AUTO_ROTATIONS = 20000
 SMALL_SCOPE = 16
+# regime constants of the constructive builders: a vertex whose side degree
+# (two cliques) or crossing degree (near-bipartite) is at most LOW * m is
+# low; the near-bipartite cut is balanced within EPS * m, its crossing graph
+# misses at most 4 * EPS of the m^2/4 pairs, and every crossing degree is at
+# least GAMMA * m / 3
+TWO_CLIQUES_LOW = Fraction(3, 10)
+NEAR_BIPARTITE_EPS = Fraction(1, 100)
+NEAR_BIPARTITE_GAMMA = Fraction(3, 10)
+NEAR_BIPARTITE_LOW = Fraction(1, 5)
 
 
 @dataclass(frozen=True)
@@ -126,14 +137,6 @@ class HamDecision:
             raise VerificationError("hamiltonian decision lacks a cycle certificate")
         if isinstance(self.cert, NotHamCert) and self.status != "not_hamiltonian":
             raise VerificationError("toughness certificate on a non-refusal")
-
-
-@dataclass(frozen=True)
-class StabilityWitness:
-    kind: str  # 'hamiltonian' | 'independent_set' | 'sparse_pair'
-    cert: HamCycleCert | None = None
-    set_a: VertexSet | None = None
-    set_b: VertexSet | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +365,12 @@ def find_ham_cycle_rotation(
     return HamDecision("unknown", None, "rotation", rotations)
 
 
-def decide_hamiltonian_auto(
-    g: Graph, scope: VertexSet, seed: int = 0, budget: int = 20000
-) -> HamDecision:
+def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDecision:
     """Tiered policy, every answer certified:
 
     1. `refute_toughness`: a `NotHamCert`, method 'toughness'; a scope
        that meets Chvátal's degree condition skips its candidates;
-    2. rotation, within `budget` rotations, capped at s*s on scopes of at
+    2. rotation, within AUTO_ROTATIONS rotations, capped at s*s on scopes of at
        most SMALL_SCOPE vertices, which bounds the cost of a refuter miss;
     3. the exact DP, for scopes within its budget of 24 vertices.
 
@@ -381,8 +382,7 @@ def decide_hamiltonian_auto(
     cert = refute_toughness(g, scope.mask)
     if cert is not None:
         return HamDecision("not_hamiltonian", cert, "toughness", 0)
-    if s <= SMALL_SCOPE:
-        budget = min(budget, s * s)
+    budget = min(AUTO_ROTATIONS, s * s) if s <= SMALL_SCOPE else AUTO_ROTATIONS
     dec = find_ham_cycle_rotation(g, scope, budget=budget, seed=seed)
     if dec.status == "hamiltonian" or s > EXACT_BUDGET:
         return dec
@@ -394,14 +394,12 @@ def decide_hamiltonian_auto(
 # ---------------------------------------------------------------------------
 
 
-def _cycle_in_scope(
-    g: Graph, scope_mask: int, seed: int, budget: int | None = None
-) -> list[int]:
-    """Hamilton cycle of g[scope] via rotation, exact fallback when small."""
+def _cycle_in_scope(g: Graph, scope_mask: int, seed: int) -> list[int]:
+    """Hamilton cycle of g[scope] via rotation (200 rotations per vertex,
+    at least 20000), exact fallback when small."""
     size = scope_mask.bit_count()
     scope = VertexSet(scope_mask, g.m)
-    budget = budget if budget is not None else max(20000, 200 * size)
-    dec = find_ham_cycle_rotation(g, scope, budget=budget, seed=seed)
+    dec = find_ham_cycle_rotation(g, scope, budget=max(20000, 200 * size), seed=seed)
     if dec.status != "hamiltonian" and size <= EXACT_BUDGET:
         dec = is_hamiltonian_exact(g, scope)
     if dec.status != "hamiltonian":
@@ -517,18 +515,17 @@ def _dense_side_path(
     side_mask: int,
     s: int,
     t: int,
-    low_threshold: Fraction,
     seed: int,
 ) -> list[int]:
     """Hamilton path s..t of g[side] in the dense-side regime.
 
-    Vertices of side-degree <= low_threshold * g.m are covered first by
+    Vertices of side-degree <= TWO_CLIQUES_LOW * g.m are covered first by
     pendant arms (at s, t) and cherries, the pieces are chained through
     common neighbors, and the dense remainder is finished by the Dirac path
     routine.
     """
-    # an int degree d has d <= low_threshold * m iff d <= low_cap
-    low_cap = floor(low_threshold * g.m)
+    # an int degree d has d <= TWO_CLIQUES_LOW * m iff d <= low_cap
+    low_cap = floor(TWO_CLIQUES_LOW * g.m)
     low = 0
     for v in bits_of(side_mask):
         if (g.rows[v] & side_mask).bit_count() <= low_cap:
@@ -592,12 +589,7 @@ def _dense_side_path(
     return path
 
 
-def ham_cycle_two_cliques(
-    g: Graph,
-    cut: Cut,
-    low_threshold: Fraction = Fraction(3, 10),
-    seed: int = 0,
-) -> HamCycleCert:
+def ham_cycle_two_cliques(g: Graph, cut: Cut, seed: int = 0) -> HamCycleCert:
     """Hamilton cycle when both cut sides are near-cliques joined by at
     least two disjoint crossing edges.
 
@@ -634,8 +626,8 @@ def ham_cycle_two_cliques(
                 break
     if a2 < 0:
         raise PreconditionError("need two disjoint crossing edges")
-    px = _dense_side_path(g, xmask, a1, a2, low_threshold, seed)
-    py = _dense_side_path(g, ymask, b2, b1, low_threshold, seed + 1)
+    px = _dense_side_path(g, xmask, a1, a2, seed)
+    py = _dense_side_path(g, ymask, b2, b1, seed + 1)
     cert = HamCycleCert(tuple(px + py))
     cert.validate(g, g.full_mask())
     return cert
@@ -645,9 +637,6 @@ def ham_cycle_near_bipartite(
     g: Graph,
     cut: Cut,
     k_good_witness: LinearForest,
-    eps: Fraction = Fraction(1, 100),
-    gamma: Fraction = Fraction(3, 10),
-    low_threshold: Fraction = Fraction(1, 5),
     seed: int = 0,
 ) -> HamCycleCert:
     """Hamilton cycle for a near-balanced cut with dense crossing graph.
@@ -664,14 +653,14 @@ def ham_cycle_near_bipartite(
     na, nb = amask.bit_count(), bmask.bit_count()
     if na < nb:
         raise PreconditionError("X must be the larger (or equal) side")
-    if na > nb + eps * m:
+    if na > nb + NEAR_BIPARTITE_EPS * m:
         raise PreconditionError(f"imbalance {na - nb} exceeds eps*m")
     f = na - nb
     crossing = g.edges_between(amask, bmask)
-    if 4 * crossing < (1 - 4 * eps) * m * m:
+    if 4 * crossing < (1 - 4 * NEAR_BIPARTITE_EPS) * m * m:
         raise PreconditionError("crossing graph too sparse")
     # an int d has d < gamma * m iff d < gamma_cap
-    gamma_cap = ceil(gamma * m)
+    gamma_cap = ceil(NEAR_BIPARTITE_GAMMA * m)
     for v in bits_of(amask):
         if (g.rows[v] & bmask).bit_count() * 3 < gamma_cap:
             raise PreconditionError(f"crossing degree of {v} below gamma*m/3")
@@ -684,7 +673,7 @@ def ham_cycle_near_bipartite(
             f"witness must have exactly |X|-|Y| = {f} edges, has {k_good_witness.size}"
         )
 
-    low_cap = floor(low_threshold * m)
+    low_cap = floor(NEAR_BIPARTITE_LOW * m)
     low_a = 0
     for v in bits_of(amask):
         if (g.rows[v] & bmask).bit_count() <= low_cap:
@@ -795,7 +784,7 @@ def ham_cycle_near_bipartite(
 
 
 # ---------------------------------------------------------------------------
-# extremal-family criterion and stability witness
+# extremal-family criterion
 # ---------------------------------------------------------------------------
 
 
@@ -805,33 +794,3 @@ def gn_criterion(eg: ExtremalGraph, s: VertexSet) -> bool:
     from .families import gn_criterion_mask
 
     return gn_criterion_mask(eg, s.mask)
-
-
-def dirac_stability_witness(g: Graph, epsilon: Fraction) -> StabilityWitness:
-    """For min degree >= (1/2-eps)m, m <= 18: either a Hamilton cycle, an
-    independent set of size ceil((1/2-eps)m), or a disjoint sparse pair of
-    that size with at most m crossing edges (exhaustive search)."""
-    m = g.m
-    if m > 18:
-        raise BudgetExceededError(f"stability witness budget: m={m} > 18")
-    bound = (Fraction(1, 2) - epsilon) * m
-    if g.min_degree() < bound:
-        raise PreconditionError("min degree below (1/2 - eps) * m")
-    dec = is_hamiltonian_exact(g, VertexSet.full(m))
-    if dec.status == "hamiltonian":
-        return StabilityWitness("hamiltonian", cert=dec.cert)
-    k = -((-bound.numerator) // bound.denominator)  # ceil
-    for combo in combinations(range(m), k):
-        cm = mask_of(combo)
-        if all(not g.rows[v] & cm for v in combo):
-            return StabilityWitness("independent_set", set_a=VertexSet(cm, m))
-    for combo in combinations(range(m), k):
-        cm = mask_of(combo)
-        rest = [v for v in range(m) if not cm >> v & 1]
-        for other in combinations(rest, k):
-            om = mask_of(other)
-            if g.edges_between(cm, om) <= m:
-                return StabilityWitness(
-                    "sparse_pair", set_a=VertexSet(cm, m), set_b=VertexSet(om, m)
-                )
-    raise VerificationError("no stability witness found (out of the regime)")

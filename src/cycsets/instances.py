@@ -54,13 +54,12 @@ def two_cliques_instance(m: int, seed: int) -> tuple[Graph, Cut]:
     return g, cut
 
 
-def near_bipartite_instance(
-    m: int, seed: int, eps_hundredths: int = 1
-) -> tuple[Graph, Cut, LinearForest]:
+def near_bipartite_instance(m: int, seed: int) -> tuple[Graph, Cut, LinearForest]:
     """Slightly unbalanced sides, dense crossing graph, and a planted
-    linear forest of exactly |X| - |Y| edges inside the larger side."""
+    linear forest of exactly |X| - |Y| edges inside the larger side, in the
+    builder's regime with eps = 1/100."""
     rng = StreamRng(seed, 0)
-    dmax = (eps_hundredths * m // 100) // 2
+    dmax = (m // 100) // 2
     d = rng.below(dmax + 1)
     na = m // 2 + d
     xs = list(range(na))
@@ -69,7 +68,7 @@ def near_bipartite_instance(
     ymask = ((1 << m) - 1) ^ xmask
     rows = [ymask if v < na else xmask for v in range(m)]
     # delete crossing pairs, but stay above the density threshold
-    slack = eps_hundredths * m * m // 100 - d * d
+    slack = m * m // 100 - d * d
     for _ in range(rng.below(max(slack // 2, 1))):
         u = xs[rng.below(len(xs))]
         v = ys[rng.below(len(ys))]
@@ -91,8 +90,8 @@ def near_bipartite_instance(
     cut = Cut(VertexSet.of(m, xs), VertexSet.of(m, ys))
     forest = LinearForest(witness_edges)
     amask, bmask = cut.x.mask, cut.y.mask
-    assert na - len(ys) == 2 * d <= eps_hundredths * m // 100
-    assert 400 * g.edges_between(amask, bmask) >= (100 - 4 * eps_hundredths) * m * m
+    assert na - len(ys) == 2 * d <= m // 100
+    assert 400 * g.edges_between(amask, bmask) >= 96 * m * m
     assert all((g.rows[v] & bmask).bit_count() * 10 >= m for v in bits_of(amask))
     assert all((g.rows[v] & amask).bit_count() * 10 >= m for v in bits_of(bmask))
     forest.validate(g, amask)
@@ -152,34 +151,3 @@ def bipartite_instance(
     a = rng.below(half)
     b = half + rng.below(half)
     return g, VertexSet(lmask, m), VertexSet(rmask, m), a, b
-
-
-def planted_two_cliques(m: int, seed: int) -> Graph:
-    """Two complete halves joined by a crossing perfect matching; the
-    minimum degree is exactly m/2, the sparse-cut regime for classify."""
-    rng = StreamRng(seed, 0)
-    half = m // 2
-    xmask = (1 << half) - 1
-    ymask = ((1 << m) - 1) ^ xmask
-    rows = [(xmask if v < half else ymask) & ~(1 << v) for v in range(m)]
-    shift = rng.below(half)
-    for i in range(half):
-        j = half + (i + shift) % half
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return Graph(m, tuple(rows))
-
-
-def planted_near_bipartite(m: int, seed: int) -> Graph:
-    """Complete bipartite halves plus a couple of within-side edges; min
-    degree m/2, the dense-crossing regime for classify."""
-    rng = StreamRng(seed, 0)
-    half = m // 2
-    xmask = (1 << half) - 1
-    ymask = ((1 << m) - 1) ^ xmask
-    rows = [ymask if v < half else xmask for v in range(m)]
-    for _ in range(rng.below(3)):
-        u, v = _sample_distinct(rng, list(range(half)), 2)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(m, tuple(rows))

@@ -10,7 +10,6 @@ the square roots of the zeros of g(x) = -x/16 + 1/x + ln(x/4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, erf, exp, isqrt, lgamma, log, pi, sqrt
@@ -160,21 +159,6 @@ def f_alpha(alpha: float) -> float:
     return normal_I(-alpha / 4.0, 1.0 / alpha)
 
 
-def window_m1_m2(alpha: float, beta: float) -> tuple[float, float, float]:
-    """(m1, m2, I[-m1, m2]) with m1 = max(alpha/4, 2/beta - alpha) and
-    m2 = max(beta/4, 1/alpha).
-
-    For beta in [8/(5 alpha), 4/alpha] both maxima pick the f(alpha)
-    endpoints, so the value equals f(alpha) exactly; outside that window
-    one endpoint moves outward and the value can only grow.
-    """
-    if alpha <= 0 or beta <= 0:
-        raise PreconditionError("alpha and beta must be positive")
-    m1 = max(alpha / 4.0, 2.0 / beta - alpha)
-    m2 = max(beta / 4.0, 1.0 / alpha)
-    return m1, m2, normal_I(-m1, m2)
-
-
 def g_of(x: float) -> float:
     """g(x) = -x/16 + 1/x + ln(x/4); its zeros square to the f extrema."""
     if x <= 0:
@@ -229,20 +213,18 @@ def g_roots() -> tuple[float, float, float]:
     return roots
 
 
-def pn_expansion_check(
-    n_values: list[int], surrogate: bool = False
-) -> dict[int, float]:
+def pn_expansion_check(n_values: list[int]) -> dict[int, float]:
     """Scaled residuals n^{3/2} |p_n - 1/2 - (3/2)/sqrt(n pi)| per n.
 
     p_n is the exact single-cycle family value for n <= 1000; beyond that
-    (or on request) the proxy P(B(2n,1/2) >= n-1), which matches p_n up to
-    an exponentially small error.
+    the proxy P(B(2n,1/2) >= n-1), which matches p_n up to an exponentially
+    small error.
     """
     from .counting import p_exact_extremal
 
     out: dict[int, float] = {}
     for n in n_values:
-        if not surrogate and n <= 1000:
+        if n <= 1000:
             p = float(p_exact_extremal(n, [n + 1]))
         else:
             mode = "exact" if n <= EXACT_TAIL_MAX_N else "float"

@@ -136,10 +136,11 @@ def retention_masks(seed: int, lo: int, hi: int, m: int, p_num: int, p_den: int)
         yield from zip(masks, bases.tolist())
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Two-sided Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 99% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
+    z = Z99
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials

@@ -61,9 +61,11 @@ def reach_rounds(adj: list[int], seed: int):
     """
     k = len(adj)
     if k > TABLE_MAX_BITS:
+        # k ints of 2^k bits, each a 24-byte header and a 4-byte digit per 30 bits
+        round_bytes = k * (24 + 4 * -(-(1 << k) // 30))
         raise BudgetExceededError(
             f"subset-DP table budget: {k} free vertices > {TABLE_MAX_BITS} "
-            f"(one round would take {k << k >> 3} bytes)"
+            f"(one round would take {round_bytes} bytes)"
         )
     return _rounds(adj, seed)
 

@@ -4,7 +4,9 @@ The oracles here are deliberately primitive (plain backtracking, no
 bitmask DP, no memoisation) or come from networkx, so they are independent
 of the algorithms under test.  `reference_reach_rounds` is the subset DP's
 own definition, run one visited set at a time, kept as the reference the
-bit-parallel kernel must equal.
+bit-parallel kernel must equal.  The `planted_*` generators draw the
+classifier's test graphs from the package's seeded streams; only the tests
+classify them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import random
 import networkx as nx
 
 from cycsets.bitgraph import Graph
+from cycsets.instances import _sample_distinct
+from cycsets.sampling import StreamRng
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -160,3 +164,34 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def planted_two_cliques(m: int, seed: int) -> Graph:
+    """Two complete halves joined by a crossing perfect matching; the
+    minimum degree is exactly m/2, the sparse-cut regime for classify."""
+    rng = StreamRng(seed, 0)
+    half = m // 2
+    xmask = (1 << half) - 1
+    ymask = ((1 << m) - 1) ^ xmask
+    rows = [(xmask if v < half else ymask) & ~(1 << v) for v in range(m)]
+    shift = rng.below(half)
+    for i in range(half):
+        j = half + (i + shift) % half
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(m, tuple(rows))
+
+
+def planted_near_bipartite(m: int, seed: int) -> Graph:
+    """Complete bipartite halves plus a couple of within-side edges; min
+    degree m/2, the dense-crossing regime for classify."""
+    rng = StreamRng(seed, 0)
+    half = m // 2
+    xmask = (1 << half) - 1
+    ymask = ((1 << m) - 1) ^ xmask
+    rows = [ymask if v < half else xmask for v in range(m)]
+    for _ in range(rng.below(3)):
+        u, v = _sample_distinct(rng, list(range(half)), 2)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(m, tuple(rows))

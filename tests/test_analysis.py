@@ -8,24 +8,19 @@ from itertools import combinations
 
 import pytest
 
-from conftest import isomorphic
+from conftest import isomorphic, planted_near_bipartite, planted_two_cliques
 
 from cycsets.analysis import (
     AnalysisParams,
     balanced_cut_cover_product,
     check_bidense,
     classify,
-    cross_matching_floor,
     random_regular_graph,
 )
-from cycsets.bitgraph import Cut, Graph, VertexSet, mask_of
+from cycsets.bitgraph import Cut, Graph, VertexSet
 from cycsets.errors import PreconditionError
-from cycsets.families import build_extremal, build_knn, enumerate_regular_complements
-from cycsets.instances import (
-    dirac_instance,
-    planted_near_bipartite,
-    planted_two_cliques,
-)
+from cycsets.families import build_extremal, build_knn
+from cycsets.instances import dirac_instance
 
 
 # -- bidense check -----------------------------------------------------------
@@ -174,39 +169,6 @@ def test_cover_product_rejects_irregular():
     cut = Cut(VertexSet.of(6, [0, 1, 2]), VertexSet.of(6, [3, 4, 5]))
     with pytest.raises(PreconditionError):
         balanced_cut_cover_product(g, cut)
-
-
-# -- crossing matching floor -------------------------------------------------
-
-
-def test_cross_matching_k4():
-    g = Graph.complete(4)
-    cut = Cut(VertexSet.of(4, [0, 1]), VertexSet.of(4, [2, 3]))
-    mm = cross_matching_floor(g, cut)
-    assert mm.size == 2
-    mm.validate(g, g.full_mask())
-
-
-def test_cross_matching_extremal_skewed_cut():
-    eg = build_extremal(100, [101])
-    g = eg.graph
-    b0 = eg.part_b.members()[0]
-    a0 = eg.part_a.members()[0]
-    x = eg.part_a.minus(VertexSet.of(200, [a0])).union(VertexSet.of(200, [b0]))
-    cut = Cut(x, x.complement())
-    mm = cross_matching_floor(g, cut)
-    assert mm.size >= 1
-
-
-def test_cross_matching_random_regular_cuts():
-    g = random_regular_graph(20, 11, seed=2)
-    rnd = _random.Random(7)
-    for _ in range(200):
-        xs = rnd.sample(range(20), 10)
-        cut = Cut(VertexSet.of(20, xs), VertexSet.of(20, xs).complement())
-        mm = cross_matching_floor(g, cut)
-        assert mm.size >= 1
-        mm.validate(g, g.full_mask())
 
 
 # -- pairing-model sampler ---------------------------------------------------

@@ -8,19 +8,17 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 from math import sqrt
 from pathlib import Path
 
 import pytest
 
-from conftest import isomorphic
+from conftest import isomorphic, planted_two_cliques
 
 import cycsets
 from cycsets.bitgraph import Graph, from_graph6, to_graph6
 from cycsets.cli import main
 from cycsets.families import build_competitor, build_extremal, build_knn
-from cycsets.instances import planted_two_cliques
 
 
 def run(capsys, *argv):

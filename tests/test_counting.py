@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random as _random
+import re
 import sys
 import tracemalloc
 from collections import defaultdict
@@ -11,28 +12,30 @@ from math import comb, sqrt
 
 import pytest
 
-from conftest import brute_cyclic_count, isomorphic, random_graph, reference_reach_rounds
+from conftest import (
+    brute_cyclic_count,
+    brute_max_linear_forest,
+    isomorphic,
+    random_graph,
+    reference_reach_rounds,
+)
 
-from cycsets.bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
+from cycsets.bitgraph import Graph, VertexSet, bits_of
 from cycsets.counting import (
     cyc_count_exact,
     cycle_profile,
-    edge_concentration_experiment,
     estimate_h,
-    good_cut_probability,
     mainplus_report,
     p_exact_extremal,
     p_exact_knn,
 )
 from cycsets.errors import BudgetExceededError, PreconditionError
 from cycsets.families import (
-    build_competitor,
     build_extremal,
     build_knn,
     enumerate_regular_complements,
 )
 from cycsets.hamilton import is_hamiltonian_exact
-from cycsets.structures import max_linear_forest_exact
 from cycsets.subsetdp import TABLE_MAX_BITS, reach_rounds as reach_table
 
 
@@ -128,6 +131,17 @@ def test_table_cap_refuses_before_allocating():
         reach_table([0] * (TABLE_MAX_BITS + 1), 1)
     with pytest.raises(BudgetExceededError, match="table"):
         cyc_count_exact(build_knn(13), max_vertices=26)
+
+
+@pytest.mark.parametrize("k", [24, 25])
+def test_table_refusal_states_cpython_round_size(k):
+    # one round is k ints of 2^k bits, as CPython sizes them
+    with pytest.raises(BudgetExceededError) as exc:
+        reach_table([0] * k, 1)
+    stated = int(re.search(r"would take (\d+) bytes", str(exc.value)).group(1))
+    assert stated == k * sys.getsizeof((1 << (1 << k)) - 1)
+    if k == 25:
+        assert stated == 111_848_800
 
 
 def _bipartite_universe(a: int, b: int) -> list[int]:
@@ -251,7 +265,7 @@ def test_cycle_profile_matches_enumeration():
         want: dict[tuple[int, int], int] = defaultdict(int)
         for mask in range(1 << ell):
             t = bin(mask).count("1")
-            lf = max_linear_forest_exact(g, VertexSet(mask, ell)).size
+            lf = brute_max_linear_forest(g, list(bits_of(mask)))
             want[(t, lf)] += 1
         assert cycle_profile(ell) == dict(want)
 
@@ -426,117 +440,3 @@ def test_estimate_rejects_bad_inputs():
         estimate_h(g, Fraction(3, 2), 100, seed=0)
     with pytest.raises(PreconditionError):
         estimate_h(g, Fraction(1, 2), 0, seed=0)
-
-
-# -- edge concentration ------------------------------------------------------
-
-
-def test_edge_concentration_single_edge():
-    g = Graph.from_edges(2, [(0, 1)])
-    rep = edge_concentration_experiment(g, 4000, seed=2)
-    assert rep.expected == Fraction(1, 4)
-    assert rep.mean_within_3se
-    # edge survives iff both endpoints do: mean near 1/4
-    assert abs(float(rep.mean) - 0.25) <= 3 * rep.stderr
-
-
-def test_edge_concentration_mean_unbiased():
-    g = build_extremal(6, [7]).graph
-    rep = edge_concentration_experiment(g, 3000, seed=9)
-    assert rep.expected == Fraction(g.edge_count(), 4)
-    assert rep.mean_within_3se
-
-
-def test_edge_concentration_deviation_shrinks_with_scale():
-    # the 10%-relative-deviation event is common for a small competitor
-    # graph and rare for a large one (variance ~ e, threshold ~ e^2)
-    small = edge_concentration_experiment(build_competitor(5).graph, 2000, seed=4)
-    assert small.deviation_fraction > Fraction(5, 100)
-    big = edge_concentration_experiment(build_competitor(13).graph, 10_000, seed=4)
-    assert big.deviation_fraction <= Fraction(1, 100)
-
-
-def test_edge_concentration_reports_pinned():
-    # mean, variance and deviation fraction as the scalar mask loop gave them
-    cases = [
-        (build_extremal(6, [7]).graph, 3000, 9, ("15751/1500", "94307999/2249250", "1541/3000")),
-        (build_competitor(5).graph, 2000, 4, ("323873/2000", "8582101871/3998000", "337/2000")),
-        (build_extremal(300, [301]).graph, 200, 2, ("90075/4", "1197175987/398", "0")),
-    ]
-    for g, samples, seed, want in cases:
-        rep = edge_concentration_experiment(g, samples, seed)
-        assert (rep.mean, rep.variance, rep.deviation_fraction) == tuple(map(Fraction, want))
-
-
-# -- good-cut probability ----------------------------------------------------
-
-
-def test_good_cut_knn_balanced_equality_probability():
-    # K_{8,8}: both sides are independent sets, so a 0-good restricted cut
-    # means exactly balanced survival: P = C(16,8)/4^8
-    g = build_knn(8)
-    cut = Cut(VertexSet.of(16, list(range(8))), VertexSet.of(16, list(range(8, 16))))
-    rep = good_cut_probability(g, cut, 0, 10_000, seed=5)
-    assert rep.undecided_fraction == 0 and not rep.lower_bound_only
-    exact = comb(16, 8) / 4**8
-    assert rep.ci_low <= exact <= rep.ci_high
-
-
-def test_good_cut_reports_pinned():
-    # successes as the scalar mask loop gave them
-    knn = build_knn(8)
-    cut = Cut(VertexSet.of(16, list(range(8))), VertexSet.of(16, list(range(8, 16))))
-    assert good_cut_probability(knn, cut, 0, 10_000, seed=5).successes == 1983
-    comp = build_competitor(4).graph
-    cut = Cut(VertexSet.of(32, list(range(16))), VertexSet.of(32, list(range(16, 32))))
-    rep = good_cut_probability(comp, cut, 0, 5000, seed=5)
-    assert (rep.successes, rep.undecided_fraction) == (4114, 0)
-
-
-def _competitor_cut_probability_oracle(k: int) -> Fraction:
-    """Exact P(0-good) for the competitor's natural cut by per-star
-    generating functions: each part is k disjoint (k-1)-leaf stars, so the
-    joint law of (chosen vertices, max linear-forest edges) convolves."""
-    leaves = k - 1
-    one_star: dict[tuple[int, int], int] = defaultdict(int)
-    for j in range(leaves + 1):  # center absent
-        one_star[(j, 0)] += comb(leaves, j)
-    for j in range(leaves + 1):  # center present
-        one_star[(j + 1, min(j, 2))] += comb(leaves, j)
-    part: dict[tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(k):
-        nxt: dict[tuple[int, int], int] = defaultdict(int)
-        for (t1, e1), c1 in part.items():
-            for (t2, e2), c2 in one_star.items():
-                nxt[(t1 + t2, e1 + e2)] += c1 * c2
-        part = dict(nxt)
-    n = k * k
-    num = 0
-    for (tx, ex), cx in part.items():
-        for (ty, ey), cy in part.items():
-            if (tx >= ty and ex >= tx - ty) or (ty >= tx and ey >= ty - tx):
-                num += cx * cy
-    return Fraction(num, 4**n)
-
-
-def test_good_cut_competitor_matches_star_convolution_oracle():
-    cg = build_competitor(4)
-    n = 16
-    cut = Cut(
-        VertexSet.of(2 * n, list(range(n))),
-        VertexSet.of(2 * n, list(range(n, 2 * n))),
-    )
-    exact = _competitor_cut_probability_oracle(4)
-    assert exact == Fraction(1760574759, 2**31)
-    rep = good_cut_probability(cg.graph, cut, 0, 5000, seed=5)
-    assert rep.undecided_fraction == 0
-    assert rep.ci_low <= float(exact) <= rep.ci_high
-    # comfortably above 1/2, in line with the asymptotic value f(1) ~ 0.5596
-    assert float(rep.p_hat) >= 0.5
-
-
-def test_good_cut_impossible_k():
-    g = Graph.complete(8)
-    cut = Cut(VertexSet.of(8, [0, 1, 2, 3]), VertexSet.of(8, [4, 5, 6, 7]))
-    rep = good_cut_probability(g, cut, 8, 2000, seed=1)
-    assert rep.p_hat == 0

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,14 +11,13 @@ from conftest import brute_has_ham_cycle, petersen, random_graph
 
 from cycsets import hamilton
 from cycsets.analysis import random_regular_graph
-from cycsets.bitgraph import Cut, Graph, VertexSet, mask_of
+from cycsets.bitgraph import Cut, Graph, VertexSet
 from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
 from cycsets.families import build_extremal, build_knn
 from cycsets.hamilton import (
     HamDecision,
     NotHamCert,
     decide_hamiltonian_auto,
-    dirac_stability_witness,
     find_ham_cycle_rotation,
     gn_criterion,
     ham_cycle_near_bipartite,
@@ -552,32 +550,3 @@ def test_gn_criterion_matches_dp_two_cycle_type():
         fast = gn_criterion(eg, VertexSet(mask, 10))
         dp = is_hamiltonian_exact(eg.graph, VertexSet(mask, 10))
         assert fast == (dp.status == "hamiltonian"), f"mask={mask:010b}"
-
-
-# -- stability trichotomy ----------------------------------------------------
-
-
-def test_stability_k55_hamiltonian():
-    w = dirac_stability_witness(Graph.complete_bipartite(5, 5), Fraction(1, 10))
-    assert w.kind == "hamiltonian"
-    w.cert.validate(
-        Graph.complete_bipartite(5, 5), Graph.complete_bipartite(5, 5).full_mask()
-    )
-
-
-def test_stability_two_cliques_bridge_sparse_pair():
-    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    edges += [(5 + u, 5 + v) for u in range(5) for v in range(u + 1, 5)]
-    edges += [(0, 5)]
-    g = Graph.from_edges(10, edges)
-    w = dirac_stability_witness(g, Fraction(1, 10))
-    assert w.kind == "sparse_pair"
-    assert g.edges_between(w.set_a.mask, w.set_b.mask) <= 10
-    assert w.set_a.intersect(w.set_b).size == 0
-
-
-def test_stability_k46_independent_set():
-    g = Graph.complete_bipartite(4, 6)
-    w = dirac_stability_witness(g, Fraction(1, 10))
-    assert w.kind == "independent_set"
-    assert g.edges_inside(w.set_a.mask) == 0

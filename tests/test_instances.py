@@ -7,13 +7,13 @@ import hashlib
 
 import pytest
 
+from conftest import planted_near_bipartite, planted_two_cliques
+
 from cycsets.bitgraph import to_graph6
 from cycsets.instances import (
     bipartite_instance,
     dirac_instance,
     near_bipartite_instance,
-    planted_near_bipartite,
-    planted_two_cliques,
     two_cliques_instance,
 )
 

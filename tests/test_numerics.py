@@ -8,7 +8,7 @@ from math import ceil, comb, exp, floor, isqrt, pi, sqrt
 import pytest
 
 from cycsets.counting import p_exact_extremal
-from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
+from cycsets.errors import BudgetExceededError, PreconditionError
 from cycsets.numerics import (
     bindiff_check,
     binom_tail,
@@ -20,7 +20,6 @@ from cycsets.numerics import (
     g_roots,
     normal_I,
     pn_expansion_check,
-    window_m1_m2,
 )
 
 
@@ -200,33 +199,6 @@ def test_f_alpha_rejects_nonpositive():
         f_alpha(-1.0)
 
 
-def test_window_middle_case_equals_f():
-    for i in range(100):
-        alpha = 0.1 * (100.0) ** (i / 99)
-        lo, hi = 8.0 / (5.0 * alpha), 4.0 / alpha
-        for frac in (0.1, 0.5, 0.9):
-            beta = lo + frac * (hi - lo)
-            m1, m2, value = window_m1_m2(alpha, beta)
-            assert value == f_alpha(alpha)  # bit-identical endpoints
-            assert m1 == pytest.approx(alpha / 4, abs=1e-15)
-            assert m2 == pytest.approx(1 / alpha, rel=1e-15)
-
-
-def test_window_outer_cases_dominate_f():
-    for i in range(60):
-        alpha = 0.1 * (100.0) ** (i / 59)
-        for beta in (0.5 * 8.0 / (5.0 * alpha), 2.5 * 4.0 / alpha):
-            _, _, value = window_m1_m2(alpha, beta)
-            assert value >= f_alpha(alpha) - 1e-13
-
-
-def test_window_rejects_nonpositive():
-    with pytest.raises(PreconditionError):
-        window_m1_m2(0.0, 1.0)
-    with pytest.raises(PreconditionError):
-        window_m1_m2(1.0, -2.0)
-
-
 # -- the auxiliary function g and its roots ----------------------------------
 
 
@@ -293,10 +265,17 @@ def test_pn_expansion_residuals():
 
 
 def test_pn_expansion_surrogate_mode():
-    res = pn_expansion_check([64, 128], surrogate=True)
-    assert set(res) == {64, 128}
-    for v in res.values():
-        assert v >= 0
+    # above n = 1000 p_n is the proxy P(B(2n, 1/2) >= n - 1): exact tails up
+    # to n = 2000, log-space floats beyond.  By symmetry the proxy is
+    # 1/2 + P(B = n)/2 + P(B = n - 1), an exact rational independent of both
+    ns = [1024, 2000, 4096]
+    res = pn_expansion_check(ns)
+    assert list(res) == ns
+    for n in ns:
+        p = Fraction(1, 2) + Fraction(comb(2 * n, n) + 2 * comb(2 * n, n - 1), 2 * 4**n)
+        resid = n**1.5 * abs(float(p) - 0.5 - 1.5 / sqrt(n * pi))
+        assert res[n] == pytest.approx(resid, abs=1e-5)
+        assert 0.5 <= res[n] <= 2.0
 
 
 # -- curve emission ----------------------------------------------------------
