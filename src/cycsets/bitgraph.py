@@ -35,25 +35,38 @@ def bits_of(mask: int):
         mask ^= low
 
 
+_WORD = (1 << 64) - 1
+_HALVES = tuple((h, (1 << h) - 1) for h in (32, 16, 8, 4, 2, 1))
+
+
 def nth_bit(mask: int, r: int) -> int:
     """Position of the set bit of rank r (0-based, increasing order) in mask.
 
-    Equals list(bits_of(mask))[r]: for small r the r lowest bits are
-    cleared one by one, otherwise a popcount binary search finds it."""
-    if not 0 <= r < mask.bit_count():
-        raise PreconditionError(f"rank {r} outside 0..{mask.bit_count() - 1}")
-    if r < 8:
-        for _ in range(r):
-            mask &= mask - 1
-        return (mask & -mask).bit_length() - 1
-    lo, hi = 0, mask.bit_length()  # exactly r set bits below lo, more below hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (mask & ((1 << mid) - 1)).bit_count() > r:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    Equals list(bits_of(mask))[r].  For r < 8 the r lowest bits are cleared
+    one by one.  Otherwise the 64-bit word that holds rank r is found by
+    word popcounts from the low end, and the bit by halving within that
+    word: no popcount ever reads more than one word."""
+    rest, pos, k = mask, 0, r
+    if 0 <= k < 8:
+        for _ in range(k):
+            rest &= rest - 1
+        if rest:
+            return (rest & -rest).bit_length() - 1
+    elif k >= 0:
+        word = rest & _WORD
+        while rest and k >= (c := word.bit_count()):
+            k -= c
+            rest >>= 64
+            pos += 64
+            word = rest & _WORD
+        if rest:
+            for h, low in _HALVES:
+                if k >= (c := (word & low).bit_count()):
+                    k -= c
+                    word >>= h
+                    pos += h
+            return pos
+    raise PreconditionError(f"rank {r} outside 0..{mask.bit_count() - 1}")
 
 
 def _bit_matrix(m: int, rows) -> str:

@@ -16,7 +16,9 @@ Five layers:
   first skips every scope that Chvátal's degree-sequence condition
   (Chvátal 1972) proves Hamiltonian, where no such X can exist;
 * a seeded rotation-extension engine: sound, incomplete, never claims
-  non-Hamiltonicity;
+  non-Hamiltonicity; it keeps the free scope vertices as one mask, so an
+  extension step is one AND, one `StreamRng.below` draw (one stream word),
+  one word-level `nth_bit` and one XOR;
 * constructive routines that build Hamilton paths/cycles in dense regimes
   the way the existence arguments do (delete-and-splice, pigeonhole on
   cycle successors, cherry matchings over low-degree vertices, crossing
@@ -83,9 +85,9 @@ class HamCycleCert:
             raise VerificationError("cycle certificate repeats a vertex")
         if scope_mask is not None and mask_of(self.order) != scope_mask:
             raise VerificationError("cycle certificate does not cover the scope")
-        for i, u in enumerate(self.order):
-            v = self.order[(i + 1) % n]
-            if not g.has_edge(u, v):
+        rows = g.rows
+        for u, v in zip(self.order, self.order[1:] + self.order[:1]):
+            if not rows[u] >> v & 1:
                 raise VerificationError(f"certificate uses non-edge ({u},{v})")
 
 
@@ -101,8 +103,9 @@ class HamPathCert:
             raise VerificationError("path certificate repeats a vertex")
         if scope_mask is not None and mask_of(self.order) != scope_mask:
             raise VerificationError("path certificate does not cover the scope")
+        rows = g.rows
         for u, v in zip(self.order, self.order[1:]):
-            if not g.has_edge(u, v):
+            if not rows[u] >> v & 1:
                 raise VerificationError(f"certificate uses non-edge ({u},{v})")
 
 
@@ -323,42 +326,49 @@ def find_ham_cycle_rotation(
 ) -> HamDecision:
     """Seeded rotation-extension search: hamiltonian-or-unknown, never a
     refusal.  Deterministic given seed; budget counts rotations across all
-    restarts."""
+    restarts.
+
+    Each restart draws from its own stream, `StreamRng(seed, restart)`: the
+    start is the rank-`below(s)` vertex of the scope, an extension the
+    rank-`below(|ext|)` free neighbour of the endpoint, a rotation the
+    `below(#pivots)`-th pivot in path order.  `free` holds the scope
+    vertices off the path."""
     smask = scope.mask
     s = scope.size
     if s < 3:
         return HamDecision("unknown", None, "rotation", 0)
-    verts = scope.members()
+    rows = g.rows
     rotations = 0
     per_restart = max(budget // ROTATION_RESTARTS, 4 * s)
     for restart in range(ROTATION_RESTARTS):
         if rotations >= budget:
             break
-        rng = StreamRng(seed, restart)
-        start = verts[rng.below(s)]
+        below = StreamRng(seed, restart).below
+        start = nth_bit(smask, below(s))
         path = [start]
-        on_path = 1 << start
+        free = smask ^ (1 << start)
         spent = 0
         while spent < per_restart and rotations < budget:
             end = path[-1]
-            ext = g.rows[end] & smask & ~on_path
+            ext = rows[end] & free
             if ext:
-                v = nth_bit(ext, rng.below(ext.bit_count()))
+                v = nth_bit(ext, below(ext.bit_count()))
                 path.append(v)
-                on_path |= 1 << v
+                free ^= 1 << v
                 continue
-            if on_path == smask and g.has_edge(end, path[0]):
+            if not free and rows[end] >> start & 1:  # rotations keep path[0]
                 cert = HamCycleCert(tuple(path))
                 cert.validate(g, smask)
                 return HamDecision("hamiltonian", cert, "rotation", rotations)
             if len(path) < 3:
                 break
-            # rotate: pick a path neighbor of the endpoint, reverse the tail
-            nbrs = g.rows[end] & on_path & ~(1 << path[-2]) & ~(1 << end)
+            # rotate: pick a path neighbour path[i] of the endpoint, i below
+            # len(path) - 2, and reverse the tail after it
+            nbrs = rows[end] & smask & ~free
             opts = [i for i in range(len(path) - 2) if nbrs >> path[i] & 1]
             if not opts:
                 break
-            i = opts[rng.below(len(opts))]
+            i = opts[below(len(opts))]
             path[i + 1 :] = reversed(path[i + 1 :])
             rotations += 1
             spent += 1

@@ -52,25 +52,29 @@ def stream_word(base: int, counter: int) -> int:
 
 
 class StreamRng:
-    """Sequential convenience wrapper over the counter-based stream."""
+    """Sequential convenience wrapper over the counter-based stream: the
+    k-th draw reads word k, `stream_word(base, k)`."""
+
+    __slots__ = ("_base", "_ctr")
 
     def __init__(self, seed: int, sample_index: int):
         self._base = stream_base(seed, sample_index)
         self._ctr = 0
 
-    def word(self) -> int:
-        w = stream_word(self._base, self._ctr)
-        self._ctr += 1
-        return w
-
     def below(self, n: int) -> int:
-        """Uniform int in [0, n) (multiply-shift; bias < n/2^64)."""
-        w = stream_word(self._base, self._ctr)
-        self._ctr += 1
-        return (w * n) >> 64
+        """Uniform int in [0, n) (multiply-shift; bias < n/2^64).
 
-    def uniform(self) -> float:
-        return self.word() / 2.0**64
+        One draw costs one word, mixed here in one frame: `stream_word`
+        inlined.  A draw from a single value (n = 1) is 0 for any word, so
+        it skips the mixing but still counts its word."""
+        ctr = self._ctr
+        self._ctr = ctr + 1
+        if n == 1:
+            return 0
+        z = self._base ^ (ctr * _COUNTER_MUL & _M64)
+        z = (z ^ (z >> 30)) * _MIX_MUL1 & _M64
+        z = (z ^ (z >> 27)) * _MIX_MUL2 & _M64
+        return (z ^ (z >> 31)) * n >> 64
 
 
 def retention_mask(seed: int, sample_index: int, m: int, p_num: int, p_den: int) -> int:

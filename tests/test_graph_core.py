@@ -39,10 +39,22 @@ def test_nth_bit_matches_bit_list():
             mask |= 1 << (width - 1)
             members = list(bits_of(mask))
             assert [nth_bit(mask, r) for r in range(len(members))] == members
+    # set bits on both sides of 64-bit word boundaries, and one bit per word
+    straddling = [
+        mask_of([63, 64]),
+        mask_of([127, 128, 129]),
+        mask_of([0, 63, 64, 127, 128, 129, 191, 192]),
+        mask_of(range(60, 200)),
+        mask_of(range(5, 600, 64)),
+        mask_of(range(63, 600, 64)),
+    ]
+    for mask in straddling:
+        members = list(bits_of(mask))
+        assert [nth_bit(mask, r) for r in range(len(members))] == members
 
 
 def test_nth_bit_rejects_rank_out_of_range():
-    for mask, r in ((0, 0), (0b1011, 3), (0b1011, -1)):
+    for mask, r in ((0, 0), (0b1011, 3), (0b1011, -1), (1 << 200, 8), (mask_of(range(100)), 100)):
         with pytest.raises(PreconditionError):
             nth_bit(mask, r)
 

@@ -320,18 +320,23 @@ def _auto_stream_digest(g: Graph, seed: int, samples: int) -> str:
 
 
 @pytest.mark.parametrize(
-    "graph, digest",
+    "graph, samples, digest",
     [
-        (build_extremal(10, [11]).graph,
+        (build_extremal(10, [11]).graph, 600,
          "c22fb810118d6c5aae9569bca7bf0655f8e806f953eb56e96da0e9c0dd5c83b4"),
-        (random_regular_graph(22, 12, seed=4),
+        (random_regular_graph(22, 12, seed=4), 600,
          "e0c539cdc50db48409500efe9caae529fdc2cdb10a533b18c2ef960f431c397b"),
+        # 300-vertex scopes: 6 rotated cycles with 45-383 rotations each, so
+        # rank-selects over ten-word masks on rotated paths and pivot picks
+        (build_extremal(300, [301]).graph, 16,
+         "7a2f359c383eeca342502e0ebf64f53c6357a33ee3d96b3e5236cd7e04b67513"),
     ],
-    ids=["extremal_m20", "random_12_regular_22"],
+    ids=["extremal_m20", "random_12_regular_22", "extremal_m600"],
 )
-def test_auto_decisions_are_pinned_on_the_sample_stream(graph, digest):
-    # taken before the Chvátal gate and the cheaper rotation pick
-    assert _auto_stream_digest(graph, 1, 600) == digest
+def test_auto_decisions_are_pinned_on_the_sample_stream(graph, samples, digest):
+    # m = 20 and 22 taken before the Chvátal gate and the cheaper rotation
+    # pick, m = 600 before the word-level rank-select and one-frame draws
+    assert _auto_stream_digest(graph, 1, samples) == digest
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,18 @@
-"""Counter-based streams: the block mask generator against the scalar
-reference definition of the stream."""
+"""Counter-based streams: the block mask generator and the sequential
+`StreamRng` against the scalar reference definition of the stream."""
 
 from __future__ import annotations
 
 import pytest
 
 from cycsets import sampling
-from cycsets.sampling import retention_mask, retention_masks, stream_base
+from cycsets.sampling import (
+    StreamRng,
+    retention_mask,
+    retention_masks,
+    stream_base,
+    stream_word,
+)
 
 PROBABILITIES = [(0, 1), (1, 3), (1, 2), (7, 10), (1, 1)]
 
@@ -46,3 +52,22 @@ def test_block_masks_empty_range_and_smallest_threshold():
     # the smallest positive threshold is exact too: keep iff word * den < 2^64
     tiny = list(retention_masks(3, 0, 50, 64, 1, 1 << 64))
     assert tiny == _reference(3, 0, 50, 64, 1, 1 << 64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2**32 + 1, 2**63, 2**64 - 1])
+def test_below_is_multiply_shift_of_the_reference_word(n):
+    for seed, index in ((0, 0), (12345, 7), (-7, 2**40)):
+        rng = StreamRng(seed, index)
+        base = stream_base(seed, index)
+        got = [rng.below(n) for _ in range(40)]
+        assert got == [(stream_word(base, ctr) * n) >> 64 for ctr in range(40)]
+        assert all(0 <= x < n for x in got)
+
+
+def test_below_one_still_counts_its_word():
+    # interleaved single-value draws must leave every other draw on the
+    # word it would read without the shortcut
+    rng, base = StreamRng(3, 1), stream_base(3, 1)
+    got = [rng.below(1 if ctr % 3 else 1000) for ctr in range(30)]
+    want = [0 if ctr % 3 else (stream_word(base, ctr) * 1000) >> 64 for ctr in range(30)]
+    assert got == want
