@@ -339,6 +339,14 @@ class Cut:
 # graph6 interchange format (bit-exact per the standard encoding)
 # ---------------------------------------------------------------------------
 
+# The codec converts whole strings at C level: a body byte b holds the six
+# bits of b - 63, that is the two octal digits (b - 63) >> 3 and (b - 63) & 7.
+_G6_BYTES = bytes(range(63, 127))
+_G6_HI_DIGIT = bytes.maketrans(_G6_BYTES, bytes(48 + (v >> 3) for v in range(64)))
+_G6_LO_DIGIT = bytes.maketrans(_G6_BYTES, bytes(48 + (v & 7) for v in range(64)))
+_G6_HI_BYTE = bytes.maketrans(b"01234567", bytes(8 * d for d in range(8)))
+_G6_LO_BYTE = bytes.maketrans(b"01234567", bytes(63 + d for d in range(8)))
+
 
 def _g6_encode_n(n: int) -> bytes:
     if n < 0:
@@ -365,7 +373,13 @@ def to_graph6(g: Graph, header: bool = False) -> str:
     if header:
         out += GRAPH6_HEADER.encode()
     out += _g6_encode_n(m)
-    out += bytes(int(body[i : i + 6], 2) + 63 for i in range(0, len(body), 6))
+    if k := len(body) // 6:
+        # each 6-bit group is two octal digits hi, lo and encodes as the
+        # byte 8*hi + lo + 63 <= 126, so the two digit strings add without carry
+        octal = format(int(body, 2), f"0{2 * k}o").encode()
+        hi = int.from_bytes(octal[0::2].translate(_G6_HI_BYTE), "big")
+        lo = int.from_bytes(octal[1::2].translate(_G6_LO_BYTE), "big")
+        out += (hi + lo).to_bytes(k, "big")
     return out.decode("ascii")
 
 
@@ -377,9 +391,8 @@ def from_graph6(text: str) -> Graph:
     if not s:
         raise PreconditionError("empty graph6 string")
     data = s.encode("ascii", errors="strict")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise PreconditionError(f"invalid graph6 byte {b}")
+    if bad := data.translate(None, _G6_BYTES):
+        raise PreconditionError(f"invalid graph6 byte {bad[0]}")
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -404,7 +417,13 @@ def from_graph6(text: str) -> Graph:
         raise PreconditionError(
             f"graph6 body length {len(data) - pos} != expected {need} for n={n}"
         )
-    body = "".join(f"{b - 63:06b}" for b in data[pos:])
+    body = ""
+    if raw := data[pos:]:
+        # each byte is two octal digits; one base-8 parse yields all the bits
+        octal = bytearray(2 * len(raw))
+        octal[0::2] = raw.translate(_G6_HI_DIGIT)
+        octal[1::2] = raw.translate(_G6_LO_DIGIT)
+        body = format(int(octal, 8), f"0{6 * len(raw)}b")
     k = n * (n - 1) // 2
     # lower[j*n + i] is the bit of pair (i, j), i < j: column j of the
     # upper triangle, zero-padded to length n

@@ -4,8 +4,9 @@ verify / curve.
 Every JSON report embeds a run manifest (subcommand, argv, seed, workers,
 version, input digests, wall time); identical invocations produce
 byte-identical output except for the wall-time field.  Exit codes:
-0 success, 2 precondition or parse failure, 3 budget exceeded,
-4 verification failure.
+0 success, 2 precondition or parse failure (an unreadable input graph
+included), 3 budget exceeded, 4 verification failure, 5 a report or
+artifact that could not be written.
 
 Each command and verify suite imports the package modules it runs, so a
 process loads only those (README, "Install").
@@ -14,7 +15,6 @@ process loads only those (README, "Install").
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_VERIFICATION = 4
+EXIT_WRITE = 5
+
+
+class _WriteError(Exception):
+    """A report or artifact could not be written."""
 
 
 def _jsonable(x):
@@ -60,27 +65,41 @@ def _manifest(subcommand, seed=None, workers=None, digests=None, wall=0.0):
     }
 
 
+def _write(out: str, text: str) -> None:
+    """Write text to stdout (out == '-') or to the file out."""
+    try:
+        if out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(out, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        where = "stdout" if out == "-" else out
+        raise _WriteError(f"cannot write {where}: {exc.strerror}") from None
+
+
 def _emit(report: dict, manifest: dict, out: str) -> None:
     text = json.dumps(
         {"manifest": manifest, "report": _jsonable(report)},
         sort_keys=True,
         indent=2,
     )
-    if out == "-":
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    _write(out, text + "\n")
 
 
 def _read_graph(path: str) -> tuple[Graph, dict[str, str]]:
+    import hashlib
+
     from .bitgraph import from_graph6
 
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from None
     digest = {path: hashlib.sha256(data).hexdigest()}
     text = data.decode("ascii", errors="replace").strip()
     if not text:
@@ -147,11 +166,9 @@ def cmd_construct(args) -> int:
         g = build_star_augmented(args.n)
         params = {"n": args.n}
     line = to_graph6(g)
+    _write(args.out, line + "\n")
     if args.out == "-":
-        print(line)
         return EXIT_OK
-    with open(args.out, "w") as fh:
-        fh.write(line + "\n")
     report = {
         "family": args.family,
         "parameters": params,
@@ -512,12 +529,7 @@ def cmd_curve(args) -> int:
     rows = emit_f_alpha_curve(args.alpha_min, args.alpha_max, args.points)
     lines = ["alpha,f_alpha,is_extremum"]
     lines += [f"{a:.12g},{v:.12g},{int(e)}" for a, v, e in rows]
-    csv = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(csv)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+    _write(args.out, "\n".join(lines) + "\n")
     if args.svg:
         _write_svg(args.svg, rows)
     return EXIT_OK
@@ -555,8 +567,7 @@ def _write_svg(path: str, rows) -> None:
         f'font-size="13">alpha (log scale)</text>'
         "</svg>"
     )
-    with open(path, "w") as fh:
-        fh.write(svg + "\n")
+    _write(path, svg + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +659,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WRITE
 
 
 def entry() -> int:
@@ -660,10 +674,35 @@ def entry() -> int:
     thread keeps that from competing with the command itself.  Set here,
     not in `main`, so that calling `main` in process leaves the caller's
     environment alone.
+
+    A process ends through `run`, which skips interpreter finalisation:
+    that would only free objects, yet costs about as much as a short
+    command's own work.  Every file a command writes is closed by its `with` block and
+    a worker pool is shut down on return, so only stdout and stderr are
+    left to flush.  `entry` itself returns the exit code to its caller.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     return main()
 
 
+def run() -> None:
+    """Run `entry`, flush the standard streams and end the process.
+
+    A report written to stdout may still sit in its buffer, so a full disk
+    or a closed pipe shows up at this flush; it ends in one `error:` line
+    and EXIT_WRITE."""
+    code = entry()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        code = EXIT_WRITE
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(entry())
+    run()

@@ -2,7 +2,7 @@
 every import is used.
 
 A `def`, `class` or assignment at the top of a `src/cycsets` module must be
-reachable by name from the `cycsets` entry point (`cli.entry` and the
+reachable by name from the `cycsets` entry point (`cli.run` and the
 module's `__main__` block) or from the benchmark (`bench/*.py` apart from
 its own tests), following the names each reached definition uses.  Code
 that only tests reach is dead library code: it goes, or moves into the
@@ -20,7 +20,7 @@ import cycsets
 
 PACKAGE = Path(cycsets.__file__).parent
 BENCH = PACKAGE.parents[1] / "bench"
-ENTRY = "entry"  # [project.scripts] cycsets = "cycsets.cli:entry"
+ENTRY = "run"  # [project.scripts] cycsets = "cycsets.cli:run"
 
 
 def _names_used(node: ast.AST) -> set[str]:

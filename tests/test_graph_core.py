@@ -276,6 +276,36 @@ def test_graph6_rejects_nonzero_padding(m):
             from_graph6(s[:-1] + chr((last | 1 << bit) + 63))
 
 
+def _graph6_cases():
+    for m in (0, 1, 2, 5, 62, 63, 64, 130):
+        for p in (0.1, 0.5, 0.9):
+            yield random_graph(m, 1000 * m + int(10 * p), p=p)
+    yield build_extremal(300, [301]).graph
+
+
+def test_graph6_matches_networkx():
+    # networkx's codec is the independent oracle, in both directions
+    for g in _graph6_cases():
+        ours = to_graph6(g)
+        assert ours.encode() + b"\n" == nx.to_graph6_bytes(to_networkx(g), header=False)
+        theirs = nx.from_graph6_bytes(ours.encode())
+        assert sorted(theirs.nodes) == list(range(g.m))
+        decoded = from_graph6(ours)
+        assert decoded == g
+        assert sorted(map(sorted, theirs.edges)) == sorted(map(list, decoded.edges()))
+
+
+@pytest.mark.parametrize("bad", [62, 127, 0])
+def test_graph6_refuses_an_out_of_range_body_byte(bad):
+    for g in (random_graph(130, 7), build_extremal(300, [301]).graph):
+        s = to_graph6(g)
+        head = 4  # the long N(n) form
+        for at in (head, (head + len(s)) // 2, len(s) - 1):
+            planted = s[:at] + chr(bad) + s[at + 1 :]
+            with pytest.raises(PreconditionError, match=f"^invalid graph6 byte {bad}$"):
+                from_graph6(planted)
+
+
 def test_graph6_decode_m600_within_half_a_second():
     s = to_graph6(build_extremal(300, [301]).graph)
     start = time.perf_counter()
