@@ -9,11 +9,16 @@ or ceil(m/2) vertices.
 The classifier is a heuristic with exact witness verification: candidate
 sets come from hill-climbing (sparsest cut for the two-cliques case, max
 cut for the near-bipartite case), but a case is only returned after its
-defining inequalities re-verify exactly on the candidate.  Below 15
-vertices everything is exhaustive.  Case order: two_cliques, then
-bi_dense, then near_bipartite — the cases overlap, and this order keeps
-complete graphs in bi_dense while balanced complete bipartite graphs land
-in near_bipartite.
+defining inequalities re-verify exactly on the candidate.  Up to
+CLASSIFY_EXACT_MAX = 14 vertices everything is exhaustive.  Case order:
+two_cliques, then bi_dense, then near_bipartite — the cases overlap, and
+this order keeps complete graphs in bi_dense while balanced complete
+bipartite graphs land in near_bipartite.
+
+The split has two constants: eps, which the caller sets within
+0 < eps <= 1/320, and GAMMA = 1/10, the near-bipartite case's least
+crossing degree as a fraction of m/2.  The proof needs gamma >= 32*eps,
+which eps <= 1/320 already gives.
 """
 
 from __future__ import annotations
@@ -28,29 +33,11 @@ from .families import pairing_model_regular, pairing_model_repaired
 from .sampling import StreamRng
 from .structures import min_vertex_cover_exact
 
-BIDENSE_EXACT_MAX = 14
 CLASSIFY_EXACT_MAX = 14
+GAMMA = Fraction(1, 10)
 CLIMB_RESTARTS = 4
 # strict pairing-model draws random_regular_graph makes before it repairs
 STRICT_PAIRING_TRIES = 60
-
-
-@dataclass(frozen=True)
-class AnalysisParams:
-    eps: Fraction = Fraction(1, 320)
-    gamma: Fraction = Fraction(1, 10)
-    delta: Fraction = Fraction(1, 1000)
-    eta: Fraction = Fraction(1, 100)
-    theta: Fraction = Fraction(1, 20)
-    lambda_: Fraction = Fraction(1, 1000)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.eps <= Fraction(1, 320):
-            raise PreconditionError("need 0 < eps <= 1/320")
-        if self.gamma > Fraction(1, 10):
-            raise PreconditionError("need gamma <= 1/10")
-        if self.gamma < 32 * self.eps:
-            raise PreconditionError("need gamma >= 32*eps")
 
 
 @dataclass(frozen=True)
@@ -59,7 +46,6 @@ class BidenseReport:
     minimum: int
     pair_a: VertexSet
     pair_b: VertexSet
-    mode: str  # 'exact' | 'sampled'
     threshold: Fraction
 
 
@@ -109,6 +95,7 @@ def _descend_pair(g: Graph, amask: int, bmask: int, rounds: int) -> tuple[int, i
 
 
 def _bidense_exact(g: Graph, eps: Fraction) -> BidenseReport:
+    """`check_bidense` by enumerating every pair of half-sets."""
     import numpy as np
 
     m = g.m
@@ -137,33 +124,27 @@ def _bidense_exact(g: Graph, eps: Fraction) -> BidenseReport:
             if best is None or val < best[0]:
                 best = (val, mask_of(seta[i]), mask_of(setb[j]))
     val, am, bm = best
-    return BidenseReport(
-        val >= eps * m * m, val, VertexSet(am, m), VertexSet(bm, m), "exact", eps * m * m
-    )
+    return BidenseReport(val >= eps * m * m, val, VertexSet(am, m), VertexSet(bm, m), eps * m * m)
 
 
 def check_bidense(
     g: Graph,
     eps: Fraction,
-    mode: str = "exact",
     samples: int = 400,
     seed: int = 0,
     extra_pairs: list[tuple[int, int]] | None = None,
 ) -> BidenseReport:
     """Does every half-set pair (A,B), overlap allowed, span e(A,B) >= eps*m^2?
 
-    Exact mode enumerates all pairs (m <= 14).  Sampled mode draws
-    `samples` random pairs, each from its own counter-based stream, follows
-    the best ones (and any extra_pairs masks supplied by a caller) with
-    greedy single-swap descent, and reports the smallest pair found.
+    Draws `samples` random pairs, each from its own counter-based stream,
+    follows the best ones (and any extra_pairs masks supplied by a caller)
+    with greedy single-swap descent, and reports the smallest pair found.
+    The minimum found never undercuts the true one, so `ok` may hold where
+    an exhaustive search would find a sparser pair.  `_bidense_exact`
+    enumerates every pair instead; `classify` runs it up to
+    CLASSIFY_EXACT_MAX vertices.
     """
     m = g.m
-    if mode == "exact":
-        if m > BIDENSE_EXACT_MAX:
-            raise PreconditionError(f"exact mode requires m <= {BIDENSE_EXACT_MAX}")
-        return _bidense_exact(g, eps)
-    if mode != "sampled":
-        raise PreconditionError(f"unknown mode {mode!r}")
     sizes = _half_sizes(m)
     cands: list[tuple[int, int, int]] = []
     for i in range(samples):
@@ -180,14 +161,7 @@ def check_bidense(
         if got[0] < best[0]:
             best = got
     val, am, bm = best
-    return BidenseReport(
-        val >= eps * m * m,
-        val,
-        VertexSet(am, m),
-        VertexSet(bm, m),
-        "sampled",
-        eps * m * m,
-    )
+    return BidenseReport(val >= eps * m * m, val, VertexSet(am, m), VertexSet(bm, m), eps * m * m)
 
 
 @dataclass(frozen=True)
@@ -254,7 +228,7 @@ def _two_cliques_holds(g: Graph, am: int, eps: Fraction) -> tuple[bool, dict]:
     return ok, {"set_size": size, "boundary_edges": boundary}
 
 
-def _near_bipartite_holds(g: Graph, am: int, eps: Fraction, gamma: Fraction) -> tuple[bool, dict]:
+def _near_bipartite_holds(g: Graph, am: int, eps: Fraction) -> tuple[bool, dict]:
     m = g.m
     comp = g.full_mask() & ~am
     crossing = g.edges_between(am, comp)
@@ -265,19 +239,21 @@ def _near_bipartite_holds(g: Graph, am: int, eps: Fraction, gamma: Fraction) -> 
         mindeg = min(mindeg, (g.rows[v] & am).bit_count())
     ok = (
         crossing >= (Fraction(1, 4) - 14 * eps) * m * m
-        and mindeg >= gamma * m / 2
+        and mindeg >= GAMMA * m / 2
     )
     return ok, {"set_size": am.bit_count(), "crossing_edges": crossing, "min_cross_degree": mindeg}
 
 
 def classify(
-    g: Graph, params: AnalysisParams, seed: int = 0, samples: int = 400
+    g: Graph, eps: Fraction = Fraction(1, 320), seed: int = 0, samples: int = 400
 ) -> Classification:
-    """Three-case trichotomy for min degree >= m/2 (verified witnesses)."""
+    """Three-case trichotomy for min degree >= m/2 (verified witnesses),
+    at the proof's epsilon `eps`, 0 < eps <= 1/320."""
+    if not 0 < eps <= Fraction(1, 320):
+        raise PreconditionError("need 0 < eps <= 1/320")
     m = g.m
     if 2 * g.min_degree() < m:
         raise PreconditionError("classify requires min degree >= m/2")
-    eps, gamma = params.eps, params.gamma
     exact = m <= CLASSIFY_EXACT_MAX
     lo = (m + 1) // 2
     hi = int((Fraction(1, 2) + 16 * eps) * m)
@@ -303,7 +279,7 @@ def classify(
         for k in range(1, m):
             for combo in combinations(range(m), k):
                 am = mask_of(combo)
-                ok, data = _near_bipartite_holds(g, am, eps, gamma)
+                ok, data = _near_bipartite_holds(g, am, eps)
                 if ok:
                     return Classification("near_bipartite", VertexSet(am, m), "exact", data)
         return Classification(
@@ -328,12 +304,10 @@ def classify(
         for a, b in extra
         if a.bit_count() in _half_sizes(m) and b.bit_count() in _half_sizes(m)
     ]
-    bid = check_bidense(
-        g, eps, "sampled", samples=samples, seed=seed, extra_pairs=extra
-    )
+    bid = check_bidense(g, eps, samples=samples, seed=seed, extra_pairs=extra)
     if bid.ok:
         return Classification("bi_dense", None, "sampled", {"min_pair_edges": bid.minimum})
-    ok, data = _near_bipartite_holds(g, cross_a, eps, gamma)
+    ok, data = _near_bipartite_holds(g, cross_a, eps)
     if ok:
         return Classification("near_bipartite", VertexSet(cross_a, m), "sampled", data)
     return Classification(

@@ -7,8 +7,8 @@ immutable after construction; all operations elsewhere in the package are
 pure functions of these values.
 
 Also provides VertexSet / Cut wrappers with bitmask semantics and a
-bit-exact graph6 reader/writer (header optional, standard N(n) short and
-extended forms).
+bit-exact graph6 reader/writer (standard N(n) short and extended forms; the
+reader also takes the optional >>graph6<< header of graph6 files).
 """
 
 from __future__ import annotations
@@ -114,22 +114,11 @@ class Graph:
         return Graph(m, tuple(rows))
 
     @staticmethod
-    def complete(m: int) -> "Graph":
-        full = (1 << m) - 1
-        return Graph(m, tuple(full ^ (1 << v) for v in range(m)))
-
-    @staticmethod
     def complete_bipartite(a: int, b: int) -> "Graph":
         left = (1 << a) - 1
         right = ((1 << (a + b)) - 1) ^ left
         rows = [right] * a + [left] * b
         return Graph(a + b, tuple(rows))
-
-    @staticmethod
-    def cycle(m: int) -> "Graph":
-        if m < 3:
-            raise PreconditionError("cycle needs >= 3 vertices")
-        return Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
 
     # -- basic queries -----------------------------------------------------
 
@@ -138,9 +127,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
 
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
@@ -160,9 +146,6 @@ class Graph:
             for v in bits_of(self.rows[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits_of(self.rows[v]))
-
     # -- derived graphs ----------------------------------------------------
 
     def with_edges(self, edges) -> "Graph":
@@ -172,25 +155,9 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(self.m, tuple(rows))
 
-    def without_edges(self, edges) -> "Graph":
-        rows = list(self.rows)
-        for u, v in edges:
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-        return Graph(self.m, tuple(rows))
-
     def complement(self) -> "Graph":
         full = self.full_mask()
         return Graph(self.m, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(self.rows)))
-
-    def relabel(self, perm) -> "Graph":
-        """Image under vertex relabeling v -> perm[v]."""
-        rows = [0] * self.m
-        for u, v in self.edges():
-            pu, pv = perm[u], perm[v]
-            rows[pu] |= 1 << pv
-            rows[pv] |= 1 << pu
-        return Graph(self.m, tuple(rows))
 
     def induced(self, mask: int) -> tuple["Graph", list[int]]:
         """Induced subgraph on the masked vertices, relabeled 0..k-1.
@@ -282,18 +249,6 @@ class VertexSet:
     def members(self) -> list[int]:
         return list(bits_of(self.mask))
 
-    def contains(self, v: int) -> bool:
-        return bool(self.mask >> v & 1)
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask | other.mask, self.m)
-
-    def intersect(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask & other.mask, self.m)
-
-    def minus(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask & ~other.mask, self.m)
-
     def complement(self) -> "VertexSet":
         return VertexSet(((1 << self.m) - 1) ^ self.mask, self.m)
 
@@ -317,22 +272,6 @@ class Cut:
 
     def is_balanced(self) -> bool:
         return self.x.size == self.y.size
-
-    def restrict(self, smask: int) -> "Cut":
-        """The induced cut (X ∩ S, Y ∩ S) inside the subuniverse S, relabeled.
-
-        Vertices of S are relabeled 0..|S|-1 in increasing original order
-        (same convention as Graph.induced).
-        """
-        verts = list(bits_of(smask))
-        xm = ym = 0
-        for i, v in enumerate(verts):
-            if self.x.mask >> v & 1:
-                xm |= 1 << i
-            else:
-                ym |= 1 << i
-        k = len(verts)
-        return Cut(VertexSet(xm, k), VertexSet(ym, k))
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +301,14 @@ def _g6_encode_n(n: int) -> bytes:
     raise PreconditionError("vertex count too large for graph6")
 
 
-def to_graph6(g: Graph, header: bool = False) -> str:
+def to_graph6(g: Graph) -> str:
     """Encode a graph in graph6: N(n) then the upper triangle column-major."""
     m = g.m
     bits = _bit_matrix(m, g.rows)
     # column j of the upper triangle is row j's entries (i, j), i < j
     body = "".join(bits[j * m : j * m + j] for j in range(1, m))
     body += "0" * (-len(body) % 6)
-    out = bytearray()
-    if header:
-        out += GRAPH6_HEADER.encode()
-    out += _g6_encode_n(m)
+    out = bytearray(_g6_encode_n(m))
     if k := len(body) // 6:
         # each 6-bit group is two octal digits hi, lo and encodes as the
         # byte 8*hi + lo + 63 <= 126, so the two digit strings add without carry

@@ -34,6 +34,9 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_VERIFICATION = 4
 EXIT_WRITE = 5
+# subsets `verify gncriterion` may walk per family member, one Python
+# criterion call each: at 2^20 a member takes about 10 s (2-core VM)
+GNCRITERION_MAX_SUBSETS = 1 << 20
 
 
 class _WriteError(Exception):
@@ -184,13 +187,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from .counting import CYC_EXACT_MAX, cyc_count_exact
+    from .counting import cyc_count_exact
 
     start = time.perf_counter()
-    _at_least_one(args, "workers")
     g, digests = _read_graph(args.input)
-    budget = g.m if args.force else CYC_EXACT_MAX
-    rep = cyc_count_exact(g, workers=args.workers, max_vertices=budget)
+    rep = cyc_count_exact(g)
     report = {
         "m": g.m,
         "total_subsets": rep.total_subsets,
@@ -201,8 +202,7 @@ def cmd_count(args) -> int:
     }
     _emit(
         report,
-        _manifest("count", workers=args.workers, digests=digests,
-                  wall=time.perf_counter() - start),
+        _manifest("count", digests=digests, wall=time.perf_counter() - start),
         args.out,
     )
     return EXIT_OK
@@ -256,12 +256,15 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import AnalysisParams, classify
+    from .analysis import classify
 
     start = time.perf_counter()
     g, digests = _read_graph(args.input)
-    params = AnalysisParams(eps=Fraction(args.eps))
-    cls = classify(g, params, seed=args.seed, samples=args.samples)
+    try:
+        eps = Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"bad --eps {args.eps!r}") from None
+    cls = classify(g, eps, seed=args.seed, samples=args.samples)
     report = {
         "case": cls.case,
         "set_a": sorted(cls.set_a.members()) if cls.set_a is not None else None,
@@ -415,16 +418,17 @@ def _suite_calculus(args) -> list[dict]:
 
 
 def _suite_gncriterion(args) -> list[dict]:
-    from .counting import CYC_EXACT_MAX, closing_sets
+    from .counting import closing_sets
     from .families import _cycle_partitions, build_extremal, gn_criterion_mask
 
     checks = []
     n = args.n
     if n < 2:
         raise PreconditionError(f"gncriterion needs --n >= 2, got {n}")
-    if 2 * n > CYC_EXACT_MAX:
+    if 2 * n >= GNCRITERION_MAX_SUBSETS.bit_length():  # 2^(2n) over it, never built
         raise BudgetExceededError(
-            f"gncriterion walks all 2^{2 * n} subsets; budget is m = 2n <= {CYC_EXACT_MAX}"
+            f"gncriterion walks all 2^{2 * n} subsets of each member; "
+            f"budget is {GNCRITERION_MAX_SUBSETS} subsets"
         )
     for part in _cycle_partitions(n + 1):
         eg = build_extremal(n, part)
@@ -589,12 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("count", help="exact cyclic-subset count (graph6 input)")
+    p = sub.add_parser(
+        "count",
+        help="exact cyclic-subset count (graph6 input, at most 24 vertices)",
+        description="Exact cyclic-subset count by the anchored subset DP. "
+        "Graphs of more than 24 vertices exit 3 at once.",
+    )
     p.add_argument("input", help="graph6 file, or - for stdin")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--force", action="store_true",
-                   help="lift the 20-vertex budget; the DP table cap "
-                   "(2^23 entries) still applies")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_count)
 

@@ -10,10 +10,12 @@ iff {a} + M is cyclic, for the masks |M| = t; its popcount is the number
 of cyclic subsets of size t+1 with minimum a.  The kernel holds at most
 three sets of k such ints and two more in flight, 79,414,068 bytes at
 k = 23; twin classes in the universe add at most floor(k/2) ints,
-12,303,588 bytes at k = 23.  A universe wider than 23 is refused before it
-is allocated, whatever `max_vertices` allows.  Exact counts run in one process and load no numpy.  Monte Carlo
-work partitions by sample index with counter-based streams, so estimates
-never depend on worker count or scheduling.
+12,303,588 bytes at k = 23.  So a count takes the kernel's budget,
+`subsetdp.EXACT_BUDGET` = 24 vertices (the anchor 0 plus a universe of
+23), and refuses a larger graph before it starts.  Exact counts run in one
+process and load no numpy.  Monte Carlo work partitions by sample index
+with counter-based streams, so estimates never depend on worker count or
+scheduling.
 
 The extremal family evaluator avoids enumeration entirely: for each
 2-factor cycle the number of t-vertex subsets forming exactly c arcs is
@@ -39,12 +41,11 @@ from typing import TYPE_CHECKING
 
 from .bitgraph import Graph, VertexSet, bits_of
 from .errors import BudgetExceededError, PreconditionError
-from .subsetdp import reach_rounds
+from .subsetdp import EXACT_BUDGET, reach_rounds
 
 if TYPE_CHECKING:
     from .families import ExtremalGraph
 
-CYC_EXACT_MAX = 20
 MEMO_MAX_VERTICES = 16
 
 
@@ -93,10 +94,9 @@ def closing_sets(g: Graph, a: int):
             yield t, closing
 
 
-def cyc_count_exact(
-    g: Graph, workers: int = 1, max_vertices: int = CYC_EXACT_MAX
-) -> CycReport:
-    """Exact Cyc(g) by the shared anchored DP (budget 20 vertices).
+def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
+    """Exact Cyc(g) by the shared anchored DP (budget EXACT_BUDGET = 24
+    vertices).
 
     Every cyclic S is counted once, at its minimum vertex a, from the
     closing sets of a.  The count runs in-process; `workers` is accepted
@@ -104,10 +104,8 @@ def cyc_count_exact(
     or the answer.
     """
     m = g.m
-    if m > max_vertices:
-        raise BudgetExceededError(
-            f"exact counting budget: m={m} > {max_vertices}"
-        )
+    if m > EXACT_BUDGET:
+        raise BudgetExceededError(f"exact counting budget: m={m} > {EXACT_BUDGET}")
     total = 0
     hist = [0] * (m + 1)
     for a in range(m):

@@ -49,13 +49,12 @@ from typing import TYPE_CHECKING
 from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of, nth_bit
 from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .sampling import StreamRng
-from .subsetdp import TABLE_MAX_BITS, reach_rounds
+from .subsetdp import EXACT_BUDGET, reach_rounds
 
 if TYPE_CHECKING:
     from .families import ExtremalGraph
     from .structures import LinearForest
 
-EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 ROTATION_RESTARTS = 32
 # rotations decide_hamiltonian_auto spends before the exact DP, capped at
 # s*s on scopes of at most SMALL_SCOPE vertices, which the DP decides in

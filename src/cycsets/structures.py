@@ -1,8 +1,8 @@
 """Certified combinatorial primitives on bitgraphs.
 
-Matchings (a greedy maximal one), vertex covers (exact branch and bound)
-and linear forests, the witnesses the near-bipartite builder takes.  Every
-structure can be re-validated against its host graph; tie-breaking is
+Vertex covers (exact branch and bound, bounded by a greedy maximal
+matching) and linear forests, the witnesses the near-bipartite builder
+takes.  Both can be re-validated against their host graph; tie-breaking is
 lowest-vertex-index-first throughout so all outputs are deterministic.
 """
 
@@ -22,33 +22,6 @@ def _find(parent: dict[int, int], x: int) -> int:
         parent[x] = parent.get(parent[x], parent[x])
         x = parent[x]
     return x
-
-
-@dataclass(frozen=True)
-class Matching:
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def vertex_mask(self) -> int:
-        m = 0
-        for u, v in self.edges:
-            m |= (1 << u) | (1 << v)
-        return m
-
-    def validate(self, g: Graph, scope_mask: int | None = None) -> None:
-        seen = 0
-        for u, v in self.edges:
-            if not g.has_edge(u, v):
-                raise PreconditionError(f"matching pair ({u},{v}) is not an edge")
-            pair = (1 << u) | (1 << v)
-            if seen & pair:
-                raise PreconditionError(f"vertex reused in matching at ({u},{v})")
-            if scope_mask is not None and pair & ~scope_mask:
-                raise PreconditionError(f"matching edge ({u},{v}) leaves the scope")
-            seen |= pair
 
 
 @dataclass(frozen=True)
@@ -133,21 +106,23 @@ class LinearForest:
 # ---------------------------------------------------------------------------
 
 
-def greedy_maximal_matching(g: Graph, scope: VertexSet) -> Matching:
-    """Maximal (not maximum) matching in g[scope] by lexicographic edge scan."""
+def greedy_matching_mask(rows: tuple[int, ...], mask: int) -> int:
+    """The vertices of a maximal (not maximum) matching of the graph with
+    bit rows `rows` on the vertices of `mask`, by lexicographic edge scan:
+    each unmatched u, lowest first, takes its lowest unmatched neighbour.
+
+    The matching has popcount // 2 edges, a lower bound on every vertex
+    cover, and its vertices are a cover of at most twice the minimum.
+    """
     used = 0
-    out = []
-    smask = scope.mask
-    for u in bits_of(smask):
+    for u in bits_of(mask):
         if used >> u & 1:
             continue
-        cand = g.rows[u] & smask & ~used
-        cand &= ~((1 << (u + 1)) - 1)  # only v > u; lower v already scanned
+        # only v > u; a lower neighbour was scanned already, so it is matched
+        cand = rows[u] & mask & ~used & ~((1 << (u + 1)) - 1)
         if cand:
-            v = next(bits_of(cand))
-            out.append((u, v))
-            used |= (1 << u) | (1 << v)
-    return Matching(tuple(out))
+            used |= (1 << u) | (cand & -cand)
+    return used
 
 
 def min_vertex_cover_exact(
@@ -168,23 +143,9 @@ def min_vertex_cover_exact(
     rows = sub.rows
 
     # greedy 2-approximation as the initial incumbent
-    greedy = greedy_maximal_matching(sub, VertexSet.full(s))
-    best_mask = greedy.vertex_mask()
+    best_mask = greedy_matching_mask(rows, full)
     best_size = best_mask.bit_count()
     nodes = 0
-
-    def matching_lb(mask: int) -> int:
-        used = 0
-        cnt = 0
-        for u in bits_of(mask):
-            if used >> u & 1:
-                continue
-            cand = rows[u] & mask & ~used & ~((1 << (u + 1)) - 1)
-            if cand:
-                v = next(bits_of(cand))
-                used |= (1 << u) | (1 << v)
-                cnt += 1
-        return cnt
 
     def solve_deg2(mask: int) -> int:
         """Optimal cover mask of a union of paths/cycles (all degrees <= 2)."""
@@ -243,7 +204,7 @@ def min_vertex_cover_exact(
         if nodes > node_budget:
             raise BudgetExceededError(
                 "vertex-cover node budget exceeded",
-                lower=acc + matching_lb(mask),
+                lower=acc + greedy_matching_mask(rows, mask).bit_count() // 2,
                 upper=best_size,
             )
         # reductions: drop isolated, force pendant neighbors
@@ -268,7 +229,7 @@ def min_vertex_cover_exact(
             if acc < best_size:
                 best_size, best_mask = acc, acc_mask
             return
-        if acc + matching_lb(mask) >= best_size:
+        if acc + greedy_matching_mask(rows, mask).bit_count() // 2 >= best_size:
             return
         degs = [((rows[v] & mask).bit_count(), v) for v in bits_of(mask)]
         dmax, vmax = max(degs, key=lambda t: (t[0], -t[1]))

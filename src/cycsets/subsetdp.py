@@ -27,6 +27,7 @@ class, which roughly halves the time of a count or decision there.
 
 A round holds k ints of 2^k bits.  CPython stores 30 bits in every 4 bytes,
 so one such int takes 1,118,508 bytes at k = TABLE_MAX_BITS = 23
+EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 (`sys.getsizeof`), and a round 25,725,684 bytes.  The NOT_w masks take as
 much again.  While it builds a round the kernel holds three such sets and
 at most two ints in flight: 3k + 2 ints, 79,414,068 bytes at k = 23.  Twin
@@ -37,6 +38,10 @@ its peak stays 3k + 2 ints.  The exact decider keeps a fourth set, the OR
 of all rounds: at most 4k + 2 + floor(k/2) ints, 117,443,340 bytes at
 k = 23.  Wider universes are refused before anything is allocated.  The
 kernel needs no numpy.
+
+Its callers add one vertex, the anchor, to the universe, so both of them,
+exact counts and the exact decider, take EXACT_BUDGET = TABLE_MAX_BITS + 1
+= 24 vertices, and refuse more before they start.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .bitgraph import bits_of
 from .errors import BudgetExceededError
 
 TABLE_MAX_BITS = 23
+EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 
 
 def reach_rounds(adj: list[int], seed: int):

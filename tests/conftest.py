@@ -6,7 +6,8 @@ of the algorithms under test.  `reference_reach_rounds` is the subset DP's
 own definition, run one visited set at a time, kept as the reference the
 bit-parallel kernel must equal.  The `planted_*` generators draw the
 classifier's test graphs from the package's seeded streams; only the tests
-classify them.
+classify them.  Likewise only the tests build complete graphs and cycles,
+relabel a graph or delete its edges, so those helpers live here too.
 """
 
 from __future__ import annotations
@@ -157,6 +158,29 @@ def random_graph(m: int, seed: int, p: float = 0.5) -> Graph:
         (u, v) for u in range(m) for v in range(u + 1, m) if rnd.random() < p
     ]
     return Graph.from_edges(m, edges)
+
+
+def complete(m: int) -> Graph:
+    full = (1 << m) - 1
+    return Graph(m, tuple(full ^ (1 << v) for v in range(m)))
+
+
+def cycle(m: int) -> Graph:
+    assert m >= 3, "a cycle needs at least 3 vertices"
+    return Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the vertex relabeling v -> perm[v]."""
+    return Graph.from_edges(g.m, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def without_edges(g: Graph, edges) -> Graph:
+    rows = list(g.rows)
+    for u, v in edges:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return Graph(g.m, tuple(rows))
 
 
 def petersen() -> Graph:

@@ -14,8 +14,10 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import comb, pi, sqrt
 
+from conftest import complete, cycle
+
 from cycsets.analysis import balanced_cut_cover_product, random_regular_graph
-from cycsets.bitgraph import Cut, Graph, VertexSet
+from cycsets.bitgraph import Cut, VertexSet
 from cycsets.counting import (
     cyc_count_exact,
     estimate_h,
@@ -74,8 +76,8 @@ def _balanced_cuts(m):
 
 def test_c01_exact_counts_and_bipartite_closed_form():
     # Zero tolerance: exact rational arithmetic throughout.
-    assert cyc_count_exact(Graph.complete(4)).cyclic_count == 5
-    assert cyc_count_exact(Graph.cycle(5)).cyclic_count == 1
+    assert cyc_count_exact(complete(4)).cyclic_count == 5
+    assert cyc_count_exact(cycle(5)).cyclic_count == 1
     octa = build_extremal(3, [4]).graph
     rep = cyc_count_exact(octa)
     assert rep.cyclic_count == 30

@@ -8,10 +8,16 @@ from itertools import combinations
 
 import pytest
 
-from conftest import isomorphic, planted_near_bipartite, planted_two_cliques
+from conftest import (
+    complete,
+    cycle,
+    isomorphic,
+    planted_near_bipartite,
+    planted_two_cliques,
+)
 
 from cycsets.analysis import (
-    AnalysisParams,
+    _bidense_exact,
     balanced_cut_cover_product,
     check_bidense,
     classify,
@@ -27,7 +33,7 @@ from cycsets.instances import dirac_instance
 
 
 def test_bidense_k8_exact():
-    rep = check_bidense(Graph.complete(8), Fraction(1, 10), mode="exact")
+    rep = _bidense_exact(complete(8), Fraction(1, 10))
     assert rep.ok
     assert rep.minimum >= rep.threshold
 
@@ -36,7 +42,7 @@ def test_bidense_two_k4_false():
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges += [(4 + u, 4 + v) for u in range(4) for v in range(u + 1, 4)]
     g = Graph.from_edges(8, edges)
-    rep = check_bidense(g, Fraction(1, 100), mode="exact")
+    rep = _bidense_exact(g, Fraction(1, 100))
     assert not rep.ok
     # the witness pair must actually achieve the reported minimum
     assert g.edges_between(rep.pair_a.mask, rep.pair_b.mask) == rep.minimum
@@ -44,7 +50,7 @@ def test_bidense_two_k4_false():
 
 
 def test_bidense_edgeless_false():
-    rep = check_bidense(Graph.empty(6), Fraction(1, 100), mode="exact")
+    rep = _bidense_exact(Graph.empty(6), Fraction(1, 100))
     assert not rep.ok and rep.minimum == 0
 
 
@@ -58,8 +64,8 @@ def test_bidense_sampled_sound_vs_exact():
             if rnd.random() < 0.4
         ]
         g = Graph.from_edges(10, edges)
-        ex = check_bidense(g, Fraction(1, 20), mode="exact")
-        sa = check_bidense(g, Fraction(1, 20), mode="sampled", samples=300, seed=seed)
+        ex = _bidense_exact(g, Fraction(1, 20))
+        sa = check_bidense(g, Fraction(1, 20), samples=300, seed=seed)
         # a sampled minimum can never undercut the true minimum
         assert sa.minimum >= ex.minimum
         if not sa.ok:
@@ -71,11 +77,11 @@ def test_bidense_sampled_sound_vs_exact():
 
 def test_classify_requires_dirac_degree():
     with pytest.raises(PreconditionError):
-        classify(Graph.cycle(8), AnalysisParams())
+        classify(cycle(8))
 
 
 def test_classify_knn_near_bipartite():
-    c = classify(build_knn(10), AnalysisParams(), seed=0)
+    c = classify(build_knn(10), seed=0)
     assert c.case == "near_bipartite"
     side = frozenset(c.set_a.members())
     assert side in (frozenset(range(10)), frozenset(range(10, 20)))
@@ -85,7 +91,7 @@ def test_classify_matched_cliques():
     # two K_14's joined by a perfect matching: 14 crossing edges satisfy
     # e(A, rest) <= 6*eps*m^2 = 14.7 at eps = 1/320 (m = 22, the smallest
     #"obvious" version of this instance, is out of regime at compliant eps)
-    c = classify(planted_two_cliques(28, 0), AnalysisParams(), seed=0)
+    c = classify(planted_two_cliques(28, 0), seed=0)
     assert c.case == "two_cliques"
     g = planted_two_cliques(28, 0)
     a = c.set_a
@@ -95,43 +101,43 @@ def test_classify_matched_cliques():
 
 
 def test_classify_k20_bi_dense():
-    c = classify(Graph.complete(20), AnalysisParams(), seed=0)
+    c = classify(complete(20), seed=0)
     assert c.case == "bi_dense"
 
 
 def test_classify_exact_small():
-    c = classify(Graph.complete(12), AnalysisParams(), seed=0)
+    c = classify(complete(12), seed=0)
     assert c.case == "bi_dense" and c.confidence == "exact"
 
 
 def test_classify_planted_recovery_30_seeds_each():
     for seed in range(30):
-        c = classify(planted_two_cliques(40, seed), AnalysisParams(), seed=seed)
+        c = classify(planted_two_cliques(40, seed), seed=seed)
         assert c.case == "two_cliques", f"two_cliques seed={seed} -> {c.case}"
     for seed in range(30):
-        c = classify(planted_near_bipartite(40, seed), AnalysisParams(), seed=seed)
+        c = classify(planted_near_bipartite(40, seed), seed=seed)
         assert c.case == "near_bipartite", f"near_bipartite seed={seed} -> {c.case}"
     for seed in range(30):
         g, _, _ = dirac_instance(40, seed)
-        c = classify(g, AnalysisParams(), seed=seed)
+        c = classify(g, seed=seed)
         assert c.case == "bi_dense", f"bi_dense seed={seed} -> {c.case}"
 
 
 def test_classify_near_bipartite_witness_inequalities():
-    params = AnalysisParams()
-    c = classify(planted_near_bipartite(40, 3), params, seed=3)
+    eps = Fraction(1, 320)  # classify's default
+    c = classify(planted_near_bipartite(40, 3), seed=3)
     assert c.case == "near_bipartite"
     g = planted_near_bipartite(40, 3)
     a = c.set_a
     crossing = g.edges_between(a.mask, a.complement().mask)
-    assert crossing >= (Fraction(1, 4) - 14 * params.eps) * 40 * 40
+    assert crossing >= (Fraction(1, 4) - 14 * eps) * 40 * 40
 
 
 # -- cover product bound -----------------------------------------------------
 
 
 def test_cover_product_k4():
-    g = Graph.complete(4)
+    g = complete(4)
     cut = Cut(VertexSet.of(4, [0, 1]), VertexSet.of(4, [2, 3]))
     rep = balanced_cut_cover_product(g, cut)
     assert rep.holds and rep.product == 4
@@ -156,7 +162,7 @@ def test_cover_product_octahedron_all_cuts():
 
 
 def test_cover_product_c8_complement_all_cuts():
-    g = Graph.cycle(8).complement()
+    g = cycle(8).complement()
     cuts = list(_balanced_cuts(8))
     assert len(cuts) == 35
     for cut in cuts:
@@ -165,7 +171,7 @@ def test_cover_product_c8_complement_all_cuts():
 
 
 def test_cover_product_rejects_irregular():
-    g = Graph.cycle(6)  # 2-regular on 6 vertices: not (n+1)-regular
+    g = cycle(6)  # 2-regular on 6 vertices: not (n+1)-regular
     cut = Cut(VertexSet.of(6, [0, 1, 2]), VertexSet.of(6, [3, 4, 5]))
     with pytest.raises(PreconditionError):
         balanced_cut_cover_product(g, cut)
@@ -182,7 +188,7 @@ def test_random_regular_degrees_grid():
 
 def test_random_regular_k4():
     g = random_regular_graph(4, 3, seed=0)
-    assert isomorphic(g, Graph.complete(4))
+    assert isomorphic(g, complete(4))
 
 
 def test_random_regular_deterministic_and_seed_sensitive():

@@ -8,16 +8,18 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from math import sqrt
 from pathlib import Path
 
 import pytest
 
-from conftest import isomorphic, planted_two_cliques
+from conftest import complete, cycle, isomorphic, planted_two_cliques
 
 import cycsets
 from cycsets.bitgraph import Graph, from_graph6, to_graph6
 from cycsets.cli import main
+from cycsets.counting import p_exact_knn
 from cycsets.families import build_competitor, build_extremal, build_knn
 
 
@@ -64,7 +66,7 @@ def test_construct_stdout_graph6_only(capsys):
     code, out, _ = run(capsys, "construct", "knn", "--n", "2")
     assert code == 0
     g = from_graph6(out.strip())
-    assert isomorphic(g, Graph.cycle(4))
+    assert isomorphic(g, cycle(4))
 
 
 def test_construct_rejects_two_cycle(capsys):
@@ -110,7 +112,7 @@ def test_construct_star_family(tmp_path, capsys):
 
 def test_count_k4(tmp_path, capsys):
     f = tmp_path / "k4.g6"
-    f.write_text(to_graph6(Graph.complete(4)) + "\n")
+    f.write_text(to_graph6(complete(4)) + "\n")
     payload = run_json(capsys, "count", str(f))
     rep = payload["report"]
     assert rep["cyclic_count"] == 5
@@ -121,29 +123,43 @@ def test_count_k4(tmp_path, capsys):
 def test_count_stdin(capsys, monkeypatch):
     import io
 
-    data = (to_graph6(Graph.complete(4)) + "\n").encode("ascii")
+    data = (to_graph6(complete(4)) + "\n").encode("ascii")
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code, out, _ = run(capsys, "count", "-")
     assert code == 0
     assert json.loads(out)["report"]["cyclic_count"] == 5
 
 
+def test_count_within_the_exact_budget(tmp_path, capsys):
+    # m = 22: within the DP's 24 vertices, so no flag is needed
+    f = tmp_path / "k1111.g6"
+    f.write_text(to_graph6(build_knn(11)) + "\n")
+    rep = run_json(capsys, "count", str(f))["report"]
+    assert Fraction(rep["p_exact"]) == p_exact_knn(11)
+
+
 def test_count_budget_exit(tmp_path, capsys):
-    f = tmp_path / "big.g6"
-    f.write_text(to_graph6(Graph.empty(21)) + "\n")
-    code, _, err = run(capsys, "count", str(f))
-    assert code == 3
-    assert "budget" in err.lower()
+    # past 24 vertices the count is refused before the DP starts
+    for g in (Graph.complete_bipartite(12, 13), build_extremal(300, [301]).graph):
+        f = tmp_path / "big.g6"
+        f.write_text(to_graph6(g) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", str(f))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == f"budget exceeded: exact counting budget: m={g.m} > 24\n"
+        assert len(err) < 200
 
 
-def test_count_force_stops_at_the_table_cap(tmp_path, capsys):
-    f = tmp_path / "k1313.g6"
-    f.write_text(to_graph6(build_knn(13)) + "\n")
-    start = time.perf_counter()
-    code, _, err = run(capsys, "count", str(f), "--force")
-    assert code == 3
-    assert time.perf_counter() - start < 1.0
-    assert "table" in err
+def test_count_takes_only_an_input_and_out(capsys):
+    for flag in ("--force", "--workers=2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "octa.g6", flag])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cycsets count [-h] [--out OUT] input\n")
 
 
 def test_count_parse_errors(tmp_path, capsys):
@@ -155,20 +171,12 @@ def test_count_parse_errors(tmp_path, capsys):
     assert run(capsys, "count", str(junk))[0] == 2
 
 
-def test_count_worker_invariance(tmp_path, capsys):
-    f = tmp_path / "octa.g6"
-    f.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
-    a = run_json(capsys, "count", str(f), "--workers", "1")
-    b = run_json(capsys, "count", str(f), "--workers", "8")
-    assert a["report"] == b["report"]
-
-
-@pytest.mark.parametrize("cmd", ["count", "estimate"])
+@pytest.mark.parametrize("cmd", ["estimate"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_are_refused(tmp_path, capsys, cmd, workers):
     f = tmp_path / "octa.g6"
     f.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
-    extra = ["--p", "1/2", "--samples", "10"] if cmd == "estimate" else []
+    extra = ["--p", "1/2", "--samples", "10"]
     code, out, err = run(capsys, cmd, str(f), *extra, f"--workers={workers}")
     assert code == 2
     assert out == "" and err == f"error: {cmd} needs --workers >= 1, got {workers}\n"
@@ -212,14 +220,14 @@ def test_estimate_worker_invariance(tmp_path, capsys):
 
 def test_estimate_p_one_cycle(tmp_path, capsys):
     f = tmp_path / "c5.g6"
-    f.write_text(to_graph6(Graph.cycle(5)) + "\n")
+    f.write_text(to_graph6(cycle(5)) + "\n")
     payload = run_json(capsys, "estimate", str(f), "--p", "1", "--samples", "500")
     assert payload["report"]["p_hat"] == "1/1"
 
 
 def test_estimate_invalid_p(tmp_path, capsys):
     f = tmp_path / "c5.g6"
-    f.write_text(to_graph6(Graph.cycle(5)) + "\n")
+    f.write_text(to_graph6(cycle(5)) + "\n")
     for bad in ("3/2", "-1/10", "junk"):
         # attached form so argparse doesn't mistake a leading '-' for a flag
         code, _, _ = run(capsys, "estimate", str(f), f"--p={bad}", "--samples", "10")
@@ -252,9 +260,27 @@ def test_analyze_two_cliques(tmp_path, capsys):
 
 def test_analyze_precondition(tmp_path, capsys):
     f = tmp_path / "c8.g6"
-    f.write_text(to_graph6(Graph.cycle(8)) + "\n")
+    f.write_text(to_graph6(cycle(8)) + "\n")
     code, _, _ = run(capsys, "analyze", str(f))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        ("abc", "bad --eps 'abc'"),
+        ("1/0", "bad --eps '1/0'"),
+        ("0", "need 0 < eps <= 1/320"),
+        ("1/319", "need 0 < eps <= 1/320"),
+    ],
+    ids=["word", "zero-denominator", "zero", "above-1/320"],
+)
+def test_analyze_rejects_a_malformed_or_out_of_range_eps(tmp_path, capsys, eps, message):
+    f = tmp_path / "tc.g6"
+    f.write_text(to_graph6(planted_two_cliques(28, 0)) + "\n")
+    code, out, err = run(capsys, "analyze", str(f), "--eps", eps)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
 
 
 # -- verify ------------------------------------------------------------------
@@ -432,7 +458,7 @@ def _cycsets(*argv, **kwargs) -> subprocess.CompletedProcess:
     "graph, argv, want",
     [
         ("octa", ["count", "G"], 0),
-        ("octa", ["count", "G", "--workers", "0"], 2),
+        ("octa", ["analyze", "G", "--eps", "abc"], 2),
         ("m600", ["count", "G"], 3),
     ],
     ids=["ok", "precondition", "budget"],
@@ -590,11 +616,13 @@ def test_manifest_fields_and_digest(tmp_path, capsys):
     import hashlib
 
     f = tmp_path / "k4.g6"
-    f.write_text(to_graph6(Graph.complete(4)) + "\n")
-    payload = run_json(capsys, "count", str(f), "--workers", "2")
+    f.write_text(to_graph6(complete(4)) + "\n")
+    payload = run_json(capsys, "count", str(f))
     man = payload["manifest"]
     assert man["subcommand"] == "count"
-    assert man["workers"] == 2
+    assert man["workers"] is None  # counts run in one process
+    argv = ["estimate", str(f), "--p", "1/2", "--samples", "10", "--workers", "2"]
+    assert run_json(capsys, *argv)["manifest"]["workers"] == 2
     assert str(f) in " ".join(man["argv"])
     assert isinstance(man["wall_time_s"], float)
     digest = hashlib.sha256(f.read_bytes()).hexdigest()

@@ -15,9 +15,12 @@ import pytest
 from conftest import (
     brute_cyclic_count,
     brute_max_linear_forest,
+    complete,
+    cycle,
     isomorphic,
     random_graph,
     reference_reach_rounds,
+    relabel,
 )
 
 from cycsets.bitgraph import Graph, VertexSet, bits_of
@@ -36,14 +39,14 @@ from cycsets.families import (
     enumerate_regular_complements,
 )
 from cycsets.hamilton import is_hamiltonian_exact
-from cycsets.subsetdp import TABLE_MAX_BITS, reach_rounds as reach_table
+from cycsets.subsetdp import EXACT_BUDGET, TABLE_MAX_BITS, reach_rounds as reach_table
 
 
 # -- exact counts ------------------------------------------------------------
 
 
 def test_count_k4():
-    rep = cyc_count_exact(Graph.complete(4))
+    rep = cyc_count_exact(complete(4))
     assert rep.cyclic_count == 5
     assert rep.p_exact == Fraction(5, 16)
     assert rep.total_subsets == 16
@@ -51,7 +54,7 @@ def test_count_k4():
 
 
 def test_count_c5():
-    rep = cyc_count_exact(Graph.cycle(5))
+    rep = cyc_count_exact(cycle(5))
     assert rep.cyclic_count == 1
     assert rep.per_size[5] == 1
 
@@ -114,23 +117,22 @@ def test_count_isomorphism_invariance():
         perm = list(range(10))
         _random.Random(seed).shuffle(perm)
         assert (
-            cyc_count_exact(g.relabel(perm)).cyclic_count
+            cyc_count_exact(relabel(g, perm)).cyclic_count
             == cyc_count_exact(g).cyclic_count
         )
 
 
 def test_count_budget():
-    with pytest.raises(BudgetExceededError):
-        cyc_count_exact(Graph.empty(21))
-    with pytest.raises(BudgetExceededError):
-        cyc_count_exact(Graph.complete(8), max_vertices=6)
+    # the anchor 0 plus the table's 23 free vertices
+    assert EXACT_BUDGET == TABLE_MAX_BITS + 1 == 24
+    for g in (Graph.empty(25), build_knn(13)):
+        with pytest.raises(BudgetExceededError, match=f"^exact counting budget: m={g.m} > 24$"):
+            cyc_count_exact(g)
 
 
 def test_table_cap_refuses_before_allocating():
     with pytest.raises(BudgetExceededError, match="table"):
         reach_table([0] * (TABLE_MAX_BITS + 1), 1)
-    with pytest.raises(BudgetExceededError, match="table"):
-        cyc_count_exact(build_knn(13), max_vertices=26)
 
 
 @pytest.mark.parametrize("k", [24, 25])
@@ -261,7 +263,7 @@ def test_cycle_profile_matches_enumeration():
     # joint law of (#vertices, capped linear-forest edges) over subsets of
     # a single cycle, against direct enumeration
     for ell in range(3, 9):
-        g = Graph.cycle(ell)
+        g = cycle(ell)
         want: dict[tuple[int, int], int] = defaultdict(int)
         for mask in range(1 << ell):
             t = bin(mask).count("1")
@@ -368,8 +370,8 @@ def test_estimate_octahedron_hits_exact_value():
 
 
 def test_estimate_degenerate_retention():
-    assert estimate_h(Graph.complete(6), Fraction(0), 500, seed=1).p_hat == 0
-    assert estimate_h(Graph.cycle(5), Fraction(1), 500, seed=1).p_hat == 1
+    assert estimate_h(complete(6), Fraction(0), 500, seed=1).p_hat == 0
+    assert estimate_h(cycle(5), Fraction(1), 500, seed=1).p_hat == 1
 
 
 def test_estimate_deterministic_and_worker_invariant():
@@ -431,11 +433,11 @@ def test_estimate_successes_pinned(decider, n, p, samples, successes, workers):
 def test_estimate_gn_requires_matching_graph():
     eg = build_extremal(4, [5])
     with pytest.raises(PreconditionError):
-        estimate_h(Graph.complete(8), Fraction(1, 2), 100, seed=0, decider="gn", eg=eg)
+        estimate_h(complete(8), Fraction(1, 2), 100, seed=0, decider="gn", eg=eg)
 
 
 def test_estimate_rejects_bad_inputs():
-    g = Graph.complete(4)
+    g = complete(4)
     with pytest.raises(PreconditionError):
         estimate_h(g, Fraction(3, 2), 100, seed=0)
     with pytest.raises(PreconditionError):

@@ -1,14 +1,17 @@
-"""Every top-level definition of the package has a product caller, and
-every import is used.
+"""Every top-level definition and method of the package has a product
+caller, and every import is used.
 
-A `def`, `class` or assignment at the top of a `src/cycsets` module must be
-reachable by name from the `cycsets` entry point (`cli.run` and the
-module's `__main__` block) or from the benchmark (`bench/*.py` apart from
-its own tests), following the names each reached definition uses.  Code
-that only tests reach is dead library code: it goes, or moves into the
-tests.  The walk goes by name, not by module, so it can only err towards
-calling something reachable.  No linter ships with the project, so the
-unused-import check lives here too.
+A `def`, `class` or assignment at the top of a `src/cycsets` module, and a
+method of a class there, must be reachable by name from the `cycsets`
+entry point (`cli.run` and the module's `__main__` block) or from the
+benchmark (`bench/*.py` apart from its own tests), following the names each
+reached definition uses.  A class brings along what its body uses outside
+its methods, and its dunder methods, which Python calls for it; any other
+method is reached only when its name is used.  Code that only tests reach
+is dead library code: it goes, or moves into the tests.  The walk goes by
+name, not by module or class, so it can only err towards calling something
+reachable.  No linter ships with the project, so the unused-import check
+lives here too.
 """
 
 from __future__ import annotations
@@ -23,9 +26,19 @@ BENCH = PACKAGE.parents[1] / "bench"
 ENTRY = "run"  # [project.scripts] cycsets = "cycsets.cli:run"
 
 
+def _is_method(node: ast.stmt) -> bool:
+    """A function in a class body that Python does not call by itself."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
 def _names_used(node: ast.AST) -> set[str]:
+    parts = [node]
+    if isinstance(node, ast.ClassDef):  # its methods are entries of their own
+        parts = [child for child in ast.iter_child_nodes(node) if not _is_method(child)]
     used = set()
-    for sub in ast.walk(node):
+    for sub in (sub for part in parts for sub in ast.walk(part)):
         if isinstance(sub, ast.Name):
             used.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -35,13 +48,19 @@ def _names_used(node: ast.AST) -> set[str]:
     return used
 
 
-def _defined(node: ast.stmt) -> list[str]:
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
+def _defined(node: ast.stmt) -> list[tuple[str, str, ast.AST]]:
+    """(name it is reached by, name it is reported as, node) for each
+    definition of a top-level statement, its class's methods included."""
+    if isinstance(node, ast.ClassDef):
+        methods = [(f.name, f"{node.name}.{f.name}", f) for f in node.body if _is_method(f)]
+        return [(node.name, node.name, node), *methods]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(node.name, node.name, node)]
     if isinstance(node, ast.Assign):
-        return [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        return [(name, name, node) for name in names]
     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        return [node.target.id]
+        return [(node.target.id, node.target.id, node)]
     return []
 
 
@@ -50,14 +69,15 @@ def _parse(path: Path) -> ast.Module:
 
 
 def unreachable_definitions() -> list[str]:
-    defs: dict[str, list[tuple[str, ast.stmt]]] = {}  # name -> [(module, statement)]
+    # name -> [(module, reported name, node)]
+    defs: dict[str, list[tuple[str, str, ast.AST]]] = {}
     roots: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _parse(path).body:
-            names = _defined(node)
-            for name in names:
-                defs.setdefault(name, []).append((path.stem, node))
-            if path.stem == "cli" and not names:  # imports and the __main__ block
+            found = _defined(node)
+            for name, label, sub in found:
+                defs.setdefault(name, []).append((path.stem, label, sub))
+            if path.stem == "cli" and not found:  # imports and the __main__ block
                 roots |= _names_used(node)
     bench = [p for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
     assert bench, f"no benchmark sources found under {BENCH}"
@@ -70,16 +90,16 @@ def unreachable_definitions() -> list[str]:
     seen = set(todo)
     while todo:
         name = todo.pop()
-        for module, node in defs.get(name, ()):
-            reached.add((module, name))
+        for module, label, node in defs.get(name, ()):
+            reached.add((module, label))
             for used in _names_used(node) - seen:
                 seen.add(used)
                 todo.append(used)
     return sorted(
-        f"{module}.{name}"
-        for name, places in defs.items()
-        for module, _ in places
-        if (module, name) not in reached
+        f"{module}.{label}"
+        for places in defs.values()
+        for module, label, _ in places
+        if (module, label) not in reached
     )
 
 
@@ -110,10 +130,20 @@ def test_every_import_is_used():
 
 
 def test_the_walk_sees_a_dead_definition_and_a_dead_import(tmp_path, monkeypatch):
-    # the scan itself: a definition and an import nothing reaches are reported
+    # the scan itself: a definition, a method of a reached class and an
+    # import that nothing reaches are reported
     for path in PACKAGE.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     (tmp_path / "orphan.py").write_text("from math import comb\n\n\ndef lonely():\n    return 1\n")
+    bitgraph = (tmp_path / "bitgraph.py").read_text()
+    spare = "class Graph:\n    def spare_method(self):\n        return lonely_helper()\n\n"
+    assert bitgraph.count("class Graph:\n") == 1
+    (tmp_path / "bitgraph.py").write_text(
+        bitgraph.replace("class Graph:\n", spare)
+        + "\n\ndef lonely_helper():\n    return 2\n"
+    )
     monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
-    assert unreachable_definitions() == ["orphan.lonely"]
+    assert unreachable_definitions() == [
+        "bitgraph.Graph.spare_method", "bitgraph.lonely_helper", "orphan.lonely"
+    ]
     assert unused_imports() == ["orphan.py:1:comb"]

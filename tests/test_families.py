@@ -6,10 +6,10 @@ import hashlib
 
 import pytest
 
-from conftest import isomorphic
+from conftest import complete, cycle, isomorphic, relabel, without_edges
 
 from cycsets.analysis import random_regular_graph
-from cycsets.bitgraph import Graph, to_graph6
+from cycsets.bitgraph import Graph, bits_of, to_graph6
 from cycsets.errors import PreconditionError
 from cycsets.families import (
     ExtremalGraph,
@@ -46,7 +46,7 @@ def _disjoint_cycles_graph(m: int, lengths: list[int]) -> Graph:
 
 def test_extremal_n2_is_k4():
     eg = build_extremal(2, [3])
-    assert isomorphic(eg.graph, Graph.complete(4))
+    assert isomorphic(eg.graph, complete(4))
 
 
 def test_extremal_n3_is_octahedron():
@@ -93,7 +93,7 @@ def test_extremal_validate_rejects_wrong_edges_inside_a():
         with pytest.raises(PreconditionError) as exc:
             bad.validate()
         assert str(exc.value) == "edges inside A are not exactly the 2-factor"
-    swapped = eg.graph.without_edges([(0, 1), (3, 4)]).with_edges([(0, 4), (1, 3)])
+    swapped = without_edges(eg.graph, [(0, 1), (3, 4)]).with_edges([(0, 4), (1, 3)])
     bad = ExtremalGraph(eg.n, swapped, eg.part_a, eg.part_b, eg.cycles)
     with pytest.raises(PreconditionError) as exc:
         bad.validate()
@@ -129,7 +129,7 @@ def test_extremal_cycle_order_irrelevant():
                 perm[va] = vb
         for v in range(n + 1, 2 * n):  # part B fixed pointwise
             perm[v] = v
-        assert a.graph.relabel(perm).rows == b.graph.rows
+        assert relabel(a.graph, perm).rows == b.graph.rows
 
 
 # -- bipartite and star-augmented families -----------------------------------
@@ -150,7 +150,7 @@ def test_knn_examples():
 
 
 def test_knn_n2_is_c4():
-    assert isomorphic(build_knn(2), Graph.cycle(4))
+    assert isomorphic(build_knn(2), cycle(4))
 
 
 def test_star_augmented_degrees():
@@ -163,7 +163,7 @@ def test_star_augmented_degrees():
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        for u in g5.neighbors(v):
+        for u in bits_of(g5.rows[v]):
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)

@@ -7,7 +7,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_has_ham_cycle, petersen, random_graph
+from conftest import (
+    brute_has_ham_cycle,
+    complete,
+    cycle,
+    petersen,
+    random_graph,
+    without_edges,
+)
 
 from cycsets import hamilton
 from cycsets.analysis import random_regular_graph
@@ -45,14 +52,14 @@ def _full(m: int) -> VertexSet:
 
 
 def test_exact_examples():
-    assert is_hamiltonian_exact(Graph.cycle(5), _full(5)).status == "hamiltonian"
+    assert is_hamiltonian_exact(cycle(5), _full(5)).status == "hamiltonian"
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert is_hamiltonian_exact(star, _full(4)).status == "not_hamiltonian"
-    assert is_hamiltonian_exact(Graph.complete(3), _full(3)).status == "hamiltonian"
+    assert is_hamiltonian_exact(complete(3), _full(3)).status == "hamiltonian"
 
 
 def test_exact_small_scopes_never_hamiltonian():
-    g = Graph.complete(5)
+    g = complete(5)
     for verts in ([], [1], [1, 3]):
         scope = VertexSet.of(5, verts)
         assert is_hamiltonian_exact(g, scope).status == "not_hamiltonian"
@@ -104,7 +111,7 @@ def test_exact_decisions_are_pinned_on_every_scope(graph, digest):
 
 
 def test_exact_budget_error():
-    g = Graph.complete(25)
+    g = complete(25)
     with pytest.raises(BudgetExceededError):
         is_hamiltonian_exact(g, _full(25))
 
@@ -131,7 +138,7 @@ def test_exact_agrees_with_backtracking_random_8_vertex():
 
 
 def test_exact_on_subsets():
-    g = Graph.cycle(6).with_edges([(0, 3)])
+    g = cycle(6).with_edges([(0, 3)])
     # {0,1,2,3} induces a 4-cycle 0-1-2-3-0
     assert (
         is_hamiltonian_exact(g, VertexSet.of(6, [0, 1, 2, 3])).status
@@ -148,9 +155,9 @@ def test_exact_on_subsets():
 
 
 def test_rotation_k6():
-    dec = find_ham_cycle_rotation(Graph.complete(6), _full(6))
+    dec = find_ham_cycle_rotation(complete(6), _full(6))
     assert dec.status == "hamiltonian"
-    dec.cert.validate(Graph.complete(6), Graph.complete(6).full_mask())
+    dec.cert.validate(complete(6), complete(6).full_mask())
 
 
 def test_rotation_edgeless_unknown():
@@ -196,7 +203,7 @@ def test_auto_decider_sound_fuzz():
 
 
 def test_rotation_work_stays_within_budget():
-    for g in (petersen(), random_graph(12, 4, p=0.3), Graph.complete(9)):
+    for g in (petersen(), random_graph(12, 4, p=0.3), complete(9)):
         for b in (0, 1, 9, 100, 1000):
             assert find_ham_cycle_rotation(g, _full(g.m), budget=b).work <= b
 
@@ -205,7 +212,7 @@ def test_rotation_work_stays_within_budget():
 
 
 def test_not_ham_cert_rejects_forgeries():
-    g = Graph.cycle(6)
+    g = cycle(6)
     with pytest.raises(VerificationError, match="empty"):
         NotHamCert(0).validate(g, g.full_mask())
     with pytest.raises(VerificationError, match="leaves the scope"):
@@ -231,7 +238,7 @@ def test_hamiltonian_decision_needs_a_cycle_certificate():
 def test_exact_cheap_refusals_carry_certificates():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    path = Graph.cycle(6)  # the scope 0..4 induces a path
+    path = cycle(6)  # the scope 0..4 induces a path
     for g, scope, x in (
         (star, 0b1111, 0b1),  # the lone neighbour of a leaf
         (two_triangles, 0b111111, 0b1),  # one vertex of a disconnected scope
@@ -377,7 +384,7 @@ def test_deciders_agree_on_every_scope(m, p, seeds):
 
 
 def test_ham_path_k5():
-    g = Graph.complete(5)
+    g = complete(5)
     cert = ham_path_dirac(g, 0, 3)
     cert.validate(g, g.full_mask())
     assert cert.order[0] == 0 and cert.order[-1] == 3
@@ -386,12 +393,12 @@ def test_ham_path_k5():
 
 def test_ham_path_rejects_equal_endpoints():
     with pytest.raises(PreconditionError):
-        ham_path_dirac(Graph.complete(5), 2, 2)
+        ham_path_dirac(complete(5), 2, 2)
 
 
 def test_ham_path_rejects_low_degree():
     with pytest.raises(PreconditionError):
-        ham_path_dirac(Graph.cycle(6), 0, 3)
+        ham_path_dirac(cycle(6), 0, 3)
 
 
 def test_ham_path_dirac_random_instances():
@@ -414,9 +421,7 @@ def test_ham_path_bipartite_k44():
 
 
 def test_ham_path_bipartite_k1010_minus_matching():
-    g = Graph.complete_bipartite(10, 10).without_edges(
-        [(i, 10 + i) for i in range(10)]
-    )
+    g = without_edges(Graph.complete_bipartite(10, 10), [(i, 10 + i) for i in range(10)])
     left = VertexSet.of(20, list(range(10)))
     right = left.complement()
     cert = ham_path_bipartite(g, left, right, 0, 11)

@@ -1,20 +1,27 @@
-"""Matchings, vertex covers, linear forests and their validators."""
+"""Greedy matchings, vertex covers, linear forests and their validators."""
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
-from conftest import brute_min_vertex_cover, random_graph
+from conftest import (
+    brute_min_vertex_cover,
+    complete,
+    cycle,
+    random_graph,
+    to_networkx,
+    without_edges,
+)
 
 from cycsets.analysis import random_regular_graph
-from cycsets.bitgraph import Graph, VertexSet
+from cycsets.bitgraph import Graph, VertexSet, bits_of
 from cycsets.errors import BudgetExceededError, PreconditionError
 from cycsets.instances import near_bipartite_instance
 from cycsets.structures import (
     LinearForest,
-    Matching,
     VertexCover,
-    greedy_maximal_matching,
+    greedy_matching_mask,
     min_vertex_cover_exact,
 )
 
@@ -26,29 +33,41 @@ def _full(m: int) -> VertexSet:
 # -- matchings ---------------------------------------------------------------
 
 
+def _matched(g: Graph, mask: int) -> int:
+    return greedy_matching_mask(g.rows, mask)
+
+
 def test_greedy_matching_examples():
-    assert greedy_maximal_matching(Graph.cycle(5), _full(5)).size == 2
-    assert greedy_maximal_matching(Graph.empty(6), _full(6)).size == 0
-    assert greedy_maximal_matching(Graph.complete(4), _full(4)).size == 2
+    assert _matched(cycle(5), 0b11111) == 0b01111  # edges 01, 23
+    assert _matched(Graph.empty(6), 0b111111) == 0
+    assert _matched(complete(4), 0b1111) == 0b1111  # edges 01, 23
+    assert _matched(cycle(6), 0b111110) == 0b011110  # in scope 1..5: edges 12, 34
+
+
+def _check_greedy_matching(g: Graph, scope: int) -> None:
+    used = _matched(g, scope)
+    assert not used & ~scope, "matched vertex outside the scope"
+    for u, v in g.edges():
+        if scope >> u & scope >> v & 1:
+            assert used >> u & 1 or used >> v & 1, "matching not maximal"
+    # the matched vertices are those of a matching: they span a perfect one
+    sub = to_networkx(g).subgraph(bits_of(used))
+    assert 2 * len(nx.max_weight_matching(sub, maxcardinality=True)) == used.bit_count()
 
 
 def test_greedy_matching_is_maximal_and_valid():
     for seed in range(25):
         g = random_graph(11, seed, p=0.35)
-        scope = _full(11)
-        mm = greedy_maximal_matching(g, scope)
-        mm.validate(g, scope.mask)
-        used = mm.vertex_mask()
-        for u, v in g.edges():
-            assert used >> u & 1 or used >> v & 1, "matching not maximal"
+        for scope in (g.full_mask(), 0b10110111011):
+            _check_greedy_matching(g, scope)
 
 
 # -- vertex covers -----------------------------------------------------------
 
 
 def test_min_cover_examples():
-    assert min_vertex_cover_exact(Graph.cycle(5), _full(5)).size == 3
-    assert min_vertex_cover_exact(Graph.complete(4), _full(4)).size == 3
+    assert min_vertex_cover_exact(cycle(5), _full(5)).size == 3
+    assert min_vertex_cover_exact(complete(4), _full(4)).size == 3
     pm = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     assert min_vertex_cover_exact(pm, _full(8)).size == 4
 
@@ -60,8 +79,8 @@ def test_min_cover_matches_brute_and_matching_sandwich():
         cov = min_vertex_cover_exact(g, scope)
         cov.validate(g)
         assert cov.size == brute_min_vertex_cover(g, list(range(10)))
-        mm = greedy_maximal_matching(g, scope)
-        assert mm.size <= cov.size <= 2 * mm.size
+        pairs = _matched(g, scope.mask).bit_count() // 2
+        assert pairs <= cov.size <= 2 * pairs
 
 
 def test_min_cover_budget_reports_its_bounds():
@@ -86,7 +105,7 @@ def test_min_cover_budget_reports_its_bounds():
     ids=["degree3", "closed_cycle", "leaves_scope", "non_edge"],
 )
 def test_linear_forest_validate_rejects_forgeries(edges, scope, reason):
-    g = Graph.complete(5).without_edges([(2, 4)])
+    g = without_edges(complete(5), [(2, 4)])
     with pytest.raises(PreconditionError, match=reason):
         LinearForest(edges).validate(g, scope)
 
@@ -100,26 +119,12 @@ def test_linear_forest_validate_rejects_forgeries(edges, scope, reason):
     ids=["uncovered_edge", "outside_scope"],
 )
 def test_vertex_cover_validate_rejects_forgeries(cover, scope, reason):
-    g = Graph.cycle(6)
+    g = cycle(6)
     forged = VertexCover(
         VertexSet.of(6, cover), VertexSet.of(6, scope) if scope is not None else None
     )
     with pytest.raises(PreconditionError, match=reason):
         forged.validate(g)
-
-
-@pytest.mark.parametrize(
-    "edges,scope,reason",
-    [
-        (((0, 1), (1, 2)), None, "vertex reused"),
-        (((0, 1), (3, 4)), 0b00111, "leaves the scope"),
-        (((0, 2),), None, "is not an edge"),
-    ],
-    ids=["reused_vertex", "leaves_scope", "non_edge"],
-)
-def test_matching_validate_rejects_forgeries(edges, scope, reason):
-    with pytest.raises(PreconditionError, match=reason):
-        Matching(edges).validate(Graph.cycle(6), scope)
 
 
 # -- validator fuzz ----------------------------------------------------------
@@ -130,7 +135,7 @@ def test_structure_validators_fuzz():
         m = 5 + seed % 36  # up to 40 vertices
         g = random_graph(m, seed + 4000, p=0.2)
         scope = _full(m)
-        greedy_maximal_matching(g, scope).validate(g, scope.mask)
+        _check_greedy_matching(g, scope.mask)
     # the planted witness forests the near-bipartite builder takes
     sizes = []
     for seed in range(12):
