@@ -95,34 +95,20 @@ def _descend_pair(g: Graph, amask: int, bmask: int, rounds: int) -> tuple[int, i
 
 
 def _bidense_exact(g: Graph, eps: Fraction) -> BidenseReport:
-    """`check_bidense` by enumerating every pair of half-sets."""
-    import numpy as np
-
+    """`check_bidense` by enumerating every half-set A.  Since e(A,B) sums
+    |N(b) & A| over b in B, the sparsest B of each half size for a fixed A
+    is the vertices with the fewest neighbours in A."""
     m = g.m
-    adj = np.zeros((m, m), dtype=np.int32)
-    for v in range(m):
-        for u in bits_of(g.rows[v]):
-            adj[v, u] = 1
+    sizes = _half_sizes(m)
     best = None
-    for ka in _half_sizes(m):
-        seta = list(combinations(range(m), ka))
-        ma = np.zeros((len(seta), m), dtype=np.int32)
-        for i, c in enumerate(seta):
-            ma[i, list(c)] = 1
-        da = ma @ adj
-        for kb in _half_sizes(m):
-            if kb == ka:
-                setb, mb = seta, ma
-            else:
-                setb = list(combinations(range(m), kb))
-                mb = np.zeros((len(setb), m), dtype=np.int32)
-                for i, c in enumerate(setb):
-                    mb[i, list(c)] = 1
-            counts = da @ mb.T
-            i, j = np.unravel_index(np.argmin(counts), counts.shape)
-            val = int(counts[i, j])
-            if best is None or val < best[0]:
-                best = (val, mask_of(seta[i]), mask_of(setb[j]))
+    for ka in sizes:
+        for combo in combinations(range(m), ka):
+            am = mask_of(combo)
+            order = sorted(((row & am).bit_count(), v) for v, row in enumerate(g.rows))
+            for kb in sizes:
+                val = sum(d for d, _ in order[:kb])
+                if best is None or val < best[0]:
+                    best = (val, am, mask_of(v for _, v in order[:kb]))
     val, am, bm = best
     return BidenseReport(val >= eps * m * m, val, VertexSet(am, m), VertexSet(bm, m), eps * m * m)
 
@@ -141,7 +127,7 @@ def check_bidense(
     with greedy single-swap descent, and reports the smallest pair found.
     The minimum found never undercuts the true one, so `ok` may hold where
     an exhaustive search would find a sparser pair.  `_bidense_exact`
-    enumerates every pair instead; `classify` runs it up to
+    finds the true minimum instead; `classify` runs it up to
     CLASSIFY_EXACT_MAX vertices.
     """
     m = g.m
@@ -188,29 +174,18 @@ def _climb_cut(g: Graph, sizes: range, seed: int, maximize: bool) -> int:
         am = _sample_subset(rng, m, sizes[r % len(sizes)])
         val = score(am)
         while True:
-            cand = None
-            for v in bits_of(am):
-                for u in bits_of(full & ~am):
-                    am2 = (am & ~(1 << v)) | (1 << u)
-                    s2 = score(am2)
-                    if cand is None or s2 < cand[0]:
-                        cand = (s2, am2)
-            if am.bit_count() + 1 in sizes or am.bit_count() - 1 in sizes:
-                for v in bits_of(am):
-                    if am.bit_count() - 1 in sizes:
-                        am2 = am & ~(1 << v)
-                        s2 = score(am2)
-                        if cand is None or s2 < cand[0]:
-                            cand = (s2, am2)
-                for u in bits_of(full & ~am):
-                    if am.bit_count() + 1 in sizes:
-                        am2 = am | (1 << u)
-                        s2 = score(am2)
-                        if cand is None or s2 < cand[0]:
-                            cand = (s2, am2)
-            if cand is None or cand[0] >= val:
+            inside, outside = list(bits_of(am)), list(bits_of(full & ~am))
+            moves = [(am & ~(1 << v)) | (1 << u) for v in inside for u in outside]
+            if am.bit_count() - 1 in sizes:
+                moves += [am & ~(1 << v) for v in inside]
+            if am.bit_count() + 1 in sizes:
+                moves += [am | (1 << u) for u in outside]
+            # min keeps the first of equal scores
+            nxt = min(moves, key=score, default=am)
+            nxt_val = score(nxt)
+            if nxt_val >= val:
                 break
-            val, am = cand
+            am, val = nxt, nxt_val
         if best_val is None or val < best_val:
             best_val, best_mask = val, am
     return best_mask
@@ -254,62 +229,43 @@ def classify(
     m = g.m
     if 2 * g.min_degree() < m:
         raise PreconditionError("classify requires min degree >= m/2")
-    exact = m <= CLASSIFY_EXACT_MAX
+    full = g.full_mask()
     lo = (m + 1) // 2
     hi = int((Fraction(1, 2) + 16 * eps) * m)
     tc_sizes = range(lo, max(lo, hi) + 1)
+    # only the search depends on the size: exhaustive up to
+    # CLASSIFY_EXACT_MAX vertices, hill-climbing and sampling beyond
+    exact = m <= CLASSIFY_EXACT_MAX
+    confidence = "exact" if exact else "sampled"
 
     if exact:
-        best = None
-        for k in tc_sizes:
-            for combo in combinations(range(m), k):
-                am = mask_of(combo)
-                b = g.edges_between(am, g.full_mask() & ~am)
-                if best is None or b < best[0]:
-                    best = (b, am)
-        if best is not None:
-            ok, data = _two_cliques_holds(g, best[1], eps)
-            if ok:
-                return Classification("two_cliques", VertexSet(best[1], m), "exact", data)
-        bid = _bidense_exact(g, eps)
-        if bid.ok:
-            return Classification(
-                "bi_dense", None, "exact", {"min_pair_edges": bid.minimum}
-            )
-        for k in range(1, m):
-            for combo in combinations(range(m), k):
-                am = mask_of(combo)
-                ok, data = _near_bipartite_holds(g, am, eps)
-                if ok:
-                    return Classification("near_bipartite", VertexSet(am, m), "exact", data)
-        return Classification(
-            "bi_dense",
-            None,
-            "sampled",
-            {"min_pair_edges": bid.minimum, "note": "no case verified; fallback"},
+        sparse_a = min(
+            (mask_of(c) for k in tc_sizes for c in combinations(range(m), k)),
+            key=lambda am: g.edges_between(am, full & ~am),
         )
-
-    sparse_a = _climb_cut(g, tc_sizes, seed, maximize=False)
+    else:
+        sparse_a = _climb_cut(g, tc_sizes, seed, maximize=False)
     ok, data = _two_cliques_holds(g, sparse_a, eps)
     if ok:
-        return Classification("two_cliques", VertexSet(sparse_a, m), "sampled", data)
-    cross_a = _climb_cut(g, range(m // 2, m // 2 + 1), seed + 1, maximize=True)
-    extra = [
-        (cross_a, cross_a),
-        (g.full_mask() & ~cross_a, g.full_mask() & ~cross_a),
-        (sparse_a, g.full_mask() & ~sparse_a),
-    ]
-    extra = [
-        (a, b)
-        for a, b in extra
-        if a.bit_count() in _half_sizes(m) and b.bit_count() in _half_sizes(m)
-    ]
-    bid = check_bidense(g, eps, samples=samples, seed=seed, extra_pairs=extra)
+        return Classification("two_cliques", VertexSet(sparse_a, m), confidence, data)
+
+    if exact:
+        bid = _bidense_exact(g, eps)
+        cross_cands = (mask_of(c) for k in range(1, m) for c in combinations(range(m), k))
+    else:
+        cross_a = _climb_cut(g, range(m // 2, m // 2 + 1), seed + 1, maximize=True)
+        rest = full & ~cross_a
+        extra = [(cross_a, cross_a), (rest, rest), (sparse_a, full & ~sparse_a)]
+        halves = _half_sizes(m)
+        extra = [(a, b) for a, b in extra if a.bit_count() in halves and b.bit_count() in halves]
+        bid = check_bidense(g, eps, samples=samples, seed=seed, extra_pairs=extra)
+        cross_cands = [cross_a]
     if bid.ok:
-        return Classification("bi_dense", None, "sampled", {"min_pair_edges": bid.minimum})
-    ok, data = _near_bipartite_holds(g, cross_a, eps)
-    if ok:
-        return Classification("near_bipartite", VertexSet(cross_a, m), "sampled", data)
+        return Classification("bi_dense", None, confidence, {"min_pair_edges": bid.minimum})
+    for am in cross_cands:
+        ok, data = _near_bipartite_holds(g, am, eps)
+        if ok:
+            return Classification("near_bipartite", VertexSet(am, m), confidence, data)
     return Classification(
         "bi_dense",
         None,

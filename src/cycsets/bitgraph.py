@@ -140,12 +140,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def edges(self):
-        """All edges (u, v) with u < v, lexicographic order."""
-        for u in range(self.m):
-            for v in bits_of(self.rows[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
-
     # -- derived graphs ----------------------------------------------------
 
     def with_edges(self, edges) -> "Graph":
@@ -233,10 +227,6 @@ class VertexSet:
     @staticmethod
     def of(m: int, vertices) -> "VertexSet":
         return VertexSet(mask_of(vertices), m)
-
-    @staticmethod
-    def full(m: int) -> "VertexSet":
-        return VertexSet((1 << m) - 1, m)
 
     @staticmethod
     def empty(m: int) -> "VertexSet":

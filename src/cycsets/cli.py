@@ -192,14 +192,7 @@ def cmd_count(args) -> int:
     start = time.perf_counter()
     g, digests = _read_graph(args.input)
     rep = cyc_count_exact(g)
-    report = {
-        "m": g.m,
-        "total_subsets": rep.total_subsets,
-        "cyclic_count": rep.cyclic_count,
-        "p_exact": rep.p_exact,
-        "p_float": float(rep.p_exact),
-        "per_size": list(rep.per_size),
-    }
+    report = {**vars(rep), "m": g.m, "p_float": float(rep.p_exact)}
     _emit(
         report,
         _manifest("count", digests=digests, wall=time.perf_counter() - start),
@@ -234,18 +227,7 @@ def cmd_estimate(args) -> int:
         g, p, args.samples, args.seed,
         decider=args.decider, eg=eg, workers=args.workers,
     )
-    report = {
-        "p_hat": rep.p_hat,
-        "p_hat_float": float(rep.p_hat),
-        "ci_low": rep.ci_low,
-        "ci_high": rep.ci_high,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "p_retention": rep.p_retention,
-        "undecided_fraction": rep.undecided_fraction,
-        "successes": rep.successes,
-        "decider": rep.decider,
-    }
+    report = {**vars(rep), "p_hat_float": float(rep.p_hat)}
     _emit(
         report,
         _manifest("estimate", seed=args.seed, workers=args.workers,
@@ -673,18 +655,18 @@ def entry() -> int:
     """Process entry point of `cycsets` and `python -m cycsets.cli`.
 
     No command does floating-point linear algebra, but numpy (loaded by the
-    Monte Carlo masks of `estimate` and by the exact bi-density check of
-    `analysis`) starts an OpenBLAS worker per extra core on import, and
-    each worker spins for about 70 ms of CPU before it sleeps.  One BLAS
-    thread keeps that from competing with the command itself.  Set here,
-    not in `main`, so that calling `main` in process leaves the caller's
-    environment alone.
+    Monte Carlo masks of `estimate`) starts an OpenBLAS worker per extra
+    core on import, and each worker spins for about 70 ms of CPU before it
+    sleeps.  One BLAS thread keeps that from competing with the command
+    itself.  Set here, not in `main`, so that calling `main` in process
+    leaves the caller's environment alone.
 
     A process ends through `run`, which skips interpreter finalisation:
     that would only free objects, yet costs about as much as a short
-    command's own work.  Every file a command writes is closed by its `with` block and
-    a worker pool is shut down on return, so only stdout and stderr are
-    left to flush.  `entry` itself returns the exit code to its caller.
+    command's own work.  Every file a command writes is closed by its
+    `with` block and a worker pool is shut down on return, so only stdout
+    and stderr are left to flush.  `entry` itself returns the exit code to
+    its caller.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     return main()

@@ -436,14 +436,12 @@ def _dirac_path_scoped(
         raise PreconditionError(
             f"need min degree >= m/2 + 1 in the scope (have {mindeg}, m={size})"
         )
-    if size == 2:
-        raise PreconditionError("scope too small")
-    if size == 3:
-        mid = next(bits_of(scope_mask & ~(1 << a) & ~(1 << b)))
-        path = [a, mid, b]
+    rest = scope_mask & ~(1 << a) & ~(1 << b)
+    if size == 4:  # only K4 meets the bound; rest is one edge, not a cycle
+        x, y = bits_of(rest)
+        path = [a, x, y, b]
         HamPathCert(tuple(path)).validate(g, scope_mask)
         return path
-    rest = scope_mask & ~(1 << a) & ~(1 << b)
     cyc = _cycle_in_scope(g, rest, seed)
     k = len(cyc)
     for i in range(k):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitgraph import Graph, VertexSet, bits_of
+from .bitgraph import Graph, VertexSet, bits_of, mask_of
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -145,57 +145,26 @@ def min_vertex_cover_exact(
     # greedy 2-approximation as the initial incumbent
     best_mask = greedy_matching_mask(rows, full)
     best_size = best_mask.bit_count()
+    # a matching of the whole scope bounds every cover, whichever branch is open
+    root_lower = best_size // 2
     nodes = 0
 
-    def solve_deg2(mask: int) -> int:
-        """Optimal cover mask of a union of paths/cycles (all degrees <= 2)."""
+    def cover_cycles(mask: int) -> int:
+        """Optimal cover mask of a union of cycles: every second vertex
+        round each cycle of k vertices, ceil(k/2) of them."""
         out = 0
         seen = 0
         for v in bits_of(mask):
             if seen >> v & 1:
                 continue
-            deg_v = (rows[v] & mask).bit_count()
-            if deg_v == 0:
-                seen |= 1 << v
-                continue
-            if deg_v == 1:
-                # walk the path from this end, covering every second vertex
-                comp = [v]
-                seen |= 1 << v
-                prev, cur = None, v
-                while True:
-                    nxts = rows[cur] & mask & ~seen
-                    if not nxts:
-                        break
-                    cur = next(bits_of(nxts))
-                    seen |= 1 << cur
-                    comp.append(cur)
-                for i in range(1, len(comp), 2):
-                    out |= 1 << comp[i]
-            # cycles handled when reached from branching; find them anyway
-        for v in bits_of(mask & ~seen):
-            if seen >> v & 1:
-                continue
-            # remaining components are cycles: ceil(k/2) alternating vertices
             comp = [v]
             seen |= 1 << v
             cur = v
-            while True:
-                nxts = rows[cur] & mask & ~seen
-                if not nxts:
-                    break
+            while nxts := rows[cur] & mask & ~seen:
                 cur = next(bits_of(nxts))
                 seen |= 1 << cur
                 comp.append(cur)
-            k = len(comp)
-            cmask = 1 << comp[0]
-            taken = 1
-            i = 2
-            while taken < (k + 1) // 2:
-                cmask |= 1 << comp[i % k]
-                taken += 1
-                i += 2
-            out |= cmask
+            out |= mask_of(comp[::2])
         return out
 
     def rec(mask: int, acc_mask: int, acc: int) -> None:
@@ -203,9 +172,7 @@ def min_vertex_cover_exact(
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
-                "vertex-cover node budget exceeded",
-                lower=acc + greedy_matching_mask(rows, mask).bit_count() // 2,
-                upper=best_size,
+                "vertex-cover node budget exceeded", lower=root_lower, upper=best_size
             )
         # reductions: drop isolated, force pendant neighbors
         changed = True
@@ -233,8 +200,8 @@ def min_vertex_cover_exact(
             return
         degs = [((rows[v] & mask).bit_count(), v) for v in bits_of(mask)]
         dmax, vmax = max(degs, key=lambda t: (t[0], -t[1]))
-        if dmax <= 2:
-            cov = solve_deg2(mask)
+        if dmax <= 2:  # the reductions leave no degree below 2: only cycles
+            cov = cover_cycles(mask)
             tot = acc + cov.bit_count()
             if tot < best_size:
                 best_size, best_mask = tot, acc_mask | cov

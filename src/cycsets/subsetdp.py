@@ -27,7 +27,6 @@ class, which roughly halves the time of a count or decision there.
 
 A round holds k ints of 2^k bits.  CPython stores 30 bits in every 4 bytes,
 so one such int takes 1,118,508 bytes at k = TABLE_MAX_BITS = 23
-EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
 (`sys.getsizeof`), and a round 25,725,684 bytes.  The NOT_w masks take as
 much again.  While it builds a round the kernel holds three such sets and
 at most two ints in flight: 3k + 2 ints, 79,414,068 bytes at k = 23.  Twin

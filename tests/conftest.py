@@ -6,17 +6,19 @@ of the algorithms under test.  `reference_reach_rounds` is the subset DP's
 own definition, run one visited set at a time, kept as the reference the
 bit-parallel kernel must equal.  The `planted_*` generators draw the
 classifier's test graphs from the package's seeded streams; only the tests
-classify them.  Likewise only the tests build complete graphs and cycles,
-relabel a graph or delete its edges, so those helpers live here too.
+classify them.  Likewise only the tests list a graph's edges, build
+complete graphs and cycles, relabel a graph or delete its edges, so those
+helpers live here too.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import networkx as nx
 
-from cycsets.bitgraph import Graph
+from cycsets.bitgraph import Graph, bits_of
 from cycsets.instances import _sample_distinct
 from cycsets.sampling import StreamRng
 
@@ -24,7 +26,7 @@ from cycsets.sampling import StreamRng
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.m))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edge_list(g))
     return h
 
 
@@ -126,6 +128,14 @@ def brute_min_vertex_cover(g: Graph, verts: list[int]) -> int:
     return len(verts)
 
 
+def brute_min_pair_edges(g: Graph) -> int:
+    """Least e(A, B) = #{(a, b) in A x B : ab an edge} over every pair of
+    half-sets (floor(m/2) or ceil(m/2) vertices each), overlap allowed."""
+    sizes = {g.m // 2, (g.m + 1) // 2}
+    halves = [c for k in sizes for c in combinations(range(g.m), k)]
+    return min(sum(g.has_edge(a, b) for a in sa for b in sb) for sa in halves for sb in halves)
+
+
 def reference_reach_rounds(adj: list[int], seed: int) -> list[list[int]]:
     """The rounds of `subsetdp.reach_rounds`, one visited set at a time.
 
@@ -160,6 +170,11 @@ def random_graph(m: int, seed: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(m, edges)
 
 
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """All edges (u, v) with u < v, lexicographic order."""
+    return [(u, v) for u in range(g.m) for v in bits_of(g.rows[u] >> (u + 1) << (u + 1))]
+
+
 def complete(m: int) -> Graph:
     full = (1 << m) - 1
     return Graph(m, tuple(full ^ (1 << v) for v in range(m)))
@@ -172,7 +187,7 @@ def cycle(m: int) -> Graph:
 
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex relabeling v -> perm[v]."""
-    return Graph.from_edges(g.m, [(perm[u], perm[v]) for u, v in g.edges()])
+    return Graph.from_edges(g.m, [(perm[u], perm[v]) for u, v in edge_list(g)])
 
 
 def without_edges(g: Graph, edges) -> Graph:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random as _random
 from fractions import Fraction
 from itertools import combinations
@@ -9,11 +10,13 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    brute_min_pair_edges,
     complete,
     cycle,
     isomorphic,
     planted_near_bipartite,
     planted_two_cliques,
+    random_graph,
 )
 
 from cycsets.analysis import (
@@ -25,7 +28,7 @@ from cycsets.analysis import (
 )
 from cycsets.bitgraph import Cut, Graph, VertexSet
 from cycsets.errors import PreconditionError
-from cycsets.families import build_extremal, build_knn
+from cycsets.families import build_competitor, build_extremal, build_knn
 from cycsets.instances import dirac_instance
 
 
@@ -52,6 +55,18 @@ def test_bidense_two_k4_false():
 def test_bidense_edgeless_false():
     rep = _bidense_exact(Graph.empty(6), Fraction(1, 100))
     assert not rep.ok and rep.minimum == 0
+
+
+def test_bidense_exact_matches_brute_pairs():
+    # the degree-order search against every pair of half-sets
+    for seed in range(12):
+        m = 4 + seed % 7
+        g = random_graph(m, seed, p=(0.25, 0.5, 0.8)[seed % 3])
+        rep = _bidense_exact(g, Fraction(1, 20))
+        assert rep.minimum == brute_min_pair_edges(g), (m, seed)
+        assert g.edges_between(rep.pair_a.mask, rep.pair_b.mask) == rep.minimum
+        assert {rep.pair_a.size, rep.pair_b.size} <= {m // 2, (m + 1) // 2}
+        assert rep.ok == (rep.minimum >= Fraction(1, 20) * m * m)
 
 
 def test_bidense_sampled_sound_vs_exact():
@@ -121,6 +136,31 @@ def test_classify_planted_recovery_30_seeds_each():
         g, _, _ = dirac_instance(40, seed)
         c = classify(g, seed=seed)
         assert c.case == "bi_dense", f"bi_dense seed={seed} -> {c.case}"
+
+
+def test_classify_reports_are_pinned():
+    # every reachable (confidence, case) pair.  No exact two_cliques: at
+    # m <= 14 its cut may have at most 6*eps*m^2 < m/2 edges, but minimum
+    # degree m/2 gives each vertex of its side A a neighbour outside A
+    corpus = [(planted_two_cliques(40, s), s) for s in range(5)]
+    corpus += [(planted_near_bipartite(40, s), s) for s in range(5)]
+    corpus += [(planted_near_bipartite(14, s), s) for s in range(3)]
+    corpus += [(complete(14), 0), (build_knn(7), 0), (build_extremal(7, [8]).graph, 0),
+               (build_competitor(3).graph, 0)]
+    digest = hashlib.sha256()
+    seen = set()
+    for g, seed in corpus:
+        c = classify(g, seed=seed)
+        seen.add((c.confidence, c.case))
+        set_a = None if c.set_a is None else c.set_a.mask
+        digest.update(repr((c.case, set_a, c.confidence, sorted(c.data.items()))).encode())
+    assert seen == {
+        ("exact", "bi_dense"), ("exact", "near_bipartite"), ("sampled", "bi_dense"),
+        ("sampled", "two_cliques"), ("sampled", "near_bipartite"),
+    }
+    assert digest.hexdigest() == (
+        "f1c6dd9bbb98e420fc40a2a2207c3ff3ade1a828c57c78b7668f0eb10703cc2e"
+    )
 
 
 def test_classify_near_bipartite_witness_inequalities():

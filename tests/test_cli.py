@@ -382,8 +382,11 @@ _ESTIMATE = ["estimate", "OCTA", "--p", "1/2", "--samples", "50"]
          {"bitgraph", "counting", "errors", "families", "sampling", "subsetdp"}, True),
         (["verify", "gncriterion", "--n", "3"],
          {"bitgraph", "counting", "errors", "families", "subsetdp"}, False),
+        (["analyze", "OCTA"],
+         {"analysis", "bitgraph", "errors", "families", "sampling", "structures"}, False),
     ],
-    ids=["count", "verify-calculus", "estimate-auto", "estimate-gn", "verify-gncriterion"],
+    ids=["count", "verify-calculus", "estimate-auto", "estimate-gn", "verify-gncriterion",
+         "analyze"],
 )
 def test_command_loads_only_its_modules(tmp_path, capsys, argv, modules, numpy_loaded):
     # the child imports cycsets.cli and runs entry() in process, since `run`

@@ -7,7 +7,8 @@ entry point (`cli.run` and the module's `__main__` block) or from the
 benchmark (`bench/*.py` apart from its own tests), following the names each
 reached definition uses.  A class brings along what its body uses outside
 its methods, and its dunder methods, which Python calls for it; any other
-method is reached only when its name is used.  Code that only tests reach
+method is reached only when an attribute of its name is used, so a local
+variable that shares its name does not keep it.  Code that only tests reach
 is dead library code: it goes, or moves into the tests.  The walk goes by
 name, not by module or class, so it can only err towards calling something
 reachable.  No linter ships with the project, so the unused-import check
@@ -34,6 +35,8 @@ def _is_method(node: ast.stmt) -> bool:
 
 
 def _names_used(node: ast.AST) -> set[str]:
+    """The names a node uses: a bare name or import as itself, an
+    attribute as `.name`."""
     parts = [node]
     if isinstance(node, ast.ClassDef):  # its methods are entries of their own
         parts = [child for child in ast.iter_child_nodes(node) if not _is_method(child)]
@@ -42,7 +45,7 @@ def _names_used(node: ast.AST) -> set[str]:
         if isinstance(sub, ast.Name):
             used.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
+            used.add("." + sub.attr)
         elif isinstance(sub, ast.alias):
             used.add(sub.name.rpartition(".")[2])
     return used
@@ -50,9 +53,11 @@ def _names_used(node: ast.AST) -> set[str]:
 
 def _defined(node: ast.stmt) -> list[tuple[str, str, ast.AST]]:
     """(name it is reached by, name it is reported as, node) for each
-    definition of a top-level statement, its class's methods included."""
+    definition of a top-level statement, its class's methods included.  A
+    method is reached by `.name` only, so a local variable of the same name
+    does not reach it."""
     if isinstance(node, ast.ClassDef):
-        methods = [(f.name, f"{node.name}.{f.name}", f) for f in node.body if _is_method(f)]
+        methods = [("." + f.name, f"{node.name}.{f.name}", f) for f in node.body if _is_method(f)]
         return [(node.name, node.name, node), *methods]
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return [(node.name, node.name, node)]
@@ -90,11 +95,12 @@ def unreachable_definitions() -> list[str]:
     seen = set(todo)
     while todo:
         name = todo.pop()
-        for module, label, node in defs.get(name, ()):
-            reached.add((module, label))
-            for used in _names_used(node) - seen:
-                seen.add(used)
-                todo.append(used)
+        for key in {name, name.lstrip(".")}:  # `.name` also reaches a module's name
+            for module, label, node in defs.get(key, ()):
+                reached.add((module, label))
+                for used in _names_used(node) - seen:
+                    seen.add(used)
+                    todo.append(used)
     return sorted(
         f"{module}.{label}"
         for places in defs.values()
@@ -131,19 +137,27 @@ def test_every_import_is_used():
 
 def test_the_walk_sees_a_dead_definition_and_a_dead_import(tmp_path, monkeypatch):
     # the scan itself: a definition, a method of a reached class and an
-    # import that nothing reaches are reported
+    # import that nothing reaches are reported; so is a method named like
+    # `code`, a local variable of the entry point `cli.run`
     for path in PACKAGE.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     (tmp_path / "orphan.py").write_text("from math import comb\n\n\ndef lonely():\n    return 1\n")
     bitgraph = (tmp_path / "bitgraph.py").read_text()
-    spare = "class Graph:\n    def spare_method(self):\n        return lonely_helper()\n\n"
+    spare = (
+        "class Graph:\n    def spare_method(self):\n        return lonely_helper()\n\n"
+        "    def code(self):\n        return 0\n\n"
+    )
     assert bitgraph.count("class Graph:\n") == 1
     (tmp_path / "bitgraph.py").write_text(
         bitgraph.replace("class Graph:\n", spare)
         + "\n\ndef lonely_helper():\n    return 2\n"
     )
+    assert "code" in _names_used(next(
+        node for node in _parse(PACKAGE / "cli.py").body if getattr(node, "name", "") == ENTRY
+    ))
     monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
     assert unreachable_definitions() == [
-        "bitgraph.Graph.spare_method", "bitgraph.lonely_helper", "orphan.lonely"
+        "bitgraph.Graph.code", "bitgraph.Graph.spare_method", "bitgraph.lonely_helper",
+        "orphan.lonely",
     ]
     assert unused_imports() == ["orphan.py:1:comb"]

@@ -45,7 +45,7 @@ from cycsets.structures import LinearForest
 
 
 def _full(m: int) -> VertexSet:
-    return VertexSet.full(m)
+    return VertexSet((1 << m) - 1, m)
 
 
 # -- exact decision ----------------------------------------------------------
@@ -391,6 +391,18 @@ def test_ham_path_k5():
     assert len(cert.order) == 5
 
 
+def test_ham_path_k4_every_ordered_pair():
+    # K4 is the least scope the degree bound admits; with its endpoints
+    # removed, two vertices are left, too few for a cycle to splice into
+    g = complete(4)
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                cert = ham_path_dirac(g, a, b)
+                cert.validate(g, g.full_mask())
+                assert cert.order[0] == a and cert.order[-1] == b
+
+
 def test_ham_path_rejects_equal_endpoints():
     with pytest.raises(PreconditionError):
         ham_path_dirac(complete(5), 2, 2)
@@ -537,7 +549,7 @@ def test_builder_certificates_are_pinned(s):
 
 def test_gn_criterion_octahedron_examples():
     eg = build_extremal(3, [4])
-    assert gn_criterion(eg, VertexSet.full(6))
+    assert gn_criterion(eg, _full(6))
     # the 2-factor side alone induces C4: cyclic (full-cycle edge case)
     assert gn_criterion(eg, eg.part_a)
     # two opposite cycle vertices + one B vertex: induced path, not cyclic

@@ -9,6 +9,7 @@ from conftest import (
     brute_min_vertex_cover,
     complete,
     cycle,
+    edge_list,
     random_graph,
     to_networkx,
     without_edges,
@@ -27,7 +28,7 @@ from cycsets.structures import (
 
 
 def _full(m: int) -> VertexSet:
-    return VertexSet.full(m)
+    return VertexSet((1 << m) - 1, m)
 
 
 # -- matchings ---------------------------------------------------------------
@@ -47,7 +48,7 @@ def test_greedy_matching_examples():
 def _check_greedy_matching(g: Graph, scope: int) -> None:
     used = _matched(g, scope)
     assert not used & ~scope, "matched vertex outside the scope"
-    for u, v in g.edges():
+    for u, v in edge_list(g):
         if scope >> u & scope >> v & 1:
             assert used >> u & 1 or used >> v & 1, "matching not maximal"
     # the matched vertices are those of a matching: they span a perfect one
@@ -86,9 +87,13 @@ def test_min_cover_matches_brute_and_matching_sandwich():
 def test_min_cover_budget_reports_its_bounds():
     g = random_regular_graph(24, 9, seed=1)
     best = min_vertex_cover_exact(g, _full(24)).size
-    with pytest.raises(BudgetExceededError) as exc:
-        min_vertex_cover_exact(g, _full(24), node_budget=3)
-    assert exc.value.lower <= best <= exc.value.upper
+    assert best == 18
+    # at 30 nodes the budget runs out in a branch whose own bound, 19,
+    # exceeds the minimum; the reported lower bound must hold for all covers
+    for budget in (3, 30):
+        with pytest.raises(BudgetExceededError) as exc:
+            min_vertex_cover_exact(g, _full(24), node_budget=budget)
+        assert exc.value.lower <= best <= exc.value.upper
 
 
 # -- forged structures -------------------------------------------------------
