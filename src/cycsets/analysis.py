@@ -130,6 +130,8 @@ def check_bidense(
     finds the true minimum instead; `classify` runs it up to
     CLASSIFY_EXACT_MAX vertices.
     """
+    if samples < 1:
+        raise PreconditionError(f"need samples >= 1, got {samples}")
     m = g.m
     sizes = _half_sizes(m)
     cands: list[tuple[int, int, int]] = []
@@ -226,6 +228,8 @@ def classify(
     at the proof's epsilon `eps`, 0 < eps <= 1/320."""
     if not 0 < eps <= Fraction(1, 320):
         raise PreconditionError("need 0 < eps <= 1/320")
+    if samples < 1:  # a sampled verdict on no pairs would be vacuous
+        raise PreconditionError(f"need samples >= 1, got {samples}")
     m = g.m
     if 2 * g.min_degree() < m:
         raise PreconditionError("classify requires min degree >= m/2")

@@ -400,7 +400,7 @@ def _suite_calculus(args) -> list[dict]:
 
 
 def _suite_gncriterion(args) -> list[dict]:
-    from .counting import closing_sets
+    from .counting import anchored
     from .families import _cycle_partitions, build_extremal, gn_criterion_mask
 
     checks = []
@@ -416,11 +416,14 @@ def _suite_gncriterion(args) -> list[dict]:
         eg = build_extremal(n, part)
         g = eg.graph
         m = g.m
-        # cyclic[a] has bit M set iff {a} + (M << (a+1)) is cyclic
+        # cyclic[a] has bit M set iff {a} + (M << (a+1)) is cyclic: per-mask
+        # bits, so the kernel runs without twin classes
         cyclic = [0] * m
         for a in range(m):
-            for _, closing in closing_sets(g, a):
-                cyclic[a] |= closing
+            q = anchored(g, a, twins=False)
+            if q is not None:
+                for _, closing in q.closing_sets():
+                    cyclic[a] |= closing
         bad = 0
         for mask in range(1 << m):
             a = (mask & -mask).bit_length() - 1

@@ -4,18 +4,23 @@ evaluator for the extremal family, and seeded Monte Carlo estimators.
 A subset S is cyclic when G[S] has a Hamilton cycle.  Exact counts run
 the anchored reach-set DP of `subsetdp`, the kernel the exact Hamiltonicity
 decider also runs: every cyclic S is counted at its minimum vertex a, from
-one kernel run per anchor over the vertices {a+1..m-1}.  Round t of that
-run gives the closing set of a: a 2^k-bit int (k = m-1-a) with bit M set
-iff {a} + M is cyclic, for the masks |M| = t; its popcount is the number
-of cyclic subsets of size t+1 with minimum a.  The kernel holds at most
-three sets of k such ints and two more in flight, 79,414,068 bytes at
-k = 23; twin classes in the universe add at most floor(k/2) ints,
-12,303,588 bytes at k = 23.  So a count takes the kernel's budget,
-`subsetdp.EXACT_BUDGET` = 24 vertices (the anchor 0 plus a universe of
-23), and refuses a larger graph before it starts.  Exact counts run in one
-process and load no numpy.  Monte Carlo work partitions by sample index
-with counter-based streams, so estimates never depend on worker count or
-scheduling.
+one kernel run per anchor over the vertices {a+1..m-1}.  The kernel's
+states are the counts of M in each twin class of that universe.  Round t of
+the run gives the closing set of a: an int with the state x set iff
+{a} + M is cyclic for the sets M of counts x, |M| = t.  Its blocks,
+weighed by the number of sets M each state stands for, sum to the number of
+cyclic subsets of size t+1 with minimum a.  Each of the kernel's ints holds
+N = 2^s * prod(|C| + 1) bits, s the number of classes of one and C the
+larger classes; N = 2^k for a twin-free universe of k vertices, the worst
+case.  There the kernel holds at most three sets of k such ints and two
+more in flight, 79,414,068 bytes at k = 23.  A universe with larger
+classes needs fewer and smaller ints, plus one `to_bytes` copy of a
+closing set and one weight per block to read it.  So
+a count takes the kernel's budget, `subsetdp.EXACT_BUDGET` = 24 vertices
+(the anchor 0 plus a universe of 23), and refuses a larger graph before it
+starts, whatever its classes.  Exact counts run in one process and load no
+numpy.  Monte Carlo work partitions by sample index with counter-based
+streams, so estimates never depend on worker count or scheduling.
 
 The extremal family evaluator avoids enumeration entirely: for each
 2-factor cycle the number of t-vertex subsets forming exactly c arcs is
@@ -39,9 +44,9 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING
 
-from .bitgraph import Graph, VertexSet, bits_of
+from .bitgraph import Graph, VertexSet
 from .errors import BudgetExceededError, PreconditionError
-from .subsetdp import EXACT_BUDGET, reach_rounds
+from .subsetdp import EXACT_BUDGET, Quotient
 
 if TYPE_CHECKING:
     from .families import ExtremalGraph
@@ -70,28 +75,21 @@ class EstimateReport:
     decider: str
 
 
-def closing_sets(g: Graph, a: int):
-    """Yield (t, C) for t = 2, 3, ...: for each mask M of t vertices above
-    a, shifted down by a + 1, bit M of C is set iff the vertex set
-    {a} + (M << (a+1)) is cyclic.
+def anchored(g: Graph, a: int, twins: bool = True) -> Quotient | None:
+    """The kernel of anchor a over the universe of the vertices above it,
+    local index v - (a + 1), or None when no cycle has minimum a.
 
-    C is the OR over w in N(a) of R_w in round t of the anchored kernel:
-    the masks whose reach set meets N(a).  Every cyclic set has at least
-    three vertices and appears once, in the closing sets of its minimum.
+    Every cyclic set has at least three vertices and appears once, in the
+    closing sets (`Quotient.closing_sets`) of its minimum.  With
+    twins=False the states are the masks M themselves, shifted down by
+    a + 1.
     """
     shift = a + 1
-    k = g.m - shift  # universe: vertices a+1 .. m-1, local index v-(a+1)
+    k = g.m - shift
     anchor_adj = g.rows[a] >> shift
     if k < 2 or not anchor_adj:
-        return
-    closers = list(bits_of(anchor_adj))
-    rounds = reach_rounds([g.rows[shift + i] >> shift for i in range(k)], anchor_adj)
-    for t, reach in enumerate(rounds, 1):
-        if t >= 2:  # |M| = 1 closes no cycle
-            closing = 0
-            for w in closers:
-                closing |= reach[w]
-            yield t, closing
+        return None
+    return Quotient([g.rows[shift + i] >> shift for i in range(k)], anchor_adj, twins)
 
 
 def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
@@ -99,9 +97,9 @@ def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
     vertices).
 
     Every cyclic S is counted once, at its minimum vertex a, from the
-    closing sets of a.  The count runs in-process; `workers` is accepted
-    for call compatibility with `estimate_h` and does not change the work
-    or the answer.
+    closing sets of a, each state weighed by the sets it stands for.  The
+    count runs in-process; `workers` is accepted for call compatibility
+    with `estimate_h` and does not change the work or the answer.
     """
     m = g.m
     if m > EXACT_BUDGET:
@@ -109,8 +107,11 @@ def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
     total = 0
     hist = [0] * (m + 1)
     for a in range(m):
-        for t, closing in closing_sets(g, a):
-            n = closing.bit_count()
+        q = anchored(g, a)
+        if q is None:
+            continue
+        for t, closing in q.closing_sets():
+            n = q.subsets(closing)
             hist[t + 1] += n
             total += n
     return CycReport(1 << m, total, Fraction(total, 1 << m), tuple(hist))
@@ -257,6 +258,8 @@ def estimate_h(
 
     if samples < 1:
         raise PreconditionError("need samples >= 1")
+    if not 0 <= seed < 1 << 64:  # the streams key on 64 bits: no two seeds alias
+        raise PreconditionError(f"need 0 <= seed < 2^64, got {seed}")
     p = Fraction(p_retention)
     if not 0 <= p <= 1:
         raise PreconditionError("retention probability must be in [0, 1]")

@@ -4,11 +4,13 @@ constructive builders.
 Five layers:
 
 * an exact decider (budget 24 vertices) on the anchored reach-set DP of
-  `subsetdp`, the kernel exact counting also runs; it ORs the kernel's
-  rounds into one table, reads the answer at the full mask and backtracks
-  a certificate from that table, or gives a definitive refusal; at 24
-  vertices its ints peak at 105,139,752 bytes, and twin classes in the
-  scope add at most 12,303,588 more;
+  `subsetdp`, the kernel exact counting also runs, over the counts of a
+  path's vertices in each twin class of the scope; it ORs the kernel's
+  rounds into one table, reads the answer at the full state and
+  backtracks a certificate from that table, or gives a definitive
+  refusal; its `work` is the per-vertex state count, whatever the
+  classes; at 24 vertices its ints peak at 105,139,752 bytes, on a
+  twin-free scope;
 * a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
@@ -49,7 +51,7 @@ from typing import TYPE_CHECKING
 from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of, nth_bit
 from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .sampling import StreamRng
-from .subsetdp import EXACT_BUDGET, reach_rounds
+from .subsetdp import EXACT_BUDGET, Quotient
 
 if TYPE_CHECKING:
     from .families import ExtremalGraph
@@ -261,10 +263,12 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     Paths are anchored at the lowest scope vertex; a certificate is
     backtracked when the final state closes to the anchor, each step
     taking the lowest vertex that fits.  `work` is the number of
-    (visited-set, endpoint) states, sum |reach[M]|.  Budget: 24 vertices,
-    i.e. a universe of at most 23 vertices besides the anchor.  A scope with a
-    vertex of scope-degree 1, or a disconnected one, is refused before the
-    DP with a `NotHamCert` and work 0; the DP's own refusals carry none.
+    (visited-set, endpoint) states of the per-vertex DP, sum |reach[M]|,
+    which the twin-class states of the kernel stand for.  Budget: 24
+    vertices, i.e. a universe of at most 23 vertices besides the anchor.  A
+    scope with a vertex of scope-degree 1, or a disconnected one, is
+    refused before the DP with a `NotHamCert` and work 0; the DP's own
+    refusals carry none.
     """
     if scope.size > EXACT_BUDGET:
         raise BudgetExceededError(
@@ -289,24 +293,30 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     # the anchor is local 0; the kernel runs over locals 1..s-1, shifted by 1
     free_adj = [a >> 1 for a in adj[1:]]
     seed = adj[0] >> 1
-    # table[w] is the OR of R_w over all rounds: bit M set iff w in reach[M]
-    table = [0] * (s - 1)
-    for reach in reach_rounds(free_adj, seed):
-        for w, r in enumerate(reach):
-            table[w] |= r
-    work = sum(r.bit_count() for r in table)
+    q = Quotient(free_adj, seed)
+    # table[j] is the OR of R_j over all rounds: bit x set iff a vertex of
+    # class j ends a path through the sets of counts x
+    table = [0] * len(q.classes)
+    for reach in q.rounds():
+        for j, r in enumerate(reach):
+            table[j] |= r
+    work = q.states(table)
+    digit, weight = q.digit, q.weight
     mask = (1 << (s - 1)) - 1
+    state = q.size - 1  # every class digit full: the state of mask
     want = seed  # the last vertex closes to the anchor
     order_local = []
     while mask:
-        # the lowest w next to the vertex after it that ends a path through mask
-        p = next((w for w in bits_of(want) if table[w] >> mask & 1), None)
+        # the lowest w in mask, next to the vertex after it, that ends a path
+        # through mask; by symmetry every member of its class in mask does
+        p = next((w for w in bits_of(want & mask) if table[digit[w]] >> state & 1), None)
         if p is None:
             if not order_local:
                 return HamDecision("not_hamiltonian", None, "dp", work)
             raise VerificationError("DP backtrack failed (bug)")
         order_local.append(p + 1)
         mask ^= 1 << p
+        state -= weight[digit[p]]
         want = free_adj[p]
     order_local.append(0)
     order = tuple(verts[i] for i in reversed(order_local))

@@ -4,11 +4,14 @@ The oracles here are deliberately primitive (plain backtracking, no
 bitmask DP, no memoisation) or come from networkx, so they are independent
 of the algorithms under test.  `reference_reach_rounds` is the subset DP's
 own definition, run one visited set at a time, kept as the reference the
-bit-parallel kernel must equal.  The `planted_*` generators draw the
-classifier's test graphs from the package's seeded streams; only the tests
-classify them.  Likewise only the tests list a graph's edges, build
-complete graphs and cycles, relabel a graph or delete its edges, so those
-helpers live here too.
+bit-parallel kernel must equal; `expand_rounds` turns the kernel's
+twin-class states back into per-vertex masks to compare them, and
+`reference_exact_decision` is the exact decider on the reference rounds.
+`twin_planted_graph` draws graphs made of twin classes for both.  The
+`planted_*` generators draw the classifier's test graphs from the
+package's seeded streams; only the tests classify them.  Likewise only the
+tests list a graph's edges, build complete graphs and cycles, relabel a
+graph or delete its edges, so those helpers live here too.
 """
 
 from __future__ import annotations
@@ -159,6 +162,76 @@ def reference_reach_rounds(adj: list[int], seed: int) -> list[list[int]]:
         if not grown or len(rounds) == k:
             return rounds
         layer = grown
+
+
+def expand_rounds(q) -> list[list[int]]:
+    """The rounds of a `subsetdp.Quotient` as per-vertex ints: bit M of R_w
+    is set iff w is in M and the state of M is set in R_j for w's class j.
+
+    The state of M is the sum over w in M of the weight of w's digit.  The
+    result is what `reference_reach_rounds` gives when the quotient is
+    right.
+    """
+    k = len(q.digit)
+    state = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        low = (mask & -mask).bit_length() - 1
+        state[mask] = state[mask ^ 1 << low] + q.weight[q.digit[low]]
+    return [
+        [sum(1 << mask for mask in range(1 << k)
+             if mask >> w & 1 and reach[q.digit[w]] >> state[mask] & 1)
+         for w in range(k)]
+        for reach in q.rounds()
+    ]
+
+
+def reference_exact_decision(g: Graph, scope_mask: int) -> tuple[str, tuple | None, int]:
+    """(status, cycle order or None, work) of the per-vertex exact DP on
+    g[scope]: anchored at the lowest scope vertex, work the number of
+    states sum |reach[M]|, and the certificate backtracked from the full
+    mask, each step taking the lowest vertex w next to the one after it
+    with w in reach[M].  Built on `reference_reach_rounds`, one visited set
+    at a time."""
+    verts = list(bits_of(scope_mask))
+    s = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    adj = [sum(1 << idx[u] for u in bits_of(g.rows[v] & scope_mask)) for v in verts]
+    free_adj = [a >> 1 for a in adj[1:]]
+    seed = adj[0] >> 1
+    table = [0] * (s - 1)
+    for reach in reference_reach_rounds(free_adj, seed):
+        for w, r in enumerate(reach):
+            table[w] |= r
+    work = sum(r.bit_count() for r in table)
+    mask = (1 << (s - 1)) - 1
+    want = seed
+    order = []
+    while mask:
+        p = next((w for w in bits_of(want) if table[w] >> mask & 1), None)
+        if p is None:
+            return "not_hamiltonian", None, work
+        order.append(p + 1)
+        mask ^= 1 << p
+        want = free_adj[p]
+    order.append(0)
+    return "hamiltonian", tuple(verts[i] for i in reversed(order)), work
+
+
+def twin_planted_graph(m: int, seed: int) -> Graph:
+    """A random graph on m vertices made of twin classes: a stdlib-random
+    base graph whose vertices are blown up into independent sets of one to
+    three vertices with the same neighbourhood, then relabelled at random."""
+    rnd = random.Random(seed)
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(min(rnd.choice([1, 1, 2, 3]), m - sum(sizes)))
+    base = random_graph(len(sizes), seed, p=0.55)
+    owner = [i for i, c in enumerate(sizes) for _ in range(c)]
+    perm = list(range(m))
+    rnd.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(m) for v in range(u + 1, m)
+             if base.has_edge(owner[u], owner[v])]
+    return Graph.from_edges(m, edges)
 
 
 def random_graph(m: int, seed: int, p: float = 0.5) -> Graph:

@@ -234,6 +234,26 @@ def test_estimate_invalid_p(tmp_path, capsys):
         assert code == 2, bad
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64), str((1 << 64) + 7)])
+def test_estimate_refuses_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # the streams key on 64 bits, so such a seed would alias one inside
+    f = tmp_path / "octa.g6"
+    f.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    code, out, err = run(capsys, "estimate", str(f), "--p", "1/2", "--samples", "100",
+                         f"--seed={seed}")
+    assert code == 2
+    assert out == "" and err == f"error: need 0 <= seed < 2^64, got {seed}\n"
+
+
+def test_estimate_takes_the_largest_64_bit_seed(tmp_path, capsys):
+    f = tmp_path / "octa.g6"
+    f.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    top = str((1 << 64) - 1)
+    rep = run_json(capsys, "estimate", str(f), "--p", "1/2", "--samples", "100",
+                   "--seed", top)["report"]
+    assert rep["seed"] == (1 << 64) - 1 and rep["samples"] == 100
+
+
 def test_estimate_gn_decider(tmp_path, capsys):
     eg = build_extremal(4, [5])
     f = tmp_path / "m4.g6"
@@ -263,6 +283,16 @@ def test_analyze_precondition(tmp_path, capsys):
     f.write_text(to_graph6(cycle(8)) + "\n")
     code, _, _ = run(capsys, "analyze", str(f))
     assert code == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_analyze_refuses_fewer_than_one_sample(tmp_path, capsys, samples):
+    # m = 20 takes the sampled path, where no pairs would make a vacuous pass
+    f = tmp_path / "m20.g6"
+    f.write_text(to_graph6(build_extremal(10, [11]).graph) + "\n")
+    code, out, err = run(capsys, "analyze", str(f), f"--samples={samples}")
+    assert code == 2
+    assert out == "" and err == f"error: need samples >= 1, got {samples}\n"
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from conftest import (
     brute_max_linear_forest,
     complete,
     cycle,
+    expand_rounds,
     isomorphic,
     random_graph,
     reference_reach_rounds,
@@ -34,12 +35,15 @@ from cycsets.counting import (
 )
 from cycsets.errors import BudgetExceededError, PreconditionError
 from cycsets.families import (
+    _cycle_partitions,
+    build_competitor,
     build_extremal,
     build_knn,
+    build_star_augmented,
     enumerate_regular_complements,
 )
 from cycsets.hamilton import is_hamiltonian_exact
-from cycsets.subsetdp import EXACT_BUDGET, TABLE_MAX_BITS, reach_rounds as reach_table
+from cycsets.subsetdp import EXACT_BUDGET, TABLE_MAX_BITS, Quotient
 
 
 # -- exact counts ------------------------------------------------------------
@@ -132,14 +136,14 @@ def test_count_budget():
 
 def test_table_cap_refuses_before_allocating():
     with pytest.raises(BudgetExceededError, match="table"):
-        reach_table([0] * (TABLE_MAX_BITS + 1), 1)
+        Quotient([0] * (TABLE_MAX_BITS + 1), 1)
 
 
 @pytest.mark.parametrize("k", [24, 25])
 def test_table_refusal_states_cpython_round_size(k):
-    # one round is k ints of 2^k bits, as CPython sizes them
+    # one twin-free round is k ints of 2^k bits, as CPython sizes them
     with pytest.raises(BudgetExceededError) as exc:
-        reach_table([0] * k, 1)
+        Quotient([0] * k, 1)
     stated = int(re.search(r"would take (\d+) bytes", str(exc.value)).group(1))
     assert stated == k * sys.getsizeof((1 << (1 << k)) - 1)
     if k == 25:
@@ -196,7 +200,10 @@ REACH_UNIVERSES = {
 
 @pytest.mark.parametrize("adj, seed", REACH_UNIVERSES.values(), ids=REACH_UNIVERSES)
 def test_reach_rounds_equal_the_per_vertex_reference(adj, seed):
-    assert [list(r) for r in reach_table(adj, seed)] == reference_reach_rounds(adj, seed)
+    want = reference_reach_rounds(adj, seed)
+    assert expand_rounds(Quotient(adj, seed)) == want
+    # without twin classes the states are the masks themselves
+    assert [list(r) for r in Quotient(adj, seed, twins=False).rounds()] == want
 
 
 @pytest.mark.parametrize(
@@ -206,7 +213,53 @@ def test_reach_rounds_equal_the_per_vertex_reference(adj, seed):
 )
 def test_reach_rounds_equal_the_reference_at_every_anchor(g):
     for adj, seed in _anchored_universes(g):
-        assert list(reach_table(adj, seed)) == reference_reach_rounds(adj, seed)
+        assert expand_rounds(Quotient(adj, seed)) == reference_reach_rounds(adj, seed)
+
+
+def test_quotient_layout():
+    # K_{4,6} with anchor neighbours 1, 2, 5, 6 and 8: the anchor splits
+    # each side in two classes, and no vertex is a class of its own
+    q = Quotient(*REACH_UNIVERSES["K4_6_split"])
+    assert q.classes == [[1, 2], [0, 3], [5, 6, 8], [4, 7, 9]]
+    assert (q.singles, q.weight, q.size) == (0, [1, 3, 9, 36], 3 * 3 * 4 * 4)
+    # a twin-free universe keeps the masks: k binary digits, W_w = 2^w
+    adj, seed = REACH_UNIVERSES["random_10"]
+    q = Quotient(adj, seed)
+    assert (q.singles, q.weight, q.size) == (10, [1 << w for w in range(10)], 1 << 10)
+    assert q.classes == [[w] for w in range(10)]
+
+
+def _per_vertex_count(g: Graph) -> tuple[int, ...]:
+    """per_size from the per-vertex closing sets, one popcount per mask."""
+    hist = [0] * (g.m + 1)
+    for adj, seed in _anchored_universes(g):
+        if len(adj) >= 2 and seed:
+            for t, closing in Quotient(adj, seed, twins=False).closing_sets():
+                hist[t + 1] += closing.bit_count()
+    return tuple(hist)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_extremal(6, [3, 4]).graph, build_extremal(7, [4, 4]).graph, build_knn(6),
+     build_star_augmented(6), build_competitor(3).graph, random_graph(12, 5, p=0.5)],
+    ids=["extremal_6_3_4", "extremal_7_4_4", "K6_6", "star_6", "competitor_3", "random_12"],
+)
+def test_quotient_counts_equal_the_per_vertex_counts(g):
+    assert cyc_count_exact(g).per_size == _per_vertex_count(g)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_closed_form_extremal_equals_the_dp_past_m10(n):
+    for part in _cycle_partitions(n + 1):
+        rep = cyc_count_exact(build_extremal(n, part).graph)
+        assert rep.cyclic_count == p_exact_extremal(n, part) * (1 << 2 * n), part
+
+
+def test_closed_form_knn_equals_the_dp_to_n12():
+    for n in range(1, 13):
+        rep = cyc_count_exact(build_knn(n))
+        assert rep.cyclic_count == p_exact_knn(n) * (1 << 2 * n)
 
 
 def _traced_peak(adj: list[int], seed: int) -> int:
@@ -214,7 +267,7 @@ def _traced_peak(adj: list[int], seed: int) -> int:
     try:
         base = tracemalloc.get_traced_memory()[0]
         rounds = 0
-        for _ in reach_table(adj, seed):
+        for _ in Quotient(adj, seed).rounds():
             rounds += 1
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -224,13 +277,13 @@ def _traced_peak(adj: list[int], seed: int) -> int:
 
 
 def test_reach_rounds_peak_memory_is_bounded():
-    # the subsetdp docstring's bound: 3k + 2 ints of 2^k bits while a round
-    # is built, and one more per twin class of two or more members
-    k = 16
-    one = sys.getsizeof((1 << (1 << k)) - 1)
-    assert _traced_peak(_complete_universe(k), 1) <= (3 * k + 2) * one
-    pairs = _paired(_complete_universe(k // 2))
-    assert _traced_peak(pairs, 1) <= (3 * k + k // 2 + 2) * one
+    # the subsetdp docstring's bound: 3d + 2 ints of N bits while a round
+    # is built, for d classes and N states
+    for adj in (_complete_universe(16), _paired(_complete_universe(10))):
+        q = Quotient(adj, 1)
+        one = sys.getsizeof((1 << q.size) - 1)
+        assert _traced_peak(adj, 1) <= (3 * len(q.classes) + 2) * one
+    assert len(q.classes) == 11 and q.size == 4 * 3**9  # the anchor splits one pair
 
 
 def test_count_monotone_under_edge_addition():

@@ -13,6 +13,8 @@ from conftest import (
     cycle,
     petersen,
     random_graph,
+    reference_exact_decision,
+    twin_planted_graph,
     without_edges,
 )
 
@@ -108,6 +110,24 @@ def test_exact_decisions_are_pinned_on_every_scope(graph, digest):
         dec = is_hamiltonian_exact(graph, VertexSet(mask, graph.m))
         rows.append((dec.status, getattr(dec.cert, "order", None), dec.work))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m", [9, 11, 12, 14])
+def test_exact_decisions_equal_the_per_vertex_reference_on_twin_planted_scopes(m):
+    # twin classes of up to three vertices, scopes that keep or split them
+    for seed in range(3):
+        g = twin_planted_graph(m, 100 * m + seed)
+        masks = [(1 << m) - 1] + [random_graph(m, seed + i, p=0.75).rows[0] | 1 for i in range(8)]
+        for mask in masks:
+            dec = is_hamiltonian_exact(g, VertexSet(mask, m))
+            if isinstance(dec.cert, NotHamCert):  # refused before the DP
+                assert (dec.status, dec.work) == ("not_hamiltonian", 0)
+                assert reference_exact_decision(g, mask)[0] == "not_hamiltonian"
+                continue
+            status, order, work = reference_exact_decision(g, mask)
+            assert (dec.status, getattr(dec.cert, "order", None), dec.method, dec.work) == (
+                status, order, "dp", work
+            )
 
 
 def test_exact_budget_error():
