@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
-from .errors import PreconditionError
+from .errors import PreconditionError, check_seed
 from .families import pairing_model_regular, pairing_model_repaired
 from .sampling import StreamRng
 from .structures import min_vertex_cover_exact
@@ -230,6 +230,7 @@ def classify(
         raise PreconditionError("need 0 < eps <= 1/320")
     if samples < 1:  # a sampled verdict on no pairs would be vacuous
         raise PreconditionError(f"need samples >= 1, got {samples}")
+    check_seed(seed)
     m = g.m
     if 2 * g.min_degree() < m:
         raise PreconditionError("classify requires min degree >= m/2")

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import BudgetExceededError, PreconditionError, VerificationError
+from .errors import BudgetExceededError, PreconditionError, VerificationError, check_seed
 
 if TYPE_CHECKING:
     from .bitgraph import Graph
@@ -422,8 +422,7 @@ def _suite_gncriterion(args) -> list[dict]:
         for a in range(m):
             q = anchored(g, a, twins=False)
             if q is not None:
-                for _, closing in q.closing_sets():
-                    cyclic[a] |= closing
+                cyclic[a] = q.closing()
         bad = 0
         for mask in range(1 << m):
             a = (mask & -mask).bit_length() - 1
@@ -500,12 +499,13 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
+    check_seed(args.seed)
     checks = _SUITES[args.suite](args)
     all_pass = all(c["pass"] for c in checks)
     report = {"suite": args.suite, "checks": checks, "all_pass": all_pass}
     _emit(
         report,
-        _manifest("verify", seed=getattr(args, "seed", None),
+        _manifest("verify", seed=args.seed,
                   wall=time.perf_counter() - start),
         args.out,
     )

@@ -4,23 +4,26 @@ evaluator for the extremal family, and seeded Monte Carlo estimators.
 A subset S is cyclic when G[S] has a Hamilton cycle.  Exact counts run
 the anchored reach-set DP of `subsetdp`, the kernel the exact Hamiltonicity
 decider also runs: every cyclic S is counted at its minimum vertex a, from
-one kernel run per anchor over the vertices {a+1..m-1}.  The kernel's
-states are the counts of M in each twin class of that universe.  Round t of
-the run gives the closing set of a: an int with the state x set iff
-{a} + M is cyclic for the sets M of counts x, |M| = t.  Its blocks,
-weighed by the number of sets M each state stands for, sum to the number of
-cyclic subsets of size t+1 with minimum a.  Each of the kernel's ints holds
+one kernel table per anchor over the vertices {a+1..m-1}, the fixpoint of
+in-place passes (at most one per universe vertex).  The kernel's states
+are the counts of M in each twin class of that universe.  The table gives
+the closing set of a (`Quotient.closing`): an int with the state x set iff
+{a} + M is cyclic for the sets M of counts x.  `Quotient.subsets_by_size`
+splits it by |M| = t with popcount masks and weighs each state by the
+number of sets M it stands for: the number of cyclic subsets of size t+1
+with minimum a.  Each of the kernel's ints holds
 N = 2^s * prod(|C| + 1) bits, s the number of classes of one and C the
 larger classes; N = 2^k for a twin-free universe of k vertices, the worst
-case.  There the kernel holds at most three sets of k such ints and two
-more in flight, 79,414,068 bytes at k = 23.  A universe with larger
+case.  There the fixpoint holds the table and its NOTFULL masks, two sets
+of k such ints, and three more in flight, 54,806,892 bytes at k = 23;
+splitting the closing set by size holds fewer.  A universe with larger
 classes needs fewer and smaller ints, plus one `to_bytes` copy of a
-closing set and one weight per block to read it.  So
-a count takes the kernel's budget, `subsetdp.EXACT_BUDGET` = 24 vertices
-(the anchor 0 plus a universe of 23), and refuses a larger graph before it
-starts, whatever its classes.  Exact counts run in one process and load no
-numpy.  Monte Carlo work partitions by sample index with counter-based
-streams, so estimates never depend on worker count or scheduling.
+closing set and one weight per block to read it.  So a count takes the
+kernel's budget, `subsetdp.EXACT_BUDGET` = 24 vertices (the anchor 0 plus
+a universe of 23), and refuses a larger graph before it starts, whatever
+its classes.  Exact counts run in one process and load no numpy.  Monte
+Carlo work partitions by sample index with counter-based streams, so
+estimates never depend on worker count or scheduling.
 
 The extremal family evaluator avoids enumeration entirely: for each
 2-factor cycle the number of t-vertex subsets forming exactly c arcs is
@@ -45,7 +48,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .bitgraph import Graph, VertexSet
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, check_seed
 from .subsetdp import EXACT_BUDGET, Quotient
 
 if TYPE_CHECKING:
@@ -80,9 +83,8 @@ def anchored(g: Graph, a: int, twins: bool = True) -> Quotient | None:
     local index v - (a + 1), or None when no cycle has minimum a.
 
     Every cyclic set has at least three vertices and appears once, in the
-    closing sets (`Quotient.closing_sets`) of its minimum.  With
-    twins=False the states are the masks M themselves, shifted down by
-    a + 1.
+    closing set (`Quotient.closing`) of its minimum.  With twins=False the
+    states are the masks M themselves, shifted down by a + 1.
     """
     shift = a + 1
     k = g.m - shift
@@ -97,23 +99,22 @@ def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
     vertices).
 
     Every cyclic S is counted once, at its minimum vertex a, from the
-    closing sets of a, each state weighed by the sets it stands for.  The
-    count runs in-process; `workers` is accepted for call compatibility
-    with `estimate_h` and does not change the work or the answer.
+    closing set of a split by size, each state weighed by the sets it
+    stands for.  The count runs in-process; `workers` is accepted for call
+    compatibility with `estimate_h` and does not change the work or the
+    answer.
     """
     m = g.m
     if m > EXACT_BUDGET:
         raise BudgetExceededError(f"exact counting budget: m={m} > {EXACT_BUDGET}")
-    total = 0
     hist = [0] * (m + 1)
     for a in range(m):
         q = anchored(g, a)
         if q is None:
             continue
-        for t, closing in q.closing_sets():
-            n = q.subsets(closing)
+        for t, n in enumerate(q.subsets_by_size(q.closing())):
             hist[t + 1] += n
-            total += n
+    total = sum(hist)
     return CycReport(1 << m, total, Fraction(total, 1 << m), tuple(hist))
 
 
@@ -258,8 +259,7 @@ def estimate_h(
 
     if samples < 1:
         raise PreconditionError("need samples >= 1")
-    if not 0 <= seed < 1 << 64:  # the streams key on 64 bits: no two seeds alias
-        raise PreconditionError(f"need 0 <= seed < 2^64, got {seed}")
+    check_seed(seed)
     p = Fraction(p_retention)
     if not 0 <= p <= 1:
         raise PreconditionError("retention probability must be in [0, 1]")

@@ -1,4 +1,5 @@
-"""Shared exception types; the CLI maps these onto exit codes."""
+"""Shared exception types, which the CLI maps onto exit codes, and the seed
+check of every seeded entry point."""
 
 
 class PreconditionError(ValueError):
@@ -20,3 +21,10 @@ class BudgetExceededError(RuntimeError):
 
 class VerificationError(AssertionError):
     """A verification suite found a violated claim (CLI exit code 4)."""
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2^64): the sampling streams key on its low
+    64 bits, so such a seed would draw the streams of one inside."""
+    if not 0 <= seed < 1 << 64:
+        raise PreconditionError(f"need 0 <= seed < 2^64, got {seed}")

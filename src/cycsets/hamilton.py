@@ -5,12 +5,12 @@ Five layers:
 
 * an exact decider (budget 24 vertices) on the anchored reach-set DP of
   `subsetdp`, the kernel exact counting also runs, over the counts of a
-  path's vertices in each twin class of the scope; it ORs the kernel's
-  rounds into one table, reads the answer at the full state and
-  backtracks a certificate from that table, or gives a definitive
-  refusal; its `work` is the per-vertex state count, whatever the
-  classes; at 24 vertices its ints peak at 105,139,752 bytes, on a
-  twin-free scope;
+  path's vertices in each twin class of the scope; it takes the kernel's
+  table, the fixpoint of at most one in-place pass per vertex besides the
+  anchor, reads the answer at the full state and backtracks a certificate
+  from that table, or gives a definitive refusal; its `work` is the
+  per-vertex state count, whatever the classes; at 24 vertices its ints
+  peak at 54,806,892 bytes, on a twin-free scope;
 * a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
@@ -294,12 +294,9 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     free_adj = [a >> 1 for a in adj[1:]]
     seed = adj[0] >> 1
     q = Quotient(free_adj, seed)
-    # table[j] is the OR of R_j over all rounds: bit x set iff a vertex of
-    # class j ends a path through the sets of counts x
-    table = [0] * len(q.classes)
-    for reach in q.rounds():
-        for j, r in enumerate(reach):
-            table[j] |= r
+    # table[j] has bit x set iff a vertex of class j ends a path through the
+    # sets of counts x
+    table = q.table()
     work = q.states(table)
     digit, weight = q.digit, q.weight
     mask = (1 << (s - 1)) - 1

@@ -26,36 +26,55 @@ masks M themselves.
 
 The kernel holds the table bit-parallel, in plain Python ints: R_j is an
 N-bit int with bit x set iff a vertex of class j is in reach[M] for the sets
-M of counts x (then so are all of M's members of class j).  It runs one
-round per popcount layer.  Round 1 sets bit W_j of R_j for each class j next
-to the anchor, and each later round is
+M of counts x (then so are all of M's members of class j).  Reachability is
+a monotone system, and the table is its least fixpoint.  It starts from bit
+W_j of R_j for each class j next to the anchor.  Each pass walks the
+classes, grouped by their universe neighbours, in the order of their lowest
+vertices, and applies in place
 
-    R_j <- ((OR over classes i in N(j) of R_i) & NOTFULL_j) << W_j,
+    R_j <- R_j | ((OR over classes i in N(j) of R_i) & NOTFULL_j) << W_j,
 
 where NOTFULL_j has bit x set iff digit j of x is below |C_j|: a path
 through counts x that ends next to class j extends to an unvisited member
 of it.  Digits with the same universe neighbours, split by the anchor, share
-one OR.  Round t holds exactly the layer |M| = t.  A state x stands for
-prod over the classes of binom(|C|, c_C(x)) sets M, and the per-vertex
-table's state count sum |reach[M]| counts c_j(x) endpoints of a class j at
-each of them.  `subsets` and `endpoints` weigh an int's blocks so, reading
-them from one `to_bytes` view: shifting the int once per block would take
-time quadratic in its size.
+one OR.  It stops after a pass that changes nothing.  An update reads the
+R_i that earlier steps of the same pass have grown, so after pass r every
+state of a path through at most r + 1 vertices is set: no pass after the
+(k-1)-th changes anything, and a table takes at most k passes (one for
+k <= 1).  Dense graphs, which the paper is about, take far fewer: anchored
+at vertex 0, `random_regular_graph(18, 10, seed=1)` (k = 17) takes 7 and
+`random_regular_graph(24, 13, seed=1)` (k = 23) takes 8.  A sparse universe
+whose paths run against the vertex order needs nearly all k: the cycle
+0, 1, ..., 19 anchored at 0 takes 19, since the paths through 19, 18, ...
+grow by one vertex per pass, as they would layer by layer, and each pass
+costs a whole table.
 
-A round holds d ints of N bits, d <= k the number of classes.  CPython
+A state x stands for prod over the classes of binom(|C|, c_C(x)) sets M,
+and the per-vertex table's state count sum |reach[M]| counts c_j(x)
+endpoints of a class j at each of them.  `subsets`, `subsets_by_size` and
+`states` weigh an int's blocks so, reading them from one `to_bytes` view:
+shifting the int once per block would take time quadratic in its size, and
+so would clearing its set bits one at a time.  Blocks narrower than a byte
+(s < 3) are read by one `bytes.translate` per place in a byte.
+`subsets_by_size` splits an int by |M| = sum of the digits, with one mask
+per popcount u of the s binary digits, built by the binomial recurrence
+and tiled over the blocks: block b with larger-class digits summing to c
+adds its states of that mask to the size u + c.
+
+The table holds d ints of N bits, d <= k the number of classes.  CPython
 stores 30 bits in every 4 bytes, so an int of N bits takes
 24 + 4 * ceil(N / 30) bytes (`sys.getsizeof`).  N <= 2^k, with equality for
 a twin-free universe, which is the worst case: one int takes 1,118,508
-bytes at k = TABLE_MAX_BITS = 23, and a round 25,725,684 bytes.  The
-NOTFULL_j masks take as much again.  While it builds a round the kernel
-holds three such sets and at most two ints in flight: 3d + 2 ints,
-79,414,068 bytes at k = 23.  Reading the blocks of an int takes one more
-copy of N / 8 bytes and one weight per block, prod(|C| + 1) of them; a
-twin-free universe has one block and needs neither.  The exact decider
-keeps a fourth set, the OR of all rounds: at most 4d + 2 ints, 105,139,752
-bytes at k = 23.  Wider universes are refused before anything is
-allocated, by vertex count, whatever their classes.  The kernel needs no
-numpy.
+bytes at k = TABLE_MAX_BITS = 23, and a table 25,725,684 bytes.  The
+NOTFULL_j masks take as much again, and an update has at most three ints
+in flight: 2d + 3 ints, 54,806,892 bytes at k = 23.  Splitting an int by
+size holds it, the s + 1 popcount masks, their s predecessors of half the
+width and a few ints in flight, fewer than 2d + 3 ints in all.  Reading
+the blocks of an int takes one more copy of N / 8 bytes, a popcount and a
+weight per block, prod(|C| + 1) of them, and splitting it by size one digit
+sum per block; a twin-free universe has one block and needs none of these.
+Wider universes are refused before anything is allocated, by vertex count,
+whatever their classes.  The kernel needs no numpy.
 
 Its callers add one vertex, the anchor, to the universe, so both of them,
 exact counts and the exact decider, take EXACT_BUDGET = TABLE_MAX_BITS + 1
@@ -64,7 +83,7 @@ exact counts and the exact decider, take EXACT_BUDGET = TABLE_MAX_BITS + 1
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from operator import mul
 
@@ -73,6 +92,24 @@ from .errors import BudgetExceededError
 
 TABLE_MAX_BITS = 23
 EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
+
+
+def _tile(x: int, period: int, size: int) -> int:
+    """x, below 2^period, repeated every `period` bits over `size` bits, by
+    doubling; `size` is a multiple of `period`."""
+    while period < size:
+        x |= x << period
+        period <<= 1
+    return x & (1 << size) - 1 if period > size else x
+
+
+@cache
+def _part_counts(s: int) -> list[bytes]:
+    """For blocks of 2^s < 8 bits: table r maps a byte to the popcount of
+    the r-th block in it, for `bytes.translate`."""
+    width = 1 << s
+    return [bytes((b >> r * width & (1 << width) - 1).bit_count() for b in range(256))
+            for r in range(8 >> s)]
 
 
 class Quotient:
@@ -91,10 +128,10 @@ class Quotient:
         k = len(adj)
         if k > TABLE_MAX_BITS:
             # k ints of 2^k bits, each a 24-byte header and a 4-byte digit per 30 bits
-            round_bytes = k * (24 + 4 * -(-(1 << k) // 30))
+            table_bytes = k * (24 + 4 * -(-(1 << k) // 30))
             raise BudgetExceededError(
                 f"subset-DP table budget: {k} free vertices > {TABLE_MAX_BITS} "
-                f"(one twin-free round would take {round_bytes} bytes)"
+                f"(a twin-free table of {k} ints would take {table_bytes} bytes)"
             )
         groups: dict[int, list[int]] = {}  # N(w) -> the vertices with it
         for w, a in enumerate(adj):
@@ -136,47 +173,76 @@ class Quotient:
             for a, members in groups.items()
         ]
 
-    def rounds(self):
-        """Iterator over the rounds t = 1..k: round t is the list of R_j,
-        the layer |M| = t.  After round 1 it ends at the first round that
-        would be all zero, since every later round would be zero too."""
+    def table(self) -> list[int]:
+        """The least fixpoint of the kernel: R_j has bit x set iff a vertex
+        of class j ends a path through the sets of counts x, of any size.
+
+        Each pass walks `_plan` once and grows every R_j in place; the
+        last pass is the first that changes nothing."""
         classes, weight, size = self.classes, self.weight, self.size
-        notfull = []  # the low W_j * |C_j| of every W_j * (|C_j| + 1) bits, by doubling
-        for j, c in enumerate(classes):
-            x = (1 << weight[j] * len(c)) - 1
-            period = weight[j] * (len(c) + 1)
-            while period < size:
-                x |= x << period
-                period <<= 1
-            notfull.append(x & (1 << size) - 1 if period > size else x)
-        cur = [1 << weight[j] if self.seed >> c[0] & 1 else 0 for j, c in enumerate(classes)]
-        yield cur
-        for _ in range(len(self.digit) - 1):  # the layer |M| = k is the last
-            nxt = [0] * len(classes)
-            for heads, members in self._plan:
+        table = [1 << weight[j] if self.seed >> c[0] & 1 else 0 for j, c in enumerate(classes)]
+        plan = []  # (heads, [(j, NOTFULL_j, W_j) for the members j]) per step of _plan
+        for heads, members in self._plan:
+            steps = []
+            for j in members:
+                w, c = weight[j], len(classes[j])
+                # NOTFULL_j: the low W_j * |C_j| of every W_j * (|C_j| + 1) bits
+                steps.append((j, _tile((1 << w * c) - 1, w * (c + 1), size), w))
+            plan.append((heads, steps))
+        changed = True
+        while changed:
+            changed = False
+            for heads, steps in plan:
                 acc = 0
                 for i in heads:
-                    acc |= cur[i]
+                    acc |= table[i]
                 if acc:
-                    for j in members:
-                        nxt[j] = (acc & notfull[j]) << weight[j]
-            if not any(nxt):
-                return
-            cur = nxt
-            yield cur
+                    for j, notfull, w in steps:
+                        new = table[j] | (acc & notfull) << w
+                        if new != table[j]:
+                            table[j] = new
+                            changed = True
+                        del new  # an unchanged one is garbage: at most three ints in flight
+        return table
 
-    def closing_sets(self):
-        """Yield (t, C) for t = 2, 3, ...: C is the OR of round t's R_j over
-        the classes next to the anchor, so bit x of C is set iff
-        {anchor} + M is cyclic for the sets M of counts x.  |M| = 1 closes
-        no cycle."""
-        closers = [j for j, c in enumerate(self.classes) if self.seed >> c[0] & 1]
-        for t, reach in enumerate(self.rounds(), 1):
-            if t >= 2:
-                closing = 0
-                for j in closers:
-                    closing |= reach[j]
-                yield t, closing
+    def closing(self) -> int:
+        """Bit x is set iff {anchor} + M is cyclic for the sets M of counts
+        x: the OR of the fixpoint's R_j over the classes next to the
+        anchor, less the states |M| = 1 that the fixpoint starts from,
+        which close no cycle."""
+        table = self.table()
+        out = start = 0
+        for j, c in enumerate(self.classes):
+            if self.seed >> c[0] & 1:
+                out |= table[j]
+                start |= 1 << self.weight[j]
+        return out ^ start
+
+    def subsets_by_size(self, x: int) -> list[int]:
+        """out[t] is the number of sets M with |M| = t that the states set
+        in x stand for."""
+        s = self.singles
+        # layers[u] marks the states of the s binary digits with u of them
+        # set, grown one digit at a time by the binomial recurrence
+        layers = [1]
+        for i in range(s):
+            layers = [lo | hi << (1 << i) for lo, hi in zip(layers + [0], [0] + layers)]
+        if self.size >> s == 1:  # one block: a twin-free universe
+            return [(x & layer).bit_count() for layer in layers]
+        out = [0] * (len(self.digit) + 1)
+        for u, layer in enumerate(layers):
+            pops = self._block_popcounts(x & _tile(layer, 1 << s, self.size))
+            for p, c, w in zip(pops, self._block_sizes, self._block_subsets):
+                out[u + c] += p * w
+        return out
+
+    @cached_property
+    def _block_sizes(self) -> list[int]:
+        """Block b -> sum c_C(b) over the larger classes."""
+        out = [0]
+        for c in self.classes[self.singles :]:
+            out = [v + t for v in range(len(c) + 1) for t in out]
+        return out
 
     @cached_property
     def _block_subsets(self) -> list[int]:
@@ -188,11 +254,13 @@ class Quotient:
 
     def _block_popcounts(self, x: int) -> list[int]:
         s = self.singles
-        if s < 3:  # blocks narrower than a byte: read the set bits
-            counts = [0] * (self.size >> s)
-            for i in bits_of(x):
-                counts[i >> s] += 1
-            return counts
+        if s < 3:  # 8 >> s blocks per byte: one translate per place in the byte
+            data = x.to_bytes(-(-self.size // 8), "little")
+            per = 8 >> s
+            counts = bytearray(len(data) * per)
+            for r, part in enumerate(_part_counts(s)):
+                counts[r::per] = data.translate(part)
+            return list(counts[: self.size >> s])
         view = memoryview(x.to_bytes(self.size >> 3, "little"))
         if s <= 6:  # blocks of 1, 2, 4 or 8 bytes; a popcount ignores byte order
             return list(map(int.bit_count, view.cast("BHIQ"[s - 3])))

@@ -3,10 +3,11 @@
 The oracles here are deliberately primitive (plain backtracking, no
 bitmask DP, no memoisation) or come from networkx, so they are independent
 of the algorithms under test.  `reference_reach_rounds` is the subset DP's
-own definition, run one visited set at a time, kept as the reference the
-bit-parallel kernel must equal; `expand_rounds` turns the kernel's
-twin-class states back into per-vertex masks to compare them, and
-`reference_exact_decision` is the exact decider on the reference rounds.
+own definition, run one popcount layer and one visited set at a time, and
+`reference_table`, the OR of its layers, is the reference the bit-parallel
+kernel's fixpoint must equal; `expand_table` turns the kernel's twin-class
+states back into per-vertex masks to compare them, and
+`reference_exact_decision` is the exact decider on the reference table.
 `twin_planted_graph` draws graphs made of twin classes for both.  The
 `planted_*` generators draw the classifier's test graphs from the
 package's seeded streams; only the tests classify them.  Likewise only the
@@ -140,11 +141,12 @@ def brute_min_pair_edges(g: Graph) -> int:
 
 
 def reference_reach_rounds(adj: list[int], seed: int) -> list[list[int]]:
-    """The rounds of `subsetdp.reach_rounds`, one visited set at a time.
+    """The reach-set DP one popcount layer at a time, one visited set at a
+    time.
 
     Holds reach[M] as a Python set per mask M and extends every path by one
-    vertex per round, then packs round t as the ints R_w with bit M set iff
-    w is in reach[M].  Like the kernel it always gives round 1 and stops
+    vertex per round, then packs round t, the layer |M| = t, as the ints R_w
+    with bit M set iff w is in reach[M].  It always gives round 1 and stops
     before the first later round that is all zero.
     """
     k = len(adj)
@@ -164,24 +166,33 @@ def reference_reach_rounds(adj: list[int], seed: int) -> list[list[int]]:
         layer = grown
 
 
-def expand_rounds(q) -> list[list[int]]:
-    """The rounds of a `subsetdp.Quotient` as per-vertex ints: bit M of R_w
+def reference_table(adj: list[int], seed: int) -> list[int]:
+    """The OR of the `reference_reach_rounds` layers: bit M of R_w is set
+    iff w is in reach[M], whatever |M|."""
+    table = [0] * len(adj)
+    for reach in reference_reach_rounds(adj, seed):
+        for w, r in enumerate(reach):
+            table[w] |= r
+    return table
+
+
+def expand_table(q) -> list[int]:
+    """The table of a `subsetdp.Quotient` as per-vertex ints: bit M of R_w
     is set iff w is in M and the state of M is set in R_j for w's class j.
 
     The state of M is the sum over w in M of the weight of w's digit.  The
-    result is what `reference_reach_rounds` gives when the quotient is
-    right.
+    result is what `reference_table` gives when the quotient is right.
     """
     k = len(q.digit)
     state = [0] * (1 << k)
     for mask in range(1, 1 << k):
         low = (mask & -mask).bit_length() - 1
         state[mask] = state[mask ^ 1 << low] + q.weight[q.digit[low]]
+    table = q.table()
     return [
-        [sum(1 << mask for mask in range(1 << k)
-             if mask >> w & 1 and reach[q.digit[w]] >> state[mask] & 1)
-         for w in range(k)]
-        for reach in q.rounds()
+        sum(1 << mask for mask in range(1 << k)
+            if mask >> w & 1 and table[q.digit[w]] >> state[mask] & 1)
+        for w in range(k)
     ]
 
 
@@ -190,18 +201,15 @@ def reference_exact_decision(g: Graph, scope_mask: int) -> tuple[str, tuple | No
     g[scope]: anchored at the lowest scope vertex, work the number of
     states sum |reach[M]|, and the certificate backtracked from the full
     mask, each step taking the lowest vertex w next to the one after it
-    with w in reach[M].  Built on `reference_reach_rounds`, one visited set
-    at a time."""
+    with w in reach[M].  Built on `reference_table`, one visited set at a
+    time."""
     verts = list(bits_of(scope_mask))
     s = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
     adj = [sum(1 << idx[u] for u in bits_of(g.rows[v] & scope_mask)) for v in verts]
     free_adj = [a >> 1 for a in adj[1:]]
     seed = adj[0] >> 1
-    table = [0] * (s - 1)
-    for reach in reference_reach_rounds(free_adj, seed):
-        for w, r in enumerate(reach):
-            table[w] |= r
+    table = reference_table(free_adj, seed)
     work = sum(r.bit_count() for r in table)
     mask = (1 << (s - 1)) - 1
     want = seed

@@ -95,6 +95,12 @@ def test_classify_requires_dirac_degree():
         classify(cycle(8))
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_classify_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(PreconditionError, match=r"^need 0 <= seed < 2\^64, got "):
+        classify(build_knn(10), seed=seed)
+
+
 def test_classify_knn_near_bipartite():
     c = classify(build_knn(10), seed=0)
     assert c.case == "near_bipartite"

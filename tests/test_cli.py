@@ -295,6 +295,19 @@ def test_analyze_refuses_fewer_than_one_sample(tmp_path, capsys, samples):
     assert out == "" and err == f"error: need samples >= 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_seeded_commands_refuse_a_seed_outside_64_bits(tmp_path, capsys, command, seed):
+    # as for estimate: the streams key on 64 bits, so StreamRng(-1, i) drew
+    # the stream of 2^64 - 1, and 2^64 that of 0
+    f = tmp_path / "octa.g6"
+    f.write_text(to_graph6(build_extremal(3, [4]).graph) + "\n")
+    argv = [str(f)] if command == "analyze" else ["balancedcut", "--instances", "1"]
+    code, out, err = run(capsys, command, *argv, f"--seed={seed}")
+    assert code == 2
+    assert out == "" and err == f"error: need 0 <= seed < 2^64, got {seed}\n"
+
+
 @pytest.mark.parametrize(
     "eps, message",
     [

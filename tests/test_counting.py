@@ -17,13 +17,15 @@ from conftest import (
     brute_max_linear_forest,
     complete,
     cycle,
-    expand_rounds,
+    expand_table,
     isomorphic,
     random_graph,
     reference_reach_rounds,
+    reference_table,
     relabel,
 )
 
+from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import Graph, VertexSet, bits_of
 from cycsets.counting import (
     cyc_count_exact,
@@ -141,7 +143,7 @@ def test_table_cap_refuses_before_allocating():
 
 @pytest.mark.parametrize("k", [24, 25])
 def test_table_refusal_states_cpython_round_size(k):
-    # one twin-free round is k ints of 2^k bits, as CPython sizes them
+    # a twin-free table is k ints of 2^k bits, as CPython sizes them
     with pytest.raises(BudgetExceededError) as exc:
         Quotient([0] * k, 1)
     stated = int(re.search(r"would take (\d+) bytes", str(exc.value)).group(1))
@@ -200,10 +202,11 @@ REACH_UNIVERSES = {
 
 @pytest.mark.parametrize("adj, seed", REACH_UNIVERSES.values(), ids=REACH_UNIVERSES)
 def test_reach_rounds_equal_the_per_vertex_reference(adj, seed):
-    want = reference_reach_rounds(adj, seed)
-    assert expand_rounds(Quotient(adj, seed)) == want
+    # the fixpoint is the OR of the popcount layers
+    want = reference_table(adj, seed)
+    assert expand_table(Quotient(adj, seed)) == want
     # without twin classes the states are the masks themselves
-    assert [list(r) for r in Quotient(adj, seed, twins=False).rounds()] == want
+    assert Quotient(adj, seed, twins=False).table() == want
 
 
 @pytest.mark.parametrize(
@@ -213,7 +216,9 @@ def test_reach_rounds_equal_the_per_vertex_reference(adj, seed):
 )
 def test_reach_rounds_equal_the_reference_at_every_anchor(g):
     for adj, seed in _anchored_universes(g):
-        assert expand_rounds(Quotient(adj, seed)) == reference_reach_rounds(adj, seed)
+        want = reference_table(adj, seed)
+        assert expand_table(Quotient(adj, seed)) == want
+        assert Quotient(adj, seed, twins=False).table() == want
 
 
 def test_quotient_layout():
@@ -229,12 +234,34 @@ def test_quotient_layout():
     assert q.classes == [[w] for w in range(10)]
 
 
+@pytest.mark.parametrize(
+    "adj, seed",
+    [*REACH_UNIVERSES.values(), (_bipartite_universe(1, 6), 0b1111111)],
+    ids=[*REACH_UNIVERSES, "K1_6"],
+)
+def test_block_popcounts_count_every_block(adj, seed):
+    # blocks of 2^s bits for s = 0, 1, 2 (translated a byte at a time; K1_6
+    # has s = 1), 2^3..2^6 (cast) and wider (sliced)
+    q = Quotient(adj, seed)
+    width = 1 << q.singles
+    rnd = _random.Random(len(adj) * 1000 + seed)
+    for x in (0, (1 << q.size) - 1, *(rnd.getrandbits(q.size) for _ in range(5))):
+        assert q._block_popcounts(x) == [
+            (x >> b * width & (1 << width) - 1).bit_count() for b in range(q.size >> q.singles)
+        ]
+
+
 def _per_vertex_count(g: Graph) -> tuple[int, ...]:
-    """per_size from the per-vertex closing sets, one popcount per mask."""
+    """per_size from the reference layers: at each anchor, round t's
+    closing set is the OR of R_w over the anchor's neighbours w, one bit
+    per cyclic set of size t + 1 for t >= 2."""
     hist = [0] * (g.m + 1)
     for adj, seed in _anchored_universes(g):
-        if len(adj) >= 2 and seed:
-            for t, closing in Quotient(adj, seed, twins=False).closing_sets():
+        for t, reach in enumerate(reference_reach_rounds(adj, seed), 1):
+            closing = 0
+            for w in bits_of(seed):
+                closing |= reach[w]
+            if t >= 2:
                 hist[t + 1] += closing.bit_count()
     return tuple(hist)
 
@@ -242,10 +269,14 @@ def _per_vertex_count(g: Graph) -> tuple[int, ...]:
 @pytest.mark.parametrize(
     "g",
     [build_extremal(6, [3, 4]).graph, build_extremal(7, [4, 4]).graph, build_knn(6),
-     build_star_augmented(6), build_competitor(3).graph, random_graph(12, 5, p=0.5)],
-    ids=["extremal_6_3_4", "extremal_7_4_4", "K6_6", "star_6", "competitor_3", "random_12"],
+     build_star_augmented(6), build_competitor(3).graph, random_graph(12, 5, p=0.5),
+     cycle(12), random_regular_graph(14, 3, seed=1)],
+    ids=["extremal_6_3_4", "extremal_7_4_4", "K6_6", "star_6", "competitor_3", "random_12",
+         "C12", "random_3_regular_14"],
 )
 def test_quotient_counts_equal_the_per_vertex_counts(g):
+    # C_12's paths from vertex 0 through 11 run down the vertex order, and
+    # the 3-regular graph is sparse: the fixpoint needs nearly k passes
     assert cyc_count_exact(g).per_size == _per_vertex_count(g)
 
 
@@ -266,23 +297,22 @@ def _traced_peak(adj: list[int], seed: int) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        rounds = 0
-        for _ in Quotient(adj, seed).rounds():
-            rounds += 1
+        q = Quotient(adj, seed)
+        table = q.table()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert rounds == len(adj)
+    assert any(r >> q.size - 1 for r in table)  # the fixpoint reached the full state
     return peak
 
 
 def test_reach_rounds_peak_memory_is_bounded():
-    # the subsetdp docstring's bound: 3d + 2 ints of N bits while a round
-    # is built, for d classes and N states
+    # the subsetdp docstring's bound: 2d + 3 ints of N bits while the
+    # fixpoint runs, for d classes and N states
     for adj in (_complete_universe(16), _paired(_complete_universe(10))):
         q = Quotient(adj, 1)
         one = sys.getsizeof((1 << q.size) - 1)
-        assert _traced_peak(adj, 1) <= (3 * len(q.classes) + 2) * one
+        assert _traced_peak(adj, 1) <= (2 * len(q.classes) + 3) * one
     assert len(q.classes) == 11 and q.size == 4 * 3**9  # the anchor splits one pair
 
 
