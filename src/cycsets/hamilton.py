@@ -15,12 +15,17 @@ Five layers:
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
   validated `NotHamCert`; incomplete, never claims Hamiltonicity; it
-  first skips every scope that Chvátal's degree-sequence condition
-  (Chvátal 1972) proves Hamiltonian, where no such X can exist;
+  reads the scope rows once, skips every scope that Chvátal's
+  degree-sequence condition (Chvátal 1972) proves Hamiltonian, where no
+  such X can exist, and prunes only candidates that cannot split, so the
+  first X that splits is the one found; every cut vertex comes from one
+  depth-first search, skipped where Bondy's condition (Bondy 1969) rules
+  cut vertices out;
 * a seeded rotation-extension engine: sound, incomplete, never claims
   non-Hamiltonicity; it keeps the free scope vertices as one mask, so an
-  extension step is one AND, one `StreamRng.below` draw (one stream word),
-  one word-level `nth_bit` and one XOR;
+  extension step is one AND, one `sampling.stream_pick` call (one stream
+  word, drawn and rank-selected) and one XOR; a rotation counts to its
+  pivot from the nearer end of the path;
 * constructive routines that build Hamilton paths/cycles in dense regimes
   the way the existence arguments do (delete-and-splice, pigeonhole on
   cycle successors, cherry matchings over low-degree vertices, crossing
@@ -44,13 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import ceil, floor
 from typing import TYPE_CHECKING
 
-from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of, nth_bit
+from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
 from .errors import BudgetExceededError, PreconditionError, VerificationError
-from .sampling import StreamRng
+from .sampling import stream_base, stream_below, stream_pick
 from .subsetdp import EXACT_BUDGET, Quotient
 
 if TYPE_CHECKING:
@@ -74,22 +78,36 @@ NEAR_BIPARTITE_GAMMA = Fraction(3, 10)
 NEAR_BIPARTITE_LOW = Fraction(1, 5)
 
 
+def _check_order(g: Graph, order: tuple[int, ...], scope_mask: int | None, closed: bool) -> None:
+    """Validate a certificate's vertex order in one pass: every vertex in
+    0..m-1, every step (and, for a cycle, the last back to the first) an
+    edge, no vertex twice, and, given a scope, exactly its vertices."""
+    kind = "cycle" if closed else "path"
+    m = g.m
+    if min(order) < 0 or max(order) >= m:
+        raise VerificationError(f"{kind} certificate has a vertex outside 0..{m - 1}")
+    rows = g.rows
+    u = order[-1] if closed else order[0]
+    mask = 0 if closed else 1 << u
+    for v in order if closed else order[1:]:
+        if not rows[u] >> v & 1:
+            raise VerificationError(f"certificate uses non-edge ({u},{v})")
+        mask |= 1 << v
+        u = v
+    if mask.bit_count() != len(order):
+        raise VerificationError(f"{kind} certificate repeats a vertex")
+    if scope_mask is not None and mask != scope_mask:
+        raise VerificationError(f"{kind} certificate does not cover the scope")
+
+
 @dataclass(frozen=True)
 class HamCycleCert:
     order: tuple[int, ...]
 
     def validate(self, g: Graph, scope_mask: int | None = None) -> None:
-        n = len(self.order)
-        if n < 3:
+        if len(self.order) < 3:
             raise VerificationError("cycle certificate shorter than 3")
-        if len(set(self.order)) != n:
-            raise VerificationError("cycle certificate repeats a vertex")
-        if scope_mask is not None and mask_of(self.order) != scope_mask:
-            raise VerificationError("cycle certificate does not cover the scope")
-        rows = g.rows
-        for u, v in zip(self.order, self.order[1:] + self.order[:1]):
-            if not rows[u] >> v & 1:
-                raise VerificationError(f"certificate uses non-edge ({u},{v})")
+        _check_order(g, self.order, scope_mask, closed=True)
 
 
 @dataclass(frozen=True)
@@ -97,17 +115,9 @@ class HamPathCert:
     order: tuple[int, ...]
 
     def validate(self, g: Graph, scope_mask: int | None = None) -> None:
-        n = len(self.order)
-        if n < 2:
+        if len(self.order) < 2:
             raise VerificationError("path certificate shorter than 2")
-        if len(set(self.order)) != n:
-            raise VerificationError("path certificate repeats a vertex")
-        if scope_mask is not None and mask_of(self.order) != scope_mask:
-            raise VerificationError("path certificate does not cover the scope")
-        rows = g.rows
-        for u, v in zip(self.order, self.order[1:]):
-            if not rows[u] >> v & 1:
-                raise VerificationError(f"certificate uses non-edge ({u},{v})")
+        _check_order(g, self.order, scope_mask, closed=False)
 
 
 @dataclass(frozen=True)
@@ -148,108 +158,235 @@ class HamDecision:
 # ---------------------------------------------------------------------------
 
 
+def _more_components(rows, mask: int, k: int) -> bool:
+    """Whether g[mask] has more than k components.  The sweep stops once
+    the components found plus the vertices left are at most k: each
+    component of a vertices spends a - 1 of the |mask| - k vertices that
+    more than k components can spare.  It runs `Graph.components`' search
+    inline: the generator's frames cost the m = 20 auto decider about 5%."""
+    spare = mask.bit_count() - k
+    found = 0
+    while spare > 0:
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        found += 1
+        if found > k:
+            return True
+        spare -= comp.bit_count() - 1
+        mask ^= comp
+    return False
+
+
 def _splits(g: Graph, scope_mask: int, x_mask: int) -> bool:
     """Whether g[scope] - X has more than |X| components."""
-    k = x_mask.bit_count()
-    rest = scope_mask & ~x_mask
-    if rest.bit_count() <= k:  # each component holds a vertex
-        return False
-    return next(islice(g.components(rest), k, None), 0) != 0
+    return _more_components(g.rows, scope_mask & ~x_mask, x_mask.bit_count())
 
 
-def _cheap_cut(g: Graph, scope_mask: int) -> int:
+def _scope_rows(rows, scope_mask: int) -> list[int]:
+    """N_S(v) = rows[v] & S for every scope vertex v, in increasing order."""
+    srows = []
+    rest = scope_mask
+    while rest:
+        low = rest & -rest
+        srows.append(rows[low.bit_length() - 1] & scope_mask)
+        rest ^= low
+    return srows
+
+
+def _cheap_cut(g: Graph, scope_mask: int, srows: list[int], reached: int) -> int:
     """X of one vertex that splits g[scope] (at least 3 vertices): the lone
-    neighbour of a vertex of scope-degree 1, else, for a disconnected scope,
-    a vertex of its largest component (any vertex when all are single).
-    0 when the scope is connected with minimum degree at least 2."""
-    for v in bits_of(scope_mask):
-        nbrs = g.rows[v] & scope_mask
+    neighbour of the first vertex of scope-degree 1, else, for a
+    disconnected scope, a vertex of its largest component (any vertex when
+    all are single).  `srows` are the scope rows (`_scope_rows`), `reached`
+    the component of the lowest scope vertex.  0 when the scope is
+    connected with minimum degree at least 2."""
+    for nbrs in srows:
         if nbrs.bit_count() == 1:
             return nbrs
-    comps = list(g.components(scope_mask))
-    if len(comps) == 1:
+    if reached == scope_mask:
         return 0
-    big = max(comps, key=int.bit_count)
+    big = max(g.components(scope_mask), key=int.bit_count)
     return big & -big
 
 
-def _unbalanced_side(g: Graph, scope_mask: int) -> int:
-    """The smaller colour class of a connected bipartite g[scope] whose
-    classes differ in size; 0 otherwise."""
+def _colour_classes(rows, scope_mask: int) -> tuple[int, int, bool]:
+    """Breadth-first layers of g[scope] from its lowest vertex: the vertices
+    at even depth, those at odd depth, and whether an edge joins two
+    vertices of one layer (an odd cycle).  The two masks cover the lowest
+    vertex's component; with no such edge they are its colour classes."""
     sides = [0, 0]
     layer = seen = scope_mask & -scope_mask
     depth = 0
+    odd_cycle = False
     while layer:
         nbrs = 0
-        for v in bits_of(layer):
-            nbrs |= g.rows[v]
-        if nbrs & layer:  # an edge inside a BFS layer closes an odd cycle
-            return 0
+        rest = layer
+        while rest:
+            low = rest & -rest
+            nbrs |= rows[low.bit_length() - 1]
+            rest ^= low
+        odd_cycle = odd_cycle or bool(nbrs & layer)
         sides[depth & 1] |= layer
         layer = nbrs & scope_mask & ~seen
         seen |= layer
         depth += 1
-    small, large = sorted(sides, key=int.bit_count)
-    return small if small.bit_count() < large.bit_count() else 0
+    return sides[0], sides[1], odd_cycle
 
 
-def _twin_cut(g: Graph, scope_mask: int) -> int:
-    """X = C or X = N_S(C) for a twin class C (vertices with equal
-    N(v) & S, hence independent) such that X splits g[scope]; 0 if none."""
+def _cut_vertices(rows, scope_mask: int) -> int:
+    """The cut vertices of a connected g[scope], from one depth-first search
+    (Hopcroft and Tarjan 1973), bit-parallel: the next vertex is the lowest
+    unvisited neighbour, and each vertex on the stack carries the OR of the
+    rows of its subtree so far.  A non-root v cuts off its child c when the
+    rows of c's subtree meet none of v's proper ancestors (an undirected
+    search has no cross edges); the root is a cut vertex when it has two
+    children."""
+    root = scope_mask & -scope_mask
+    unseen = scope_mask ^ root
+    on_path = root  # the vertices on the stack
+    stack = [root]
+    nbrs = [rows[root.bit_length() - 1]]
+    reach = nbrs[:]
+    cuts = 0
+    while True:
+        nxt = nbrs[-1] & unseen
+        if nxt:
+            low = nxt & -nxt
+            unseen ^= low
+            on_path |= low
+            row = rows[low.bit_length() - 1]
+            stack.append(low)
+            nbrs.append(row)
+            reach.append(row)
+            continue
+        top = stack.pop()
+        if not stack:
+            return cuts
+        nbrs.pop()
+        sub = reach.pop()
+        on_path ^= top
+        parent = stack[-1]
+        if len(stack) == 1:
+            if unseen:  # the root has another child
+                cuts |= root
+        elif not sub & (on_path ^ parent):
+            cuts |= parent
+        reach[-1] |= sub
+
+
+def _bondy(degs: list[int]) -> bool:
+    """Bondy's degree-sequence condition for 2-connectivity (Bondy 1969) on
+    the sorted degrees d_1 <= ... <= d_s of a connected scope, s >= 3: no
+    j <= (s-1)/2 has both d_j <= j and d_{s-1} < s - j.  When it holds, no
+    vertex cuts the scope: the smallest component A of S - v, a = |A| <=
+    (s-1)/2, would give a vertices of degree at most a, and only v could
+    have degree s - a or more."""
+    s = len(degs)
+    second = degs[s - 2]
+    # degs[j - 1] is d_j
+    for j in range(1, (s - 1) // 2 + 1):
+        if degs[j - 1] <= j and second < s - j:
+            return False
+    return True
+
+
+def _may_split(s: int, k: int, delta: int) -> bool:
+    """Whether an X of k vertices can split a scope of s vertices with least
+    degree delta: every component of S - X holds at least delta - k + 1
+    vertices, since each of its vertices keeps delta - k neighbours."""
+    return (s - k) // max(delta - k + 1, 1) > k
+
+
+def _toughness_cut(g: Graph, scope_mask: int, srows: list[int], degs: list[int]) -> int:
+    """The first X in `refute_toughness`'s candidate order that splits
+    g[scope], or 0; `srows` are the scope rows, `degs` their sorted
+    degrees.
+
+    Prunes skip only candidates that cannot split, so the order holds.  A
+    singleton class {v} splits iff v is a cut vertex: none exists when
+    `_bondy` holds, else all are read from one `_cut_vertices` search, run
+    at the first singleton.  X = C splits only if `_may_split`.  For
+    X = N_S(C) the |C| members of C are isolated in S - X: X splits at once
+    when |C| > |X|, else when S - X - C has more than |X| - |C| components
+    (`_more_components`, which stops when too few vertices are left)."""
+    rows = g.rows
+    reached_even, reached_odd, odd_cycle = _colour_classes(rows, scope_mask)
+    x = _cheap_cut(g, scope_mask, srows, reached_even | reached_odd)
+    if x:
+        return x
+    small, large = sorted((reached_even, reached_odd), key=int.bit_count)
+    if not odd_cycle and small.bit_count() < large.bit_count():
+        return small
     classes: dict[int, int] = {}
-    for v in bits_of(scope_mask):
-        nbrs = g.rows[v] & scope_mask
-        classes[nbrs] = classes.get(nbrs, 0) | 1 << v
+    rest = scope_mask
+    for nbrs in srows:
+        low = rest & -rest
+        classes[nbrs] = classes.get(nbrs, 0) | low
+        rest ^= low
+    s = len(degs)
+    cuts = 0 if _bondy(degs) else -1  # -1: not searched yet
     for nbrs, cls in classes.items():
-        for x in (cls, nbrs):
-            if _splits(g, scope_mask, x):
-                return x
+        c = cls.bit_count()
+        if c == 1:
+            if cuts < 0:
+                cuts = _cut_vertices(rows, scope_mask)
+            if cuts & cls:
+                return cls
+        elif _may_split(s, c, degs[0]) and _splits(g, scope_mask, cls):
+            return cls
+        k = nbrs.bit_count()
+        if c > k:
+            return nbrs
+        if _more_components(rows, scope_mask & ~nbrs & ~cls, k - c):
+            return nbrs
     return 0
 
 
-def _chvatal(g: Graph, scope_mask: int) -> bool:
-    """Chvátal's degree-sequence condition (Chvátal 1972) on g[scope], s >= 3
-    vertices: with scope degrees d_1 <= ... <= d_s, no i < s/2 has both
-    d_i <= i and d_{s-i} < s - i.  When it holds, g[scope] is Hamiltonian."""
-    rows = g.rows
-    degs = []
-    rest = scope_mask
-    while rest:
-        low = rest & -rest
-        degs.append((rows[low.bit_length() - 1] & scope_mask).bit_count())
-        rest ^= low
-    degs.sort()
+def _chvatal(degs: list[int]) -> bool:
+    """Chvátal's degree-sequence condition (Chvátal 1972) on the sorted
+    degrees d_1 <= ... <= d_s of a scope of s >= 3 vertices: no i < s/2 has
+    both d_i <= i and d_{s-i} < s - i.  When it holds, the scope is
+    Hamiltonian."""
     s = len(degs)
     # degs[i - 1] is d_i
-    return all(
-        degs[i - 1] > i or degs[s - i - 1] >= s - i for i in range(1, (s + 1) // 2)
-    )
+    for i in range(1, (s + 1) // 2):
+        if degs[i - 1] <= i and degs[s - i - 1] < s - i:
+            return False
+    return True
 
 
 def refute_toughness(g: Graph, scope_mask: int) -> NotHamCert | None:
     """A validated toughness certificate for g[scope], or None.
 
-    A scope that meets Chvátal's degree condition (`_chvatal`) is
-    Hamiltonian, hence 1-tough, so no X exists and None is returned before
-    any candidate is tried.  Candidates for X, cheapest first: the lone
+    One pass reads the scope rows N_S(v) and their degrees.  A scope that
+    meets Chvátal's degree condition (`_chvatal`) is Hamiltonian, hence
+    1-tough, so no X exists and None is returned before any candidate is
+    tried.  Candidates for X (`_toughness_cut`), cheapest first: the lone
     neighbour of a vertex of scope-degree 1; one vertex of a disconnected
     scope; the smaller colour class of an unbalanced bipartite scope; and,
-    for every twin class C (singletons included), X = C and X = N_S(C).  A
-    cut vertex never has a twin, so the singleton classes try every cut
-    vertex.  On a member of the extremal family, C = the B-part survivors
-    gives both refutations of `gn_criterion`: X = N_S(C) = T when d < 0,
-    and X = C when e(T) < d.
+    for every twin class C (singletons included) in order of its lowest
+    vertex, X = C and X = N_S(C).  A cut vertex never has a twin, so the
+    singleton classes try every cut vertex.  On a member of the extremal
+    family, C = the B-part survivors gives both refutations of
+    `gn_criterion`: X = N_S(C) = T when d < 0, and X = C when e(T) < d.
 
     None decides nothing: the Petersen graph is not Hamiltonian and has no
     such X.
     """
-    if scope_mask.bit_count() < 3 or _chvatal(g, scope_mask):
+    if scope_mask.bit_count() < 3:
         return None
-    x = (
-        _cheap_cut(g, scope_mask)
-        or _unbalanced_side(g, scope_mask)
-        or _twin_cut(g, scope_mask)
-    )
+    srows = _scope_rows(g.rows, scope_mask)
+    degs = sorted(map(int.bit_count, srows))
+    if _chvatal(degs):
+        return None
+    x = _toughness_cut(g, scope_mask, srows, degs)
     if not x:
         return None
     cert = NotHamCert(x)
@@ -278,7 +415,8 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     s = scope.size
     if s < 3:
         return HamDecision("not_hamiltonian", None, "dp", 0)
-    x = _cheap_cut(g, smask)
+    srows = _scope_rows(g.rows, smask)
+    x = _cheap_cut(g, smask, srows, next(g.components(smask)))
     if x:
         cert = NotHamCert(x)
         cert.validate(g, smask)
@@ -287,8 +425,8 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     verts = scope.members()
     idx = {v: i for i, v in enumerate(verts)}
     adj = [0] * s
-    for i, v in enumerate(verts):
-        for u in bits_of(g.rows[v] & smask):
+    for i, nbrs in enumerate(srows):
+        for u in bits_of(nbrs):
             adj[i] |= 1 << idx[u]
     # the anchor is local 0; the kernel runs over locals 1..s-1, shifted by 1
     free_adj = [a >> 1 for a in adj[1:]]
@@ -334,11 +472,12 @@ def find_ham_cycle_rotation(
     refusal.  Deterministic given seed; budget counts rotations across all
     restarts.
 
-    Each restart draws from its own stream, `StreamRng(seed, restart)`: the
-    start is the rank-`below(s)` vertex of the scope, an extension the
-    rank-`below(|ext|)` free neighbour of the endpoint, a rotation the
-    `below(#pivots)`-th pivot in path order.  `free` holds the scope
-    vertices off the path."""
+    Each restart reads its own stream, based at `stream_base(seed,
+    restart)`, one word per draw: the start is the rank-`below(s)` vertex
+    of the scope, an extension the rank-`below(|ext|)` free neighbour of
+    the endpoint (both one `stream_pick` call), a rotation the
+    `below(#pivots)`-th pivot in path order (`stream_below`).  `free`
+    holds the scope vertices off the path."""
     smask = scope.mask
     s = scope.size
     if s < 3:
@@ -349,8 +488,9 @@ def find_ham_cycle_rotation(
     for restart in range(ROTATION_RESTARTS):
         if rotations >= budget:
             break
-        below = StreamRng(seed, restart).below
-        start = nth_bit(smask, below(s))
+        base = stream_base(seed, restart)
+        start = stream_pick(base, 0, smask)
+        word = 1  # the next stream word
         path = [start]
         free = smask ^ (1 << start)
         spent = 0
@@ -358,7 +498,8 @@ def find_ham_cycle_rotation(
             end = path[-1]
             ext = rows[end] & free
             if ext:
-                v = nth_bit(ext, below(ext.bit_count()))
+                v = stream_pick(base, word, ext)
+                word += 1
                 path.append(v)
                 free ^= 1 << v
                 continue
@@ -369,13 +510,26 @@ def find_ham_cycle_rotation(
             if len(path) < 3:
                 break
             # rotate: pick a path neighbour path[i] of the endpoint, i below
-            # len(path) - 2, and reverse the tail after it
-            nbrs = rows[end] & smask & ~free
-            opts = [i for i in range(len(path) - 2) if nbrs >> path[i] & 1]
-            if not opts:
+            # len(path) - 2, and reverse the tail after it; path[-2] is
+            # always a neighbour, the only one not below len(path) - 2
+            nbrs = rows[end] & (smask ^ free)
+            pivots = nbrs.bit_count() - 1
+            if not pivots:
                 break
-            i = opts[below(len(opts))]
-            path[i + 1 :] = reversed(path[i + 1 :])
+            r = stream_below(base, word, pivots)
+            word += 1
+            # count to the r-th pivot from whichever end of the path is nearer
+            if 2 * r < pivots:
+                scan = range(len(path) - 2)
+            else:
+                scan = range(len(path) - 3, -1, -1)
+                r = pivots - 1 - r
+            for i in scan:
+                if nbrs >> path[i] & 1:
+                    if not r:
+                        break
+                    r -= 1
+            path[i + 1 :] = path[:i:-1]
             rotations += 1
             spent += 1
     return HamDecision("unknown", None, "rotation", rotations)

@@ -14,11 +14,17 @@ most `MASK_CHUNK_WORDS` words (0.5 MB per uint64 temporary) and yields the
 same masks and stream bases as `retention_mask` and `stream_base`, which
 stay as the reference definition of the stream.  numpy is imported on the
 first block, so `import cycsets.sampling` does not load it.
+
+`stream_below` and `stream_pick` draw word k of a stream from its base and
+k, with no object, for a caller that keeps its own counter: the rotation
+engine in `hamilton`, whose extension step is one `stream_pick` call.
 """
 
 from __future__ import annotations
 
 from statistics import NormalDist
+
+from .bitgraph import nth_bit
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,6 +57,40 @@ def stream_word(base: int, counter: int) -> int:
     return _mix(base ^ (counter * _COUNTER_MUL & _M64))
 
 
+def stream_below(base: int, counter: int, n: int) -> int:
+    """Uniform int in [0, n) from word `counter` of the stream with the
+    given base (multiply-shift; bias < n/2^64).
+
+    The word is mixed here in one frame: `stream_word` inlined.  A draw
+    from a single value (n = 1) is 0 for any word, so it skips the mixing;
+    the caller still spends its word."""
+    if n == 1:
+        return 0
+    z = base ^ (counter * _COUNTER_MUL & _M64)
+    z = (z ^ (z >> 30)) * _MIX_MUL1 & _M64
+    z = (z ^ (z >> 27)) * _MIX_MUL2 & _M64
+    return (z ^ (z >> 31)) * n >> 64
+
+
+def stream_pick(base: int, counter: int, mask: int) -> int:
+    """The set bit of a nonempty mask of rank `stream_below(base, counter,
+    popcount)`, drawn and selected in one call: `stream_below` and
+    `nth_bit` inlined for ranks below 8, where the lowest bits are cleared
+    one by one."""
+    n = mask.bit_count()
+    if n == 1:
+        return mask.bit_length() - 1
+    z = base ^ (counter * _COUNTER_MUL & _M64)
+    z = (z ^ (z >> 30)) * _MIX_MUL1 & _M64
+    z = (z ^ (z >> 27)) * _MIX_MUL2 & _M64
+    r = (z ^ (z >> 31)) * n >> 64
+    if r >= 8:
+        return nth_bit(mask, r)
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
 class StreamRng:
     """Sequential convenience wrapper over the counter-based stream: the
     k-th draw reads word k, `stream_word(base, k)`."""
@@ -62,19 +102,10 @@ class StreamRng:
         self._ctr = 0
 
     def below(self, n: int) -> int:
-        """Uniform int in [0, n) (multiply-shift; bias < n/2^64).
-
-        One draw costs one word, mixed here in one frame: `stream_word`
-        inlined.  A draw from a single value (n = 1) is 0 for any word, so
-        it skips the mixing but still counts its word."""
+        """Uniform int in [0, n): `stream_below` on the next word."""
         ctr = self._ctr
         self._ctr = ctr + 1
-        if n == 1:
-            return 0
-        z = self._base ^ (ctr * _COUNTER_MUL & _M64)
-        z = (z ^ (z >> 30)) * _MIX_MUL1 & _M64
-        z = (z ^ (z >> 27)) * _MIX_MUL2 & _M64
-        return (z ^ (z >> 31)) * n >> 64
+        return stream_below(self._base, ctr, n)
 
 
 def retention_mask(seed: int, sample_index: int, m: int, p_num: int, p_den: int) -> int:

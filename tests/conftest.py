@@ -8,7 +8,10 @@ own definition, run one popcount layer and one visited set at a time, and
 kernel's fixpoint must equal; `expand_table` turns the kernel's twin-class
 states back into per-vertex masks to compare them, and
 `reference_exact_decision` is the exact decider on the reference table.
-`twin_planted_graph` draws graphs made of twin classes for both.  The
+`twin_planted_graph` draws graphs made of twin classes for both.
+`reference_toughness_cut` is the toughness refuter's candidate search
+with no gate and no prunes, and `reference_cut_vertices` finds cut
+vertices by deleting each vertex and counting components.  The
 `planted_*` generators draw the classifier's test graphs from the
 package's seeded streams; only the tests classify them.  Likewise only the
 tests list a graph's edges, build complete graphs and cycles, relabel a
@@ -223,6 +226,57 @@ def reference_exact_decision(g: Graph, scope_mask: int) -> tuple[str, tuple | No
         want = free_adj[p]
     order.append(0)
     return "hamiltonian", tuple(verts[i] for i in reversed(order)), work
+
+
+def reference_toughness_cut(g: Graph, scope_mask: int) -> int:
+    """The toughness refuter's plain candidate search, with no degree gate
+    and no prunes: the first X in order such that g[S] - X has more than
+    |X| components, or 0.  The order: the lone neighbour of the first
+    vertex of scope-degree 1; for a disconnected scope, the lowest vertex
+    of its first largest component; the smaller colour class of an
+    unbalanced connected bipartite scope; then, for each twin class C (equal
+    N(v) & S) in order of its lowest vertex, C and then N_S(C).  Every
+    candidate is checked by listing the components of g[S - X]."""
+    verts = list(bits_of(scope_mask))
+    nbrs = [g.rows[v] & scope_mask for v in verts]
+    candidates = [x for x in nbrs if x.bit_count() == 1][:1]
+    comps = list(g.components(scope_mask))
+    if len(comps) > 1:
+        big = max(comps, key=int.bit_count)
+        candidates.append(big & -big)
+    else:
+        colour = {verts[0]: 0}
+        queue = [verts[0]]
+        for v in queue:
+            for u in bits_of(g.rows[v] & scope_mask):
+                if u not in colour:
+                    colour[u] = 1 - colour[v]
+                    queue.append(u)
+        sides = [sum(1 << v for v in verts if colour[v] == c) for c in (0, 1)]
+        bipartite = all(
+            colour[u] != colour[v] for v in verts for u in bits_of(g.rows[v] & scope_mask)
+        )
+        small, large = sorted(sides, key=int.bit_count)
+        if bipartite and small.bit_count() < large.bit_count():
+            candidates.append(small)
+    classes: dict[int, int] = {}
+    for v, x in zip(verts, nbrs):
+        classes[x] = classes.get(x, 0) | 1 << v
+    for x, cls in classes.items():
+        candidates += [cls, x]
+    for x in candidates:
+        if x and len(list(g.components(scope_mask & ~x))) > x.bit_count():
+            return x
+    return 0
+
+
+def reference_cut_vertices(g: Graph, scope_mask: int) -> int:
+    """The vertices whose deletion leaves g[scope] with more components."""
+    whole = len(list(g.components(scope_mask)))
+    return sum(
+        1 << v for v in bits_of(scope_mask)
+        if len(list(g.components(scope_mask & ~(1 << v)))) > whole
+    )
 
 
 def twin_planted_graph(m: int, seed: int) -> Graph:

@@ -13,18 +13,22 @@ from conftest import (
     cycle,
     petersen,
     random_graph,
+    reference_cut_vertices,
     reference_exact_decision,
+    reference_toughness_cut,
     twin_planted_graph,
     without_edges,
 )
 
 from cycsets import hamilton
 from cycsets.analysis import random_regular_graph
-from cycsets.bitgraph import Cut, Graph, VertexSet
+from cycsets.bitgraph import Cut, Graph, VertexSet, bits_of
 from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
 from cycsets.families import build_extremal, build_knn
 from cycsets.hamilton import (
+    HamCycleCert,
     HamDecision,
+    HamPathCert,
     NotHamCert,
     decide_hamiltonian_auto,
     find_ham_cycle_rotation,
@@ -247,6 +251,30 @@ def test_not_ham_cert_rejects_forgeries():
     NotHamCert(0b1).validate(star, star.full_mask())
 
 
+def test_order_certificates_reject_vertices_outside_the_graph():
+    g = Graph.complete_bipartite(3, 3)
+    for scope in (None, g.full_mask()):
+        with pytest.raises(VerificationError, match="outside"):
+            HamCycleCert((0, 3, 1, -1)).validate(g, scope)
+        with pytest.raises(VerificationError, match="outside"):
+            HamCycleCert((9, 0, 3)).validate(g, scope)
+        with pytest.raises(VerificationError, match="outside"):
+            HamPathCert((9, 0)).validate(g, scope)
+        with pytest.raises(VerificationError, match="outside"):
+            HamPathCert((0, -3)).validate(g, scope)
+    # in range, the same checks as before: repeats, cover, non-edges
+    with pytest.raises(VerificationError, match="repeats"):
+        HamCycleCert((0, 3, 0, 4)).validate(g)
+    with pytest.raises(VerificationError, match="repeats"):
+        HamPathCert((0, 3, 0)).validate(g)
+    with pytest.raises(VerificationError, match="cover"):
+        HamCycleCert((0, 3, 1, 4)).validate(g, g.full_mask())
+    with pytest.raises(VerificationError, match="non-edge"):
+        HamCycleCert((0, 3, 1)).validate(g)
+    HamCycleCert((0, 3, 1, 4, 2, 5)).validate(g, g.full_mask())
+    HamPathCert((0, 3, 1, 4)).validate(g, 0b11011)
+
+
 def test_hamiltonian_decision_needs_a_cycle_certificate():
     for cert in (None, NotHamCert(1)):
         with pytest.raises(VerificationError):
@@ -305,6 +333,10 @@ def test_refuter_settles_every_family_refutation(n, cycles):
         assert (cert is None) == gn_criterion(eg, VertexSet(mask, g.m)), f"{mask:b}"
 
 
+def _scope_degrees(g: Graph, mask: int) -> list[int]:
+    return sorted((g.rows[v] & mask).bit_count() for v in bits_of(mask))
+
+
 @pytest.mark.parametrize(
     "m, p, seed", [(8, 0.6, 1), (9, 0.7, 2), (10, 0.65, 3), (11, 0.75, 4), (12, 0.7, 5)]
 )
@@ -312,27 +344,96 @@ def test_chvatal_gate_holds_only_on_hamiltonian_scopes(m, p, seed):
     g = random_graph(m, 7700 + seed, p=p)
     held = 0
     for mask in range(1 << m):
-        if mask.bit_count() < 3 or not hamilton._chvatal(g, mask):
+        if mask.bit_count() < 3 or not hamilton._chvatal(_scope_degrees(g, mask)):
             continue
         held += 1
         assert is_hamiltonian_exact(g, VertexSet(mask, m)).status == "hamiltonian"
         assert refute_toughness(g, mask) is None
         # nor would any candidate have refuted it without the gate
-        assert not (
-            hamilton._cheap_cut(g, mask)
-            or hamilton._unbalanced_side(g, mask)
-            or hamilton._twin_cut(g, mask)
-        )
+        assert reference_toughness_cut(g, mask) == 0
     assert held > 0
 
 
 def test_chvatal_gate_skips_the_candidates(monkeypatch):
-    def unreachable(g, scope_mask):
+    def unreachable(*args):
         raise AssertionError("the refuter searched a Chvátal scope")
 
-    monkeypatch.setattr(hamilton, "_twin_cut", unreachable)
+    monkeypatch.setattr(hamilton, "_toughness_cut", unreachable)
     g = build_extremal(6, [7]).graph
     assert refute_toughness(g, g.full_mask()) is None
+    # the same search runs on a scope that misses the gate
+    with pytest.raises(AssertionError, match="Chvátal"):
+        refute_toughness(petersen(), petersen().full_mask())
+
+
+# random graphs at m <= 11, and graphs of twin classes of up to three
+# vertices, which exercise X = C and |C| > |N_S(C)|
+REFUTER_GRAPHS = {
+    **{f"random_{m}_{p}": (m, p) for m in (7, 9, 11) for p in (0.3, 0.5, 0.7)},
+    **{f"twins_{m}_{seed}": (m, seed) for m in (9, 11) for seed in range(2)},
+}
+
+
+def _refuter_graph(name: str) -> Graph:
+    m, param = REFUTER_GRAPHS[name]
+    if name.startswith("twins"):
+        return twin_planted_graph(m, 300 * m + param)
+    return random_graph(m, 8800 + 10 * m + int(10 * param), p=param)
+
+
+@pytest.mark.parametrize("name", sorted(REFUTER_GRAPHS))
+def test_refuter_finds_the_plain_search_certificate(name):
+    # the gate and the prunes skip only candidates that cannot split, so the
+    # first X that splits, in the plain search's order, is the one returned
+    g = _refuter_graph(name)
+    for mask in range(1 << g.m):
+        if mask.bit_count() < 3:
+            continue
+        x = reference_toughness_cut(g, mask)
+        assert refute_toughness(g, mask) == (NotHamCert(x) if x else None), f"{mask:b}"
+
+
+@pytest.mark.parametrize("name", sorted(REFUTER_GRAPHS))
+def test_cut_vertices_from_one_search_equal_delete_and_count(name):
+    g = _refuter_graph(name)
+    connected = bondy = 0
+    for mask in range(1, 1 << g.m):
+        if next(g.components(mask)) != mask:
+            continue
+        connected += 1
+        cuts = reference_cut_vertices(g, mask)
+        assert hamilton._cut_vertices(g.rows, mask) == cuts, f"{mask:b}"
+        # Bondy's condition, which lets the refuter skip the search
+        if mask.bit_count() >= 3 and hamilton._bondy(_scope_degrees(g, mask)):
+            bondy += 1
+            assert cuts == 0, f"{mask:b}"
+    assert connected > bondy > 0
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): an outer n-cycle u_i, spokes u_i v_i, inner edges v_i v_{i+k}."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph.from_edges(2 * n, edges)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_generalized_petersen_oracle(n):
+    # GP(n, 2) is non-Hamiltonian exactly when n = 5 (mod 6) (Alspach 1983)
+    g = generalized_petersen(n, 2)
+    assert g.degrees() == [3] * (2 * n)
+    want = "not_hamiltonian" if n % 6 == 5 else "hamiltonian"
+    exact = is_hamiltonian_exact(g, _full(g.m))
+    auto = decide_hamiltonian_auto(g, _full(g.m))
+    assert (exact.status, auto.status) == (want, want)
+    for dec in (exact, auto):
+        if dec.cert is not None:
+            dec.cert.validate(g, g.full_mask())
+    if want == "not_hamiltonian":
+        # cubic and 1-tough: no toughness certificate, the DP refuses
+        assert refute_toughness(g, g.full_mask()) is None
+        assert (auto.method, auto.cert) == ("dp", None)
 
 
 def _auto_stream_digest(g: Graph, seed: int, samples: int) -> str:

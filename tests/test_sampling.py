@@ -1,16 +1,20 @@
-"""Counter-based streams: the block mask generator and the sequential
-`StreamRng` against the scalar reference definition of the stream."""
+"""Counter-based streams: the block mask generator, the sequential
+`StreamRng` and the one-call draws against the scalar reference definition
+of the stream."""
 
 from __future__ import annotations
 
 import pytest
 
 from cycsets import sampling
+from cycsets.bitgraph import bits_of
 from cycsets.sampling import (
     StreamRng,
     retention_mask,
     retention_masks,
     stream_base,
+    stream_below,
+    stream_pick,
     stream_word,
 )
 
@@ -71,3 +75,20 @@ def test_below_one_still_counts_its_word():
     got = [rng.below(1 if ctr % 3 else 1000) for ctr in range(30)]
     want = [0 if ctr % 3 else (stream_word(base, ctr) * 1000) >> 64 for ctr in range(30)]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [0b1, 1 << 70, 0b1011, (1 << 9) - 1, (1 << 64) - 1, (1 << 600) - 1 - (1 << 300),
+     sum(1 << v for v in range(0, 600, 7))],
+    ids=["one_bit", "one_high_bit", "three", "nine", "word", "600_bits", "every_7th"],
+)
+def test_stream_pick_is_the_ranked_bit_of_the_reference_draw(mask):
+    # ranks below 8 and from 8 up, masks within one word and over ten
+    bits = list(bits_of(mask))
+    for seed, index in ((0, 0), (12345, 7), (-7, 2**40)):
+        base = stream_base(seed, index)
+        for ctr in range(60):
+            rank = stream_word(base, ctr) * len(bits) >> 64
+            assert stream_pick(base, ctr, mask) == bits[rank]
+            assert stream_below(base, ctr, len(bits)) == rank
