@@ -13,15 +13,13 @@ splits it by |M| = t with popcount masks and weighs each state by the
 number of sets M it stands for: the number of cyclic subsets of size t+1
 with minimum a.  Each of the kernel's ints holds
 N = 2^s * prod(|C| + 1) bits, s the number of classes of one and C the
-larger classes; N = 2^k for a twin-free universe of k vertices, the worst
-case.  There the fixpoint holds the table and its NOTFULL masks, two sets
-of k such ints, and three more in flight, 54,806,892 bytes at k = 23;
-splitting the closing set by size holds fewer.  A universe with larger
-classes needs fewer and smaller ints, plus one `to_bytes` copy of a
-closing set and one weight per block to read it.  So a count takes the
-kernel's budget, `subsetdp.EXACT_BUDGET` = 24 vertices (the anchor 0 plus
-a universe of 23), and refuses a larger graph before it starts, whatever
-its classes.  Exact counts run in one process and load no numpy.  Monte
+larger classes; N = 2^k for a twin-free universe of k vertices.  The only
+budget is the kernel's, in bytes (`subsetdp.TABLE_MAX_BYTES`): each anchor's
+`Quotient` refuses before it builds an int of N bits, so a count holds no
+vertex limit of its own.  A twin-free graph keeps the limit of 24
+vertices (the anchor 0 plus a universe of 23, refused at once past it),
+and graphs with large twin classes, such as the paper's families, count
+far past it.  Exact counts run in one process and load no numpy.  Monte
 Carlo work partitions by sample index with counter-based streams, so
 estimates never depend on worker count or scheduling.
 
@@ -49,7 +47,7 @@ from typing import TYPE_CHECKING
 
 from .bitgraph import Graph, VertexSet
 from .errors import BudgetExceededError, PreconditionError, check_seed
-from .subsetdp import EXACT_BUDGET, Quotient
+from .subsetdp import Quotient
 
 if TYPE_CHECKING:
     from .families import ExtremalGraph
@@ -95,8 +93,9 @@ def anchored(g: Graph, a: int, twins: bool = True) -> Quotient | None:
 
 
 def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
-    """Exact Cyc(g) by the shared anchored DP (budget EXACT_BUDGET = 24
-    vertices).
+    """Exact Cyc(g) by the shared anchored DP, within the kernel's byte
+    budget (`subsetdp.TABLE_MAX_BYTES`), which each anchor's `Quotient`
+    checks before it allocates.
 
     Every cyclic S is counted once, at its minimum vertex a, from the
     closing set of a split by size, each state weighed by the sets it
@@ -105,8 +104,6 @@ def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
     answer.
     """
     m = g.m
-    if m > EXACT_BUDGET:
-        raise BudgetExceededError(f"exact counting budget: m={m} > {EXACT_BUDGET}")
     hist = [0] * (m + 1)
     for a in range(m):
         q = anchored(g, a)
@@ -250,9 +247,9 @@ def estimate_h(
     """Monte Carlo estimate of h(G, p): the probability that independent
     vertex retention with probability p leaves a Hamiltonian subgraph.
 
-    Undecided samples (possible only with decider='auto' above the exact
-    budget) count as failures and are reported, keeping the estimate a
-    certified lower bound.  Counter-based streams keyed by sample index
+    Undecided samples (possible only with decider='auto', on scopes the
+    exact kernel refuses) count as failures and are reported, keeping the
+    estimate a certified lower bound.  Counter-based streams keyed by sample index
     make the report identical for every worker count.
     """
     from .sampling import wilson_interval

@@ -3,14 +3,16 @@ constructive builders.
 
 Five layers:
 
-* an exact decider (budget 24 vertices) on the anchored reach-set DP of
-  `subsetdp`, the kernel exact counting also runs, over the counts of a
-  path's vertices in each twin class of the scope; it takes the kernel's
-  table, the fixpoint of at most one in-place pass per vertex besides the
-  anchor, reads the answer at the full state and backtracks a certificate
-  from that table, or gives a definitive refusal; its `work` is the
-  per-vertex state count, whatever the classes; at 24 vertices its ints
-  peak at 54,806,892 bytes, on a twin-free scope;
+* an exact decider on the anchored reach-set DP of `subsetdp`, the kernel
+  exact counting also runs, over the counts of a path's vertices in each
+  twin class of the scope; it takes the kernel's table, the fixpoint of at
+  most one in-place pass per vertex besides the anchor, reads the answer
+  at the full state and backtracks a certificate from that table, or gives
+  a definitive refusal; its `work` is the per-vertex state count, whatever
+  the classes; its only budget is the kernel's, `TABLE_MAX_BYTES`
+  (54,806,892 bytes: a twin-free scope of 24 vertices, and far more
+  vertices with large twin classes), which the kernel checks before it
+  allocates;
 * a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
@@ -55,7 +57,7 @@ from typing import TYPE_CHECKING
 from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
 from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .sampling import stream_base, stream_below, stream_pick
-from .subsetdp import EXACT_BUDGET, Quotient
+from .subsetdp import Quotient
 
 if TYPE_CHECKING:
     from .families import ExtremalGraph
@@ -401,16 +403,13 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     backtracked when the final state closes to the anchor, each step
     taking the lowest vertex that fits.  `work` is the number of
     (visited-set, endpoint) states of the per-vertex DP, sum |reach[M]|,
-    which the twin-class states of the kernel stand for.  Budget: 24
-    vertices, i.e. a universe of at most 23 vertices besides the anchor.  A
-    scope with a vertex of scope-degree 1, or a disconnected one, is
-    refused before the DP with a `NotHamCert` and work 0; the DP's own
-    refusals carry none.
+    which the twin-class states of the kernel stand for.  A scope with a
+    vertex of scope-degree 1, or a disconnected one, is refused before the
+    DP with a `NotHamCert` and work 0, at any size; the DP's own refusals
+    carry none.  Past that, the kernel's byte budget applies: `Quotient`
+    raises BudgetExceededError before it allocates (every twin-free scope
+    of more than 24 vertices).
     """
-    if scope.size > EXACT_BUDGET:
-        raise BudgetExceededError(
-            f"exact Hamiltonicity budget: |scope|={scope.size} > {EXACT_BUDGET}"
-        )
     smask = scope.mask
     s = scope.size
     if s < 3:
@@ -542,9 +541,12 @@ def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDec
        that meets Chvátal's degree condition skips its candidates;
     2. rotation, within AUTO_ROTATIONS rotations, capped at s*s on scopes of at
        most SMALL_SCOPE vertices, which bounds the cost of a refuter miss;
-    3. the exact DP, for scopes within its budget of 24 vertices.
+    3. the exact DP, for scopes within the kernel's byte budget
+       (`subsetdp.TABLE_MAX_BYTES`: twin-free scopes of at most 24
+       vertices, larger ones with large twin classes).
 
-    Beyond 24 vertices a scope neither refuted nor rotated stays unknown.
+    A scope neither refuted nor rotated that the kernel refuses stays
+    unknown, with the rotation's decision.
     """
     s = scope.size
     if s < 3:
@@ -554,9 +556,12 @@ def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDec
         return HamDecision("not_hamiltonian", cert, "toughness", 0)
     budget = min(AUTO_ROTATIONS, s * s) if s <= SMALL_SCOPE else AUTO_ROTATIONS
     dec = find_ham_cycle_rotation(g, scope, budget=budget, seed=seed)
-    if dec.status == "hamiltonian" or s > EXACT_BUDGET:
+    if dec.status == "hamiltonian":
         return dec
-    return is_hamiltonian_exact(g, scope)
+    try:
+        return is_hamiltonian_exact(g, scope)
+    except BudgetExceededError:
+        return dec
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +571,15 @@ def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDec
 
 def _cycle_in_scope(g: Graph, scope_mask: int, seed: int) -> list[int]:
     """Hamilton cycle of g[scope] via rotation (200 rotations per vertex,
-    at least 20000), exact fallback when small."""
+    at least 20000), exact fallback within the kernel's byte budget."""
     size = scope_mask.bit_count()
     scope = VertexSet(scope_mask, g.m)
     dec = find_ham_cycle_rotation(g, scope, budget=max(20000, 200 * size), seed=seed)
-    if dec.status != "hamiltonian" and size <= EXACT_BUDGET:
-        dec = is_hamiltonian_exact(g, scope)
+    if dec.status != "hamiltonian":
+        try:
+            dec = is_hamiltonian_exact(g, scope)
+        except BudgetExceededError:
+            pass
     if dec.status != "hamiltonian":
         raise BudgetExceededError(
             f"cycle engine gave up on a {size}-vertex scope (work {dec.work})"

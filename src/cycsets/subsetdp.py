@@ -63,35 +63,61 @@ adds its states of that mask to the size u + c.
 
 The table holds d ints of N bits, d <= k the number of classes.  CPython
 stores 30 bits in every 4 bytes, so an int of N bits takes
-24 + 4 * ceil(N / 30) bytes (`sys.getsizeof`).  N <= 2^k, with equality for
-a twin-free universe, which is the worst case: one int takes 1,118,508
-bytes at k = TABLE_MAX_BITS = 23, and a table 25,725,684 bytes.  The
-NOTFULL_j masks take as much again, and an update has at most three ints
-in flight: 2d + 3 ints, 54,806,892 bytes at k = 23.  Splitting an int by
-size holds it, the s + 1 popcount masks, their s predecessors of half the
-width and a few ints in flight, fewer than 2d + 3 ints in all.  Reading
-the blocks of an int takes one more copy of N / 8 bytes, a popcount and a
-weight per block, prod(|C| + 1) of them, and splitting it by size one digit
-sum per block; a twin-free universe has one block and needs none of these.
-Wider universes are refused before anything is allocated, by vertex count,
-whatever their classes.  The kernel needs no numpy.
+24 + 4 * ceil(N / 30) bytes (`sys.getsizeof`).  The NOTFULL_j masks take
+as much again, and an update has at most three ints in flight: 2d + 3 ints
+while the fixpoint runs.  Splitting an int by size holds it, the s + 1
+popcount masks, their s predecessors of half the width and a few ints in
+flight, fewer than 2d + 3 ints in all.  Reading the blocks of an int takes
+one more copy of N / 8 bytes and, per block, one slot each in three lists
+(popcounts, digit sums, weights) and a weight int, no wider than the
+product of the central binom(|C|, floor(|C| / 2)); a list being built is
+held beside the one it grows from, at most a third as long.  (A popcount
+above 256 is an int of its own too, but only in blocks of 512 bits or
+more, where the ints of N bits that a read no longer holds cover it.)  A
+twin-free universe has one block and needs none of these.
 
-Its callers add one vertex, the anchor, to the universe, so both of them,
-exact counts and the exact decider, take EXACT_BUDGET = TABLE_MAX_BITS + 1
-= 24 vertices, and refuse more before they start.
+`Quotient` adds these up from its classes, before it builds any int of N
+bits, and refuses a universe whose sum passes TABLE_MAX_BYTES: the sum for
+a twin-free universe of 23 vertices (N = 2^23, 49 ints of 1,118,508 bytes),
+54,806,892 bytes.  Twin-free universes keep that limit of 23 vertices;
+every universe of at most 23 vertices fits, whatever its classes, and a
+universe with large twin classes fits far past it (the extremal member
+with one 19-cycle, m = 36, needs 25.8 MB at anchor 0).  This is the only
+exact budget: exact counts and the exact decider add one vertex, the
+anchor, to the universe and go as far as the kernel takes them.  The
+kernel needs no numpy.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from .bitgraph import bits_of
 from .errors import BudgetExceededError
 
-TABLE_MAX_BITS = 23
-EXACT_BUDGET = TABLE_MAX_BITS + 1  # the anchor plus the DP table's width
+
+def _int_bytes(bits: int) -> int:
+    """sys.getsizeof of an int of `bits` bits: a 24-byte header and a
+    4-byte digit per 30 bits."""
+    return 24 + 4 * -(-bits // 30)
+
+
+def _peak_bytes(s: int, larger: list[list[int]]) -> int:
+    """The most bytes a count or a decision holds on a universe of s
+    classes of one and the larger classes `larger`: 2d + 3 ints of N bits
+    while the fixpoint runs and, past one block, per block three list slots
+    and a weight, a third again while the lists are built."""
+    blocks = prod(len(c) + 1 for c in larger)
+    peak = (2 * (s + len(larger)) + 3) * _int_bytes(blocks << s)
+    if blocks > 1:
+        heaviest = prod(comb(len(c), len(c) // 2) for c in larger)
+        peak += blocks * (3 * 8 + _int_bytes(heaviest.bit_length())) * 4 // 3
+    return peak
+
+
+TABLE_MAX_BYTES = _peak_bytes(23, [])  # a twin-free universe of 23 vertices: 54,806,892
 
 
 def _tile(x: int, period: int, size: int) -> int:
@@ -120,19 +146,13 @@ class Quotient:
     classes of one before the larger ones; `digit[w]` is w's digit,
     `weight[j]` is W_j and `size` is N.  With twins=False every vertex is a
     class of its own, so the states are the masks M, as in the per-vertex
-    DP.  Raises BudgetExceededError at construction, before allocating,
-    above TABLE_MAX_BITS vertices.
+    DP.  `peak_bytes` is the most a count or a decision on the universe
+    holds; construction raises BudgetExceededError, before allocating, when
+    it passes TABLE_MAX_BYTES.
     """
 
     def __init__(self, adj: list[int], seed: int, twins: bool = True):
         k = len(adj)
-        if k > TABLE_MAX_BITS:
-            # k ints of 2^k bits, each a 24-byte header and a 4-byte digit per 30 bits
-            table_bytes = k * (24 + 4 * -(-(1 << k) // 30))
-            raise BudgetExceededError(
-                f"subset-DP table budget: {k} free vertices > {TABLE_MAX_BITS} "
-                f"(a twin-free table of {k} ints would take {table_bytes} bytes)"
-            )
         groups: dict[int, list[int]] = {}  # N(w) -> the vertices with it
         for w, a in enumerate(adj):
             groups.setdefault(a, []).append(w)
@@ -144,6 +164,14 @@ class Quotient:
                     c = [w for w in members if seed >> w & 1 == near]
                     if len(c) > 1:
                         larger.append(c)
+        s = k - sum(map(len, larger))
+        self.peak_bytes = peak = _peak_bytes(s, larger)
+        if peak > TABLE_MAX_BYTES:
+            need = f"{peak}" if peak.bit_length() <= 64 else f"over 2^{peak.bit_length() - 1}"
+            raise BudgetExceededError(
+                f"subset-DP budget: {k} free vertices in {s + len(larger)} classes "
+                f"would take {need} bytes > {TABLE_MAX_BYTES}"
+            )
         # _plan: (digits of N(w), digits of the vertices w) for each N(w)
         if not larger:  # every class is one vertex: digit w is vertex w
             self.classes = [[w] for w in range(k)]
@@ -155,7 +183,7 @@ class Quotient:
             return
         inlarger = sum(1 << w for c in larger for w in c)
         self.classes = [[w] for w in range(k) if not inlarger >> w & 1] + larger
-        self.singles = s = k - inlarger.bit_count()
+        self.singles = s
         self.weight = weight = [1 << j for j in range(s)]
         size = 1 << s
         for c in larger:

@@ -17,7 +17,8 @@ import pytest
 from conftest import complete, cycle, isomorphic, planted_two_cliques
 
 import cycsets
-from cycsets.bitgraph import Graph, from_graph6, to_graph6
+from cycsets.analysis import random_regular_graph
+from cycsets.bitgraph import from_graph6, to_graph6
 from cycsets.cli import main
 from cycsets.counting import p_exact_knn
 from cycsets.families import build_competitor, build_extremal, build_knn
@@ -131,24 +132,36 @@ def test_count_stdin(capsys, monkeypatch):
 
 
 def test_count_within_the_exact_budget(tmp_path, capsys):
-    # m = 22: within the DP's 24 vertices, so no flag is needed
-    f = tmp_path / "k1111.g6"
-    f.write_text(to_graph6(build_knn(11)) + "\n")
-    rep = run_json(capsys, "count", str(f))["report"]
-    assert Fraction(rep["p_exact"]) == p_exact_knn(11)
+    # m = 22 and m = 26: K_{n,n} is two twin classes, well within the DP's bytes
+    for n in (11, 13):
+        f = tmp_path / "knn.g6"
+        f.write_text(to_graph6(build_knn(n)) + "\n")
+        rep = run_json(capsys, "count", str(f))["report"]
+        assert Fraction(rep["p_exact"]) == p_exact_knn(n)
 
 
 def test_count_budget_exit(tmp_path, capsys):
-    # past 24 vertices the count is refused before the DP starts
-    for g in (Graph.complete_bipartite(12, 13), build_extremal(300, [301]).graph):
+    # a twin-free graph past 24 vertices is refused before the DP allocates
+    graphs = (complete(25), random_regular_graph(26, 13, seed=1), build_extremal(300, [301]).graph)
+    for g in graphs:
         f = tmp_path / "big.g6"
         f.write_text(to_graph6(g) + "\n")
         start = time.perf_counter()
         code, out, err = run(capsys, "count", str(f))
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err == f"budget exceeded: exact counting budget: m={g.m} > 24\n"
+        assert err.startswith(f"budget exceeded: subset-DP budget: {g.m - 1} free vertices in ")
+        assert err.endswith(" bytes > 54806892\n") and err.count("\n") == 1
         assert len(err) < 200
+    assert "would take over 2^" in err  # m = 600: no 90-digit byte count
+
+
+def test_estimate_exact_decider_past_24_vertices(tmp_path, capsys):
+    # every sample keeps all of K_{13,13}: the exact decider's whole-graph scope
+    f = tmp_path / "k1313.g6"
+    f.write_text(to_graph6(build_knn(13)) + "\n")
+    rep = run_json(capsys, "estimate", str(f), "--p", "1", "--samples", "3", "--decider", "exact")
+    assert rep["report"]["successes"] == 3
 
 
 def test_count_takes_only_an_input_and_out(capsys):

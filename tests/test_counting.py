@@ -5,6 +5,7 @@ from __future__ import annotations
 import random as _random
 import re
 import sys
+import time
 import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
@@ -28,6 +29,7 @@ from conftest import (
 from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import Graph, VertexSet, bits_of
 from cycsets.counting import (
+    anchored,
     cyc_count_exact,
     cycle_profile,
     estimate_h,
@@ -45,7 +47,7 @@ from cycsets.families import (
     enumerate_regular_complements,
 )
 from cycsets.hamilton import is_hamiltonian_exact
-from cycsets.subsetdp import EXACT_BUDGET, TABLE_MAX_BITS, Quotient
+from cycsets.subsetdp import TABLE_MAX_BYTES, Quotient
 
 
 # -- exact counts ------------------------------------------------------------
@@ -129,27 +131,56 @@ def test_count_isomorphism_invariance():
 
 
 def test_count_budget():
-    # the anchor 0 plus the table's 23 free vertices
-    assert EXACT_BUDGET == TABLE_MAX_BITS + 1 == 24
-    for g in (Graph.empty(25), build_knn(13)):
-        with pytest.raises(BudgetExceededError, match=f"^exact counting budget: m={g.m} > 24$"):
+    # the peak of a twin-free universe of 23 vertices: 2 * 23 + 3 ints of 2^23 bits
+    assert TABLE_MAX_BYTES == 49 * sys.getsizeof((1 << (1 << 23)) - 1) == 54_806_892
+    # twin-free universes of 24 or more vertices at anchor 0 (the m = 600
+    # member's 301-cycle side is twin-free)
+    for g in (complete(25), random_regular_graph(26, 13, seed=1), build_extremal(300, [301]).graph):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=f"^subset-DP budget: {g.m - 1} free "):
             cyc_count_exact(g)
+        assert time.perf_counter() - start < 1.0
+    # past 24 vertices, within the bytes: the empty graph, K_{12,13} and K_{13,13}
+    assert cyc_count_exact(Graph.empty(25)).cyclic_count == 0
+    for a, b in ((12, 13), (13, 13)):
+        rep = cyc_count_exact(Graph.complete_bipartite(a, b))
+        assert rep.cyclic_count == sum(comb(a, t) * comb(b, t) for t in range(2, a + 1))
+
+
+def _traced_peak(run) -> int:
+    """The most bytes traced while run() runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _refused(adj: list[int], seed: int) -> None:
+    with pytest.raises(BudgetExceededError, match="^subset-DP budget: "):
+        Quotient(adj, seed)
 
 
 def test_table_cap_refuses_before_allocating():
-    with pytest.raises(BudgetExceededError, match="table"):
-        Quotient([0] * (TABLE_MAX_BITS + 1), 1)
+    # the refusal comes from the classes alone: no int of N bits is built
+    # (at k = 24 one would take 2,236,982 bytes, at m = 600 over 2^300)
+    assert _traced_peak(lambda: _refused(_complete_universe(24), 1)) < 50_000
+    g = build_extremal(300, [301]).graph
+    adj, seed = [g.rows[v] >> 1 for v in range(1, g.m)], g.rows[0] >> 1
+    assert _traced_peak(lambda: _refused(adj, seed)) < 500_000
 
 
 @pytest.mark.parametrize("k", [24, 25])
 def test_table_refusal_states_cpython_round_size(k):
-    # a twin-free table is k ints of 2^k bits, as CPython sizes them
+    # a twin-free universe peaks at 2k + 3 ints of 2^k bits, as CPython sizes them
     with pytest.raises(BudgetExceededError) as exc:
-        Quotient([0] * k, 1)
+        Quotient(_complete_universe(k), 1)
     stated = int(re.search(r"would take (\d+) bytes", str(exc.value)).group(1))
-    assert stated == k * sys.getsizeof((1 << (1 << k)) - 1)
+    assert stated == (2 * k + 3) * sys.getsizeof((1 << (1 << k)) - 1)
     if k == 25:
-        assert stated == 111_848_800
+        assert stated == 237_119_456
 
 
 def _bipartite_universe(a: int, b: int) -> list[int]:
@@ -293,27 +324,46 @@ def test_closed_form_knn_equals_the_dp_to_n12():
         assert rep.cyclic_count == p_exact_knn(n) * (1 << 2 * n)
 
 
-def _traced_peak(adj: list[int], seed: int) -> int:
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        q = Quotient(adj, seed)
-        table = q.table()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert any(r >> q.size - 1 for r in table)  # the fixpoint reached the full state
-    return peak
+def test_closed_forms_equal_the_dp_past_m24():
+    # the family's p tends to 1/2; its large twin classes keep the DP small
+    for n, part in ((13, [14]), (15, [8, 8]), (18, [19])):
+        rep = cyc_count_exact(build_extremal(n, part).graph)
+        assert rep.cyclic_count == p_exact_extremal(n, part) * (1 << 2 * n), part
+    for n in (13, 20):
+        assert cyc_count_exact(build_knn(n)).cyclic_count == p_exact_knn(n) * (1 << 2 * n)
+
+
+def _blown_up(n: int, seed: int) -> Graph:
+    """A random graph on n vertices with each vertex made a pair of twins."""
+    return Graph(2 * n, tuple(_paired(random_graph(n, seed, p=0.5).rows)))
 
 
 def test_reach_rounds_peak_memory_is_bounded():
-    # the subsetdp docstring's bound: 2d + 3 ints of N bits while the
-    # fixpoint runs, for d classes and N states
+    # the fixpoint alone: 2d + 3 ints of N bits, for d classes and N states
     for adj in (_complete_universe(16), _paired(_complete_universe(10))):
         q = Quotient(adj, 1)
         one = sys.getsizeof((1 << q.size) - 1)
-        assert _traced_peak(adj, 1) <= (2 * len(q.classes) + 3) * one
+        table = []
+        assert _traced_peak(lambda: table.extend(q.table())) <= (2 * len(q.classes) + 3) * one
+        assert any(r >> q.size - 1 for r in table)  # the fixpoint reached the full state
     assert len(q.classes) == 11 and q.size == 4 * 3**9  # the anchor splits one pair
+    # a whole count and a whole decision at anchor 0, block lists included,
+    # within the bytes the kernel states: twin-free at k = 23 (the budget
+    # itself), the extremal member at m = 36 (18 blocks) and pairs of twins
+    # (s = 1, 3^11 blocks; the decision reads every larger class's blocks
+    # in Python, so it runs on 3^9)
+    layouts = [(complete(24), True), (build_extremal(18, [19]).graph, True),
+               (_blown_up(12, 1), False), (_blown_up(10, 1), True)]
+    for g, decide in layouts:
+        q = anchored(g, 0)
+        assert _traced_peak(lambda: q.subsets_by_size(q.closing())) <= q.peak_bytes
+        if decide:
+            q = anchored(g, 0)
+            assert _traced_peak(lambda: q.states(q.table())) <= q.peak_bytes
+    assert anchored(complete(24), 0).peak_bytes == TABLE_MAX_BYTES
+    # the m = 28 blow-up held 57.5 MB in a count without the byte budget
+    with pytest.raises(BudgetExceededError, match="^subset-DP budget: 27 free vertices in 14 "):
+        anchored(_blown_up(14, 1), 0)
 
 
 def test_count_monotone_under_edge_addition():
@@ -489,6 +539,15 @@ def test_estimate_auto_matches_gn_at_m40():
         gn = estimate_h(eg.graph, Fraction(1, 2), 500, seed, decider="gn", eg=eg)
         assert auto.successes == gn.successes
         assert auto.undecided_fraction == 0
+
+
+def test_estimate_auto_decides_every_star_augmented_sample():
+    # three samples are scopes of 25-27 vertices that neither the refuter
+    # nor rotation settles; their twin classes keep them within the DP's bytes
+    g = build_star_augmented(20)
+    rep = estimate_h(g, Fraction(1, 2), 300, 1, decider="auto")
+    assert rep.undecided_fraction == 0
+    assert rep.ci_low <= cyc_count_exact(g).p_exact <= rep.ci_high
 
 
 # successes of estimate_h(G, p, samples, seed=11) as the scalar mask loop

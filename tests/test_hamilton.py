@@ -140,6 +140,15 @@ def test_exact_budget_error():
         is_hamiltonian_exact(g, _full(25))
 
 
+def test_exact_cheap_refusals_come_before_the_budget():
+    # K_29 is twin-free, past the kernel's bytes, but vertex 29 hangs on 0 alone
+    g = Graph.from_edges(30, [*((u, v) for u in range(29) for v in range(u + 1, 29)), (0, 29)])
+    dec = is_hamiltonian_exact(g, _full(30))
+    assert (dec.status, dec.method, dec.work) == ("not_hamiltonian", "dp", 0)
+    assert isinstance(dec.cert, NotHamCert)
+    dec.cert.validate(g, _full(30).mask)
+
+
 def test_exact_agrees_with_backtracking_all_5_vertex_graphs():
     pairs = list(combinations(range(5), 2))
     for code in range(1 << len(pairs)):
