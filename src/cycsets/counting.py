@@ -76,20 +76,19 @@ class EstimateReport:
     decider: str
 
 
-def anchored(g: Graph, a: int, twins: bool = True) -> Quotient | None:
+def anchored(g: Graph, a: int) -> Quotient | None:
     """The kernel of anchor a over the universe of the vertices above it,
     local index v - (a + 1), or None when no cycle has minimum a.
 
     Every cyclic set has at least three vertices and appears once, in the
-    closing set (`Quotient.closing`) of its minimum.  With twins=False the
-    states are the masks M themselves, shifted down by a + 1.
+    closing set (`Quotient.closing`) of its minimum.
     """
     shift = a + 1
     k = g.m - shift
     anchor_adj = g.rows[a] >> shift
     if k < 2 or not anchor_adj:
         return None
-    return Quotient([g.rows[shift + i] >> shift for i in range(k)], anchor_adj, twins)
+    return Quotient([g.rows[shift + i] >> shift for i in range(k)], anchor_adj)
 
 
 def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:

@@ -8,8 +8,8 @@ Five layers:
   twin class of the scope; it takes the kernel's table, the fixpoint of at
   most one in-place pass per vertex besides the anchor, reads the answer
   at the full state and backtracks a certificate from that table, or gives
-  a definitive refusal; its `work` is the per-vertex state count, whatever
-  the classes; its only budget is the kernel's, `TABLE_MAX_BYTES`
+  a definitive refusal; its `work` is the kernel's own state count, the
+  set bits of the table; its only budget is the kernel's, `TABLE_MAX_BYTES`
   (54,806,892 bytes: a twin-free scope of 24 vertices, and far more
   vertices with large twin classes), which the kernel checks before it
   allocates;
@@ -401,9 +401,10 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
 
     Paths are anchored at the lowest scope vertex; a certificate is
     backtracked when the final state closes to the anchor, each step
-    taking the lowest vertex that fits.  `work` is the number of
-    (visited-set, endpoint) states of the per-vertex DP, sum |reach[M]|,
-    which the twin-class states of the kernel stand for.  A scope with a
+    taking the lowest vertex that fits.  `work` is the number of states
+    the kernel set, the pairs (class j, counts x) with bit x of R_j set:
+    sum |reach[M]| on a twin-free scope, one state per twin class and
+    count vector where the scope has twins.  A scope with a
     vertex of scope-degree 1, or a disconnected one, is refused before the
     DP with a `NotHamCert` and work 0, at any size; the DP's own refusals
     carry none.  Past that, the kernel's byte budget applies: `Quotient`
@@ -434,7 +435,7 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     # table[j] has bit x set iff a vertex of class j ends a path through the
     # sets of counts x
     table = q.table()
-    work = q.states(table)
+    work = sum(map(int.bit_count, table))
     digit, weight = q.digit, q.weight
     mask = (1 << (s - 1)) - 1
     state = q.size - 1  # every class digit full: the state of mask

@@ -49,14 +49,12 @@ whose paths run against the vertex order needs nearly all k: the cycle
 grow by one vertex per pass, as they would layer by layer, and each pass
 costs a whole table.
 
-A state x stands for prod over the classes of binom(|C|, c_C(x)) sets M,
-and the per-vertex table's state count sum |reach[M]| counts c_j(x)
-endpoints of a class j at each of them.  `subsets`, `subsets_by_size` and
-`states` weigh an int's blocks so, reading them from one `to_bytes` view:
-shifting the int once per block would take time quadratic in its size, and
-so would clearing its set bits one at a time.  Blocks narrower than a byte
-(s < 3) are read by one `bytes.translate` per place in a byte.
-`subsets_by_size` splits an int by |M| = sum of the digits, with one mask
+A state x stands for prod over the classes of binom(|C|, c_C(x)) sets M.
+`subsets_by_size` weighs an int's blocks so, reading them from one
+`to_bytes` view: shifting the int once per block would take time quadratic
+in its size, and so would clearing its set bits one at a time.  Blocks
+narrower than a byte (s < 3) are read by one `bytes.translate` per place
+in a byte.  It splits an int by |M| = sum of the digits, with one mask
 per popcount u of the s binary digits, built by the binomial recurrence
 and tiled over the blocks: block b with larger-class digits summing to c
 adds its states of that mask to the size u + c.
@@ -92,7 +90,6 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from math import comb, prod
-from operator import mul
 
 from .bitgraph import bits_of
 from .errors import BudgetExceededError
@@ -144,21 +141,19 @@ class Quotient:
 
     `classes[j]` lists the local vertices of digit j, lowest first, the
     classes of one before the larger ones; `digit[w]` is w's digit,
-    `weight[j]` is W_j and `size` is N.  With twins=False every vertex is a
-    class of its own, so the states are the masks M, as in the per-vertex
-    DP.  `peak_bytes` is the most a count or a decision on the universe
-    holds; construction raises BudgetExceededError, before allocating, when
-    it passes TABLE_MAX_BYTES.
+    `weight[j]` is W_j and `size` is N.  `peak_bytes` is the most a count
+    or a decision on the universe holds; construction raises
+    BudgetExceededError, before allocating, when it passes TABLE_MAX_BYTES.
     """
 
-    def __init__(self, adj: list[int], seed: int, twins: bool = True):
+    def __init__(self, adj: list[int], seed: int):
         k = len(adj)
         groups: dict[int, list[int]] = {}  # N(w) -> the vertices with it
         for w, a in enumerate(adj):
             groups.setdefault(a, []).append(w)
         self.seed = seed
         larger = []  # the classes of two or more: sets of twins, split by the anchor
-        if twins and len(groups) < k:
+        if len(groups) < k:
             for members in groups.values():
                 for near in (1, 0):
                     c = [w for w in members if seed >> w & 1 == near]
@@ -297,29 +292,3 @@ class Quotient:
             int.from_bytes(view[i : i + step], "little").bit_count()
             for i in range(0, len(view), step)
         ]
-
-    def subsets(self, x: int) -> int:
-        """The number of sets M that the states set in x stand for."""
-        if self.size >> self.singles == 1:  # one block: a twin-free universe
-            return x.bit_count()
-        return sum(map(mul, self._block_popcounts(x), self._block_subsets))
-
-    def states(self, table: list[int]) -> int:
-        """The number of per-vertex states (M, w), w in reach[M], that the
-        ints R_j of a table stand for: sum |reach[M]|.  A state x of R_j
-        counts its sets M once for a class of one, c_j(x) times for a larger
-        class."""
-        s = self.singles
-        if self.size >> s == 1:  # one block: a twin-free universe
-            return sum(map(int.bit_count, table))
-        total = sum(map(self.subsets, table[:s]))
-        for j in range(s, len(table)):
-            stride = self.weight[j] >> s
-            radix = len(self.classes[j]) + 1
-            pops = self._block_popcounts(table[j])
-            total += sum(
-                p * w * (b // stride % radix)
-                for b, (p, w) in enumerate(zip(pops, self._block_subsets))
-                if p
-            )
-        return total

@@ -7,7 +7,8 @@ own definition, run one popcount layer and one visited set at a time, and
 `reference_table`, the OR of its layers, is the reference the bit-parallel
 kernel's fixpoint must equal; `expand_table` turns the kernel's twin-class
 states back into per-vertex masks to compare them, and
-`reference_exact_decision` is the exact decider on the reference table.
+`reference_exact_decision` is the exact decider on the reference table,
+its work the reference's states counted by twin class and class counts.
 `twin_planted_graph` draws graphs made of twin classes for both.
 `reference_toughness_cut` is the toughness refuter's candidate search
 with no gate and no prunes, and `reference_cut_vertices` finds cut
@@ -201,11 +202,14 @@ def expand_table(q) -> list[int]:
 
 def reference_exact_decision(g: Graph, scope_mask: int) -> tuple[str, tuple | None, int]:
     """(status, cycle order or None, work) of the per-vertex exact DP on
-    g[scope]: anchored at the lowest scope vertex, work the number of
-    states sum |reach[M]|, and the certificate backtracked from the full
-    mask, each step taking the lowest vertex w next to the one after it
-    with w in reach[M].  Built on `reference_table`, one visited set at a
-    time."""
+    g[scope]: anchored at the lowest scope vertex, and the certificate
+    backtracked from the full mask, each step taking the lowest vertex w
+    next to the one after it with w in reach[M].  Built on
+    `reference_table`, one visited set at a time.  work counts the distinct
+    pairs (class of w, counts of M in every class) over the states (M, w)
+    with w in reach[M], where a class is a set of free vertices with the
+    same free neighbours and the same adjacency to the anchor; on a
+    twin-free scope that is sum |reach[M]|."""
     verts = list(bits_of(scope_mask))
     s = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
@@ -213,7 +217,13 @@ def reference_exact_decision(g: Graph, scope_mask: int) -> tuple[str, tuple | No
     free_adj = [a >> 1 for a in adj[1:]]
     seed = adj[0] >> 1
     table = reference_table(free_adj, seed)
-    work = sum(r.bit_count() for r in table)
+    classes: dict[tuple[int, int], int] = {}
+    for w, a in enumerate(free_adj):
+        classes[a, seed >> w & 1] = classes.get((a, seed >> w & 1), 0) | 1 << w
+    work = len({
+        (classes[a, seed >> w & 1], tuple((mask & c).bit_count() for c in classes.values()))
+        for w, (a, r) in enumerate(zip(free_adj, table)) for mask in bits_of(r)
+    })
     mask = (1 << (s - 1)) - 1
     want = seed
     order = []

@@ -22,6 +22,7 @@ from cycsets.bitgraph import from_graph6, to_graph6
 from cycsets.cli import main
 from cycsets.counting import p_exact_knn
 from cycsets.families import build_competitor, build_extremal, build_knn
+from cycsets.subsetdp import Quotient
 
 
 def run(capsys, *argv):
@@ -358,6 +359,23 @@ def test_verify_calculus(capsys):
 def test_verify_gncriterion_n4(capsys):
     payload = run_json(capsys, "verify", "gncriterion", "--n", "4")
     assert payload["report"]["all_pass"] is True
+
+
+def test_verify_gncriterion_reads_the_kernel_that_counts(capsys, monkeypatch):
+    # one cyclic state dropped from every closing set over twin classes: a
+    # fault of the layout that counts and decides, which a suite run on
+    # per-mask states would not see
+    closing = Quotient.closing
+
+    def faulty(q):
+        x = closing(q)
+        return x ^ (x & -x) if q.size >> q.singles > 1 else x
+
+    monkeypatch.setattr(Quotient, "closing", faulty)
+    code, out, err = run(capsys, "verify", "gncriterion", "--n", "4")
+    assert code != 0
+    [check] = json.loads(out)["report"]["checks"]
+    assert check["pass"] is False and not check["detail"].endswith(" 0 disagreements")
 
 
 def test_verify_gncriterion_refuses_past_the_exact_budget(capsys):

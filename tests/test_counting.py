@@ -236,8 +236,6 @@ def test_reach_rounds_equal_the_per_vertex_reference(adj, seed):
     # the fixpoint is the OR of the popcount layers
     want = reference_table(adj, seed)
     assert expand_table(Quotient(adj, seed)) == want
-    # without twin classes the states are the masks themselves
-    assert Quotient(adj, seed, twins=False).table() == want
 
 
 @pytest.mark.parametrize(
@@ -249,7 +247,6 @@ def test_reach_rounds_equal_the_reference_at_every_anchor(g):
     for adj, seed in _anchored_universes(g):
         want = reference_table(adj, seed)
         assert expand_table(Quotient(adj, seed)) == want
-        assert Quotient(adj, seed, twins=False).table() == want
 
 
 def test_quotient_layout():
@@ -347,19 +344,16 @@ def test_reach_rounds_peak_memory_is_bounded():
         assert _traced_peak(lambda: table.extend(q.table())) <= (2 * len(q.classes) + 3) * one
         assert any(r >> q.size - 1 for r in table)  # the fixpoint reached the full state
     assert len(q.classes) == 11 and q.size == 4 * 3**9  # the anchor splits one pair
-    # a whole count and a whole decision at anchor 0, block lists included,
-    # within the bytes the kernel states: twin-free at k = 23 (the budget
-    # itself), the extremal member at m = 36 (18 blocks) and pairs of twins
-    # (s = 1, 3^11 blocks; the decision reads every larger class's blocks
-    # in Python, so it runs on 3^9)
-    layouts = [(complete(24), True), (build_extremal(18, [19]).graph, True),
-               (_blown_up(12, 1), False), (_blown_up(10, 1), True)]
-    for g, decide in layouts:
+    # a whole count, block lists included, and a whole decision's table and
+    # state count at anchor 0, within the bytes the kernel states: twin-free
+    # at k = 23 (the budget itself), the extremal member at m = 36 (18
+    # blocks) and pairs of twins (s = 1, 3^11 and 3^9 blocks)
+    layouts = [complete(24), build_extremal(18, [19]).graph, _blown_up(12, 1), _blown_up(10, 1)]
+    for g in layouts:
         q = anchored(g, 0)
         assert _traced_peak(lambda: q.subsets_by_size(q.closing())) <= q.peak_bytes
-        if decide:
-            q = anchored(g, 0)
-            assert _traced_peak(lambda: q.states(q.table())) <= q.peak_bytes
+        q = anchored(g, 0)
+        assert _traced_peak(lambda: sum(map(int.bit_count, q.table()))) <= q.peak_bytes
     assert anchored(complete(24), 0).peak_bytes == TABLE_MAX_BYTES
     # the m = 28 blow-up held 57.5 MB in a count without the byte budget
     with pytest.raises(BudgetExceededError, match="^subset-DP budget: 27 free vertices in 14 "):

@@ -84,13 +84,14 @@ def test_exact_petersen_not_hamiltonian():
     "graph, status, work",
     [
         (petersen(), "not_hamiltonian", 237),
-        (build_knn(5), "hamiltonian", 630),
-        (build_extremal(6, [7]).graph, "hamiltonian", 8228),
+        (build_knn(5), "hamiltonian", 9),
+        (build_extremal(6, [7]).graph, "hamiltonian", 780),
     ],
     ids=["petersen", "k55", "extremal_6_7"],
 )
 def test_exact_work_is_the_state_count(graph, status, work):
-    # values recorded on the per-mask loop that the vectorised kernel replaced
+    # the kernel's own states: Petersen is twin-free, so its 237 are the
+    # per-vertex states sum |reach[M]|; K_{5,5} has two classes and 9 states
     dec = is_hamiltonian_exact(graph, _full(graph.m))
     assert (dec.status, dec.work) == (status, work)
 
@@ -100,15 +101,16 @@ def test_exact_work_is_the_state_count(graph, status, work):
     [
         (petersen(), "26a44a2ee962afd84f6244e2f05ddddd8a378e483e3547d793a3143c12b55339"),
         (build_extremal(5, [6]).graph,
-         "6b41d2a01bfa90d92adf466f831505d58b5f8390429fc4ff9be289ef01384195"),
+         "35f9038dde67a218cd5142cda15384cf14b3b120321a70a8da8e2fdd463c712b"),
         (random_regular_graph(12, 6, seed=8),
-         "32db36dff2cc4ad1b3d7c2e7ff8939de7de57cb8d0989453867d585c57e7dbd3"),
+         "e052ad3fdfb53a5ba10838fa64fa896d2952b331bc11838b6c56ae645bec0dcd"),
     ],
     ids=["petersen", "extremal_5_6", "random_6_regular_12"],
 )
 def test_exact_decisions_are_pinned_on_every_scope(graph, digest):
     # sha256 of repr() of (status, cert.order or None, work) for every scope
-    # mask in increasing order, as the numpy layer-table kernel decided them
+    # mask in increasing order: status and order as the numpy layer-table
+    # kernel decided them, work the twin-class kernel's state count
     rows = []
     for mask in range(1 << graph.m):
         dec = is_hamiltonian_exact(graph, VertexSet(mask, graph.m))
