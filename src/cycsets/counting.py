@@ -9,9 +9,10 @@ in-place passes (at most one per universe vertex).  The kernel's states
 are the counts of M in each twin class of that universe.  The table gives
 the closing set of a (`Quotient.closing`): an int with the state x set iff
 {a} + M is cyclic for the sets M of counts x.  `Quotient.subsets_by_size`
-splits it by |M| = t with popcount masks and weighs each state by the
-number of sets M it stands for: the number of cyclic subsets of size t+1
-with minimum a.  Each of the kernel's ints holds
+splits it by |M| = t, reading it one digit run of each larger class at a
+time down to popcount masks over the classes of one, and weighs each state
+by the number of sets M it stands for: the number of cyclic subsets of
+size t+1 with minimum a.  Each of the kernel's ints holds
 N = 2^s * prod(|C| + 1) bits, s the number of classes of one and C the
 larger classes; N = 2^k for a twin-free universe of k vertices.  The only
 budget is the kernel's, in bytes (`subsetdp.TABLE_MAX_BYTES`): each anchor's

@@ -50,45 +50,41 @@ grow by one vertex per pass, as they would layer by layer, and each pass
 costs a whole table.
 
 A state x stands for prod over the classes of binom(|C|, c_C(x)) sets M.
-`subsets_by_size` weighs an int's blocks so, reading them from one
-`to_bytes` view: shifting the int once per block would take time quadratic
-in its size, and so would clearing its set bits one at a time.  Blocks
-narrower than a byte (s < 3) are read by one `bytes.translate` per place
-in a byte.  It splits an int by |M| = sum of the digits, with one mask
-per popcount u of the s binary digits, built by the binomial recurrence
-and tiled over the blocks: block b with larger-class digits summing to c
-adds its states of that mask to the size u + c.
+`subsets_by_size` weighs an int's states so, in one recursive read.  For
+the outermost larger class C, of weight W, digit d of x is the bit run
+x >> d*W & (2^W - 1).  Each nonempty run is read one class further in, with
+d more vertices and binom(|C|, d) times the sets.  A run of the s binary
+digits (2^s bits) is split by |M| with one mask per popcount u of those
+digits, built by the binomial recurrence: its states in mask u add to the
+size u plus the digits outside it.  Each class shifts the rest of its run
+once per digit and stops when nothing is left, so a read passes over the
+int about (|C| + 1) / 2 times per larger class and makes one call per
+nonempty run.  A twin-free universe is one run of 2^k bits.
 
 The table holds d ints of N bits, d <= k the number of classes.  CPython
 stores 30 bits in every 4 bytes, so an int of N bits takes
 24 + 4 * ceil(N / 30) bytes (`sys.getsizeof`).  The NOTFULL_j masks take
 as much again, and an update has at most three ints in flight: 2d + 3 ints
-while the fixpoint runs.  Splitting an int by size holds it, the s + 1
-popcount masks, their s predecessors of half the width and a few ints in
-flight, fewer than 2d + 3 ints in all.  Reading the blocks of an int takes
-one more copy of N / 8 bytes and, per block, one slot each in three lists
-(popcounts, digit sums, weights) and a weight int, no wider than the
-product of the central binom(|C|, floor(|C| / 2)); a list being built is
-held beside the one it grows from, at most a third as long.  (A popcount
-above 256 is an int of its own too, but only in blocks of 512 bits or
-more, where the ints of N bits that a read no longer holds cover it.)  A
-twin-free universe has one block and needs none of these.
+while the fixpoint runs.  Splitting an int by size holds fewer: the s + 1
+popcount masks of 2^s bits and their s predecessors of half the width and,
+per larger class on the way in, one run and the rest around it, each a
+third as wide as the class outside it or less (a larger class has radix 3
+or more).  So a count and a decision peak at the same 2d + 3 ints.
 
-`Quotient` adds these up from its classes, before it builds any int of N
-bits, and refuses a universe whose sum passes TABLE_MAX_BYTES: the sum for
-a twin-free universe of 23 vertices (N = 2^23, 49 ints of 1,118,508 bytes),
-54,806,892 bytes.  Twin-free universes keep that limit of 23 vertices;
-every universe of at most 23 vertices fits, whatever its classes, and a
-universe with large twin classes fits far past it (the extremal member
-with one 19-cycle, m = 36, needs 25.8 MB at anchor 0).  This is the only
-exact budget: exact counts and the exact decider add one vertex, the
-anchor, to the universe and go as far as the kernel takes them.  The
-kernel needs no numpy.
+`Quotient` states that peak from its classes, before it builds any int of
+N bits, and refuses a universe whose peak passes TABLE_MAX_BYTES: the peak
+of a twin-free universe of 23 vertices (N = 2^23, 49 ints of 1,118,508
+bytes), 54,806,892 bytes.  Twin-free universes keep that limit of 23
+vertices; every universe of at most 23 vertices fits, whatever its
+classes, and a universe with large twin classes fits far past it (the
+extremal member with one 19-cycle, m = 36, needs 25.8 MB at anchor 0).
+This is the only exact budget: exact counts and the exact decider add one
+vertex, the anchor, to the universe and go as far as the kernel takes
+them.  The kernel needs no numpy.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
 from math import comb, prod
 
 from .bitgraph import bits_of
@@ -103,15 +99,9 @@ def _int_bytes(bits: int) -> int:
 
 def _peak_bytes(s: int, larger: list[list[int]]) -> int:
     """The most bytes a count or a decision holds on a universe of s
-    classes of one and the larger classes `larger`: 2d + 3 ints of N bits
-    while the fixpoint runs and, past one block, per block three list slots
-    and a weight, a third again while the lists are built."""
-    blocks = prod(len(c) + 1 for c in larger)
-    peak = (2 * (s + len(larger)) + 3) * _int_bytes(blocks << s)
-    if blocks > 1:
-        heaviest = prod(comb(len(c), len(c) // 2) for c in larger)
-        peak += blocks * (3 * 8 + _int_bytes(heaviest.bit_length())) * 4 // 3
-    return peak
+    classes of one and the larger classes `larger`: 2d + 3 ints of N bits,
+    while the fixpoint runs."""
+    return (2 * (s + len(larger)) + 3) * _int_bytes(prod(len(c) + 1 for c in larger) << s)
 
 
 TABLE_MAX_BYTES = _peak_bytes(23, [])  # a twin-free universe of 23 vertices: 54,806,892
@@ -126,24 +116,16 @@ def _tile(x: int, period: int, size: int) -> int:
     return x & (1 << size) - 1 if period > size else x
 
 
-@cache
-def _part_counts(s: int) -> list[bytes]:
-    """For blocks of 2^s < 8 bits: table r maps a byte to the popcount of
-    the r-th block in it, for `bytes.translate`."""
-    width = 1 << s
-    return [bytes((b >> r * width & (1 << width) - 1).bit_count() for b in range(256))
-            for r in range(8 >> s)]
-
-
 class Quotient:
     """The kernel on one anchored universe: adj[w] is N(w) within the
     universe, seed is N(anchor) within it.
 
     `classes[j]` lists the local vertices of digit j, lowest first, the
     classes of one before the larger ones; `digit[w]` is w's digit,
-    `weight[j]` is W_j and `size` is N.  `peak_bytes` is the most a count
-    or a decision on the universe holds; construction raises
-    BudgetExceededError, before allocating, when it passes TABLE_MAX_BYTES.
+    `weight[j]` is W_j and `size` is N.  `peak_bytes`, 2d + 3 ints of N
+    bits, is the most a count or a decision on the universe holds;
+    construction raises BudgetExceededError, before allocating, when it
+    passes TABLE_MAX_BYTES.
     """
 
     def __init__(self, adj: list[int], seed: int):
@@ -244,51 +226,33 @@ class Quotient:
     def subsets_by_size(self, x: int) -> list[int]:
         """out[t] is the number of sets M with |M| = t that the states set
         in x stand for."""
-        s = self.singles
+        s, classes, weight = self.singles, self.classes, self.weight
         # layers[u] marks the states of the s binary digits with u of them
         # set, grown one digit at a time by the binomial recurrence
         layers = [1]
         for i in range(s):
             layers = [lo | hi << (1 << i) for lo, hi in zip(layers + [0], [0] + layers)]
-        if self.size >> s == 1:  # one block: a twin-free universe
-            return [(x & layer).bit_count() for layer in layers]
+        # per larger class, innermost first: W_j, the mask of one run of
+        # W_j bits and binom(|C_j|, d) for each digit d
+        larger = [(w, (1 << w) - 1, [comb(len(c), d) for d in range(len(c) + 1)])
+                  for w, c in zip(weight[s:], classes[s:])]
         out = [0] * (len(self.digit) + 1)
-        for u, layer in enumerate(layers):
-            pops = self._block_popcounts(x & _tile(layer, 1 << s, self.size))
-            for p, c, w in zip(pops, self._block_sizes, self._block_subsets):
-                out[u + c] += p * w
-        return out
 
-    @cached_property
-    def _block_sizes(self) -> list[int]:
-        """Block b -> sum c_C(b) over the larger classes."""
-        out = [0]
-        for c in self.classes[self.singles :]:
-            out = [v + t for v in range(len(c) + 1) for t in out]
-        return out
+        def read(run: int, j: int, size: int, sets: int) -> None:
+            # run holds the states of the binary digits and larger[:j], each
+            # standing for `sets` choices of `size` vertices in the classes
+            # outside them
+            if not j:
+                for t, layer in enumerate(layers, size):
+                    if n := (run & layer).bit_count():
+                        out[t] += sets * n
+                return
+            w, low, binoms = larger[j - 1]
+            for t, b in enumerate(binoms, size):  # digit d = t - size; run is shifted by d*W_j
+                if part := run & low:
+                    read(part, j - 1, t, sets * b)
+                if not (run := run >> w):
+                    break
 
-    @cached_property
-    def _block_subsets(self) -> list[int]:
-        """Block b -> prod binom(|C|, c_C(b)) over the larger classes."""
-        out = [1]
-        for c in self.classes[self.singles :]:
-            out = [comb(len(c), v) * w for v in range(len(c) + 1) for w in out]
+        read(x, len(larger), 0, 1)
         return out
-
-    def _block_popcounts(self, x: int) -> list[int]:
-        s = self.singles
-        if s < 3:  # 8 >> s blocks per byte: one translate per place in the byte
-            data = x.to_bytes(-(-self.size // 8), "little")
-            per = 8 >> s
-            counts = bytearray(len(data) * per)
-            for r, part in enumerate(_part_counts(s)):
-                counts[r::per] = data.translate(part)
-            return list(counts[: self.size >> s])
-        view = memoryview(x.to_bytes(self.size >> 3, "little"))
-        if s <= 6:  # blocks of 1, 2, 4 or 8 bytes; a popcount ignores byte order
-            return list(map(int.bit_count, view.cast("BHIQ"[s - 3])))
-        step = 1 << (s - 3)
-        return [
-            int.from_bytes(view[i : i + step], "little").bit_count()
-            for i in range(0, len(view), step)
-        ]

@@ -9,6 +9,7 @@ kernel's fixpoint must equal; `expand_table` turns the kernel's twin-class
 states back into per-vertex masks to compare them, and
 `reference_exact_decision` is the exact decider on the reference table,
 its work the reference's states counted by twin class and class counts.
+`reference_subsets_by_size` weighs the kernel's states one at a time.
 `twin_planted_graph` draws graphs made of twin classes for both.
 `reference_toughness_cut` is the toughness refuter's candidate search
 with no gate and no prunes, and `reference_cut_vertices` finds cut
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 
@@ -198,6 +200,22 @@ def expand_table(q) -> list[int]:
             if mask >> w & 1 and table[q.digit[w]] >> state[mask] & 1)
         for w in range(k)
     ]
+
+
+def reference_subsets_by_size(q, x: int) -> list[int]:
+    """What `subsetdp.Quotient.subsets_by_size` gives, one state at a time:
+    each set bit of x is decoded into its class counts c_C, by divmod over
+    q.classes in digit order (digit j has radix |C_j| + 1), and adds
+    prod binom(|C|, c_C) at sum c_C."""
+    out = [0] * (len(q.digit) + 1)
+    for state in bits_of(x):
+        size, sets = 0, 1
+        for c in q.classes:
+            state, d = divmod(state, len(c) + 1)
+            size += d
+            sets *= comb(len(c), d)
+        out[size] += sets
+    return out
 
 
 def reference_exact_decision(g: Graph, scope_mask: int) -> tuple[str, tuple | None, int]:

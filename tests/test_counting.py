@@ -22,6 +22,7 @@ from conftest import (
     isomorphic,
     random_graph,
     reference_reach_rounds,
+    reference_subsets_by_size,
     reference_table,
     relabel,
 )
@@ -267,16 +268,14 @@ def test_quotient_layout():
     [*REACH_UNIVERSES.values(), (_bipartite_universe(1, 6), 0b1111111)],
     ids=[*REACH_UNIVERSES, "K1_6"],
 )
-def test_block_popcounts_count_every_block(adj, seed):
-    # blocks of 2^s bits for s = 0, 1, 2 (translated a byte at a time; K1_6
-    # has s = 1), 2^3..2^6 (cast) and wider (sliced)
+def test_subsets_by_size_weighs_every_state(adj, seed):
+    # runs of 2^s bits for s = 0..10 (K1_6 has s = 1), read through every
+    # larger class down to the popcount layers of the binary digits
     q = Quotient(adj, seed)
-    width = 1 << q.singles
     rnd = _random.Random(len(adj) * 1000 + seed)
-    for x in (0, (1 << q.size) - 1, *(rnd.getrandbits(q.size) for _ in range(5))):
-        assert q._block_popcounts(x) == [
-            (x >> b * width & (1 << width) - 1).bit_count() for b in range(q.size >> q.singles)
-        ]
+    for x in (0, (1 << q.size) - 1, *(rnd.getrandbits(q.size) for _ in range(5)),
+              1 << rnd.randrange(q.size)):
+        assert q.subsets_by_size(x) == reference_subsets_by_size(q, x)
 
 
 def _per_vertex_count(g: Graph) -> tuple[int, ...]:
@@ -344,20 +343,33 @@ def test_reach_rounds_peak_memory_is_bounded():
         assert _traced_peak(lambda: table.extend(q.table())) <= (2 * len(q.classes) + 3) * one
         assert any(r >> q.size - 1 for r in table)  # the fixpoint reached the full state
     assert len(q.classes) == 11 and q.size == 4 * 3**9  # the anchor splits one pair
-    # a whole count, block lists included, and a whole decision's table and
-    # state count at anchor 0, within the bytes the kernel states: twin-free
-    # at k = 23 (the budget itself), the extremal member at m = 36 (18
-    # blocks) and pairs of twins (s = 1, 3^11 and 3^9 blocks)
+    # a whole count and a whole decision's table and state count at anchor
+    # 0, within the bytes the kernel states, and a count within 1.5 times
+    # what it holds: twin-free at k = 23 (the budget itself), the extremal
+    # member at m = 36 (a class of one beside 18 of two) and pairs of twins
+    # (s = 1 beside 11 and 9 classes of two)
     layouts = [complete(24), build_extremal(18, [19]).graph, _blown_up(12, 1), _blown_up(10, 1)]
     for g in layouts:
         q = anchored(g, 0)
-        assert _traced_peak(lambda: q.subsets_by_size(q.closing())) <= q.peak_bytes
+        traced = _traced_peak(lambda: q.subsets_by_size(q.closing()))
+        assert traced <= q.peak_bytes <= 1.5 * traced
         q = anchored(g, 0)
         assert _traced_peak(lambda: sum(map(int.bit_count, q.table()))) <= q.peak_bytes
     assert anchored(complete(24), 0).peak_bytes == TABLE_MAX_BYTES
-    # the m = 28 blow-up held 57.5 MB in a count without the byte budget
-    with pytest.raises(BudgetExceededError, match="^subset-DP budget: 27 free vertices in 14 "):
-        anchored(_blown_up(14, 1), 0)
+    # pairs over 16 vertices (m = 32) are refused from their classes alone
+    with pytest.raises(BudgetExceededError,
+                       match="^subset-DP budget: 31 free vertices in 16 classes "
+                             "would take 133924000 bytes "):
+        anchored(_blown_up(16, 1), 0)
+
+
+def test_exact_decision_on_twin_pairs_past_24_vertices():
+    # the m = 28 pairs fit the kernel's 2d + 3 ints (13,180,580 bytes at
+    # anchor 0), which a count and a decision share
+    g = _blown_up(14, 1)
+    dec = is_hamiltonian_exact(g, VertexSet(g.full_mask(), g.m))
+    assert dec.status == "hamiltonian"
+    dec.cert.validate(g, g.full_mask())
 
 
 def test_count_monotone_under_edge_addition():
