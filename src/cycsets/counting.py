@@ -2,25 +2,37 @@
 evaluator for the extremal family, and seeded Monte Carlo estimators.
 
 A subset S is cyclic when G[S] has a Hamilton cycle.  Exact counts run
-the anchored reach-set DP of `subsetdp`, the kernel the exact Hamiltonicity
-decider also runs: every cyclic S is counted at its minimum vertex a, from
-one kernel table per anchor over the vertices {a+1..m-1}, the fixpoint of
-in-place passes (at most one per universe vertex).  The kernel's states
-are the counts of M in each twin class of that universe.  The table gives
-the closing set of a (`Quotient.closing`): an int with the state x set iff
-{a} + M is cyclic for the sets M of counts x.  `Quotient.subsets_by_size`
-splits it by |M| = t, reading it one digit run of each larger class at a
-time down to popcount masks over the classes of one, and weighs each state
-by the number of sets M it stands for: the number of cyclic subsets of
-size t+1 with minimum a.  Each of the kernel's ints holds
-N = 2^s * prod(|C| + 1) bits, s the number of classes of one and C the
-larger classes; N = 2^k for a twin-free universe of k vertices.  The only
-budget is the kernel's, in bytes (`subsetdp.TABLE_MAX_BYTES`): each anchor's
-`Quotient` refuses before it builds an int of N bits, so a count holds no
-vertex limit of its own.  A twin-free graph keeps the limit of 24
-vertices (the anchor 0 plus a universe of 23, refused at once past it),
-and graphs with large twin classes, such as the paper's families, count
-far past it.  Exact counts run in one process and load no numpy.  Monte
+the reach-set DP of `subsetdp`, the kernel the exact Hamiltonicity decider
+also runs, in two forms.  The low anchors a = 0, 1, ... each count the
+cyclic S with minimum vertex a, from one kernel table over the vertices
+{a+1..m-1}, the fixpoint of in-place passes (at most one per universe
+vertex).  The kernel's states are the counts of M in each twin class of
+that universe.  The table gives the closing set of a (`Quotient.closing`):
+an int with the state x set iff {a} + M is cyclic for the sets M of counts
+x.  `Quotient.subsets_by_size` splits it by |M| = t, reading it one digit
+run of each larger class at a time down to popcount masks over the classes
+of one, and weighs each state by the number of sets M it stands for: the
+number of cyclic subsets of size t+1 with minimum a.  Each of the kernel's
+ints holds N = 2^s * prod(|C| + 1) bits, s the number of classes of one and
+C the larger classes; N = 2^k for a twin-free universe of k vertices.
+
+Once the suffix {a..m-1} has at most MERGE_MAX_STATES states, prod(|C| + 1)
+over its twin classes, read from the rows before any kernel is built, one
+every-start kernel (`Quotient(adj, None)`) counts the rest: each cyclic
+subset of the suffix once, at its lowest twin class, its closing set split
+by size the same way.  On small universes a kernel costs more in
+bookkeeping (classes, masks, popcount layers, one Python call per run)
+than in big-int work, so one kernel for the whole suffix saves most of a
+count of the paper's twin-rich members.  On large ones the every-start
+form holds twice the states of the anchor's universe and does more
+full-width work, so the large anchors stay one kernel each.
+
+The only budget is the kernel's, in bytes (`subsetdp.TABLE_MAX_BYTES`):
+each anchor's `Quotient` refuses before it builds an int of N bits, so a
+count holds no vertex limit of its own.  A twin-free graph keeps the limit
+of 24 vertices (the anchor 0 plus a universe of 23, refused at once past
+it), and graphs with large twin classes, such as the paper's families,
+count far past it.  Exact counts run in one process and load no numpy.  Monte
 Carlo work partitions by sample index with counter-based streams, so
 estimates never depend on worker count or scheduling.
 
@@ -43,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import TYPE_CHECKING
 
 from .bitgraph import Graph, VertexSet
@@ -54,6 +66,12 @@ if TYPE_CHECKING:
     from .families import ExtremalGraph
 
 MEMO_MAX_VERTICES = 16
+# The most states of a suffix that one every-start kernel counts.  Twin-free
+# graphs of 18 to 20 vertices, degree 3 to 17, counted within 7% at 2^16
+# and 2^17 and 4-21% slower at 2^18 than at 2^16, where one kernel takes
+# all or nearly all of the graph; twin-rich ones counted as fast at 2^16 as
+# at any smaller bound, or faster (2-core VM, in process).
+MERGE_MAX_STATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,25 +110,40 @@ def anchored(g: Graph, a: int) -> Quotient | None:
     return Quotient([g.rows[shift + i] >> shift for i in range(k)], anchor_adj)
 
 
-def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
-    """Exact Cyc(g) by the shared anchored DP, within the kernel's byte
-    budget (`subsetdp.TABLE_MAX_BYTES`), which each anchor's `Quotient`
-    checks before it allocates.
+def _suffix_states(g: Graph, a: int) -> int:
+    """The states of the every-start kernel over {a..m-1}: prod(|C| + 1)
+    over its twin classes, read from the rows before any int is built."""
+    sizes: dict[int, int] = {}
+    for r in g.rows[a:]:
+        sizes[r >> a] = sizes.get(r >> a, 0) + 1
+    return prod(n + 1 for n in sizes.values())
 
-    Every cyclic S is counted once, at its minimum vertex a, from the
-    closing set of a split by size, each state weighed by the sets it
-    stands for.  The count runs in-process; `workers` is accepted for call
-    compatibility with `estimate_h` and does not change the work or the
-    answer.
+
+def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
+    """Exact Cyc(g) by the shared reach-set DP, within the kernel's byte
+    budget (`subsetdp.TABLE_MAX_BYTES`), which each `Quotient` checks
+    before it allocates.
+
+    Each anchor a = 0, 1, ... counts the cyclic S with minimum a from its
+    closing set split by size, each state weighed by the sets it stands
+    for, while the suffix {a..m-1} has more than MERGE_MAX_STATES states;
+    then one every-start kernel counts every cyclic S of the suffix, at its
+    lowest twin class.  So each cyclic S is counted once.  The count runs
+    in-process; `workers` is accepted for call compatibility with
+    `estimate_h` and does not change the work or the answer.
     """
     m = g.m
     hist = [0] * (m + 1)
-    for a in range(m):
+    a = 0
+    while _suffix_states(g, a) > MERGE_MAX_STATES:  # the empty suffix has one state
         q = anchored(g, a)
-        if q is None:
-            continue
-        for t, n in enumerate(q.subsets_by_size(q.closing())):
-            hist[t + 1] += n
+        if q is not None:
+            for t, n in enumerate(q.subsets_by_size(q.closing()), 1):
+                hist[t] += n
+        a += 1
+    q = Quotient([r >> a for r in g.rows[a:]], None)
+    for t, n in enumerate(q.subsets_by_size(q.closing())):
+        hist[t] += n
     total = sum(hist)
     return CycReport(1 << m, total, Fraction(total, 1 << m), tuple(hist))
 

@@ -1,18 +1,22 @@
-"""The anchored reach-set DP (Bellman 1962; Held and Karp 1962) over
-twin-class counts, shared by exact counting and the exact Hamiltonicity
-decider.
+"""The reach-set DP (Bellman 1962; Held and Karp 1962) over twin-class
+counts, anchored or with every start, shared by exact counting and the
+exact Hamiltonicity decider.
 
 Fix an anchor vertex outside a universe of k local vertices 0..k-1.  For a
 mask M over the universe, reach[M] is the set of w in M that end a path
-which starts at the anchor and visits exactly {anchor} + M.
+which starts at the anchor and visits exactly {anchor} + M.  The second
+seed, every start, has no anchor: reach[M] is the set of w in M that end
+a path which visits exactly M and starts at a vertex of M's lowest class
+(below).
 
 Twins are universe vertices with the same neighbours in the universe and
 the same adjacency to the anchor; the anchor can split a set of vertices
-that are twins within the universe.  Twins are never adjacent, every N(w)
-is a union of whole twin classes, and swapping two twins is an automorphism
-that fixes the anchor.  So whether a vertex of class C is in reach[M]
-depends only on C and on the counts |M & C'| over the classes C': the
-kernel runs over those count vectors, its states.
+that are twins within the universe, and with every start nothing splits
+them.  Twins are never adjacent, every N(w) is a union of whole twin
+classes, and swapping two twins is an automorphism that fixes the anchor.
+So whether a vertex of class C is in reach[M] depends only on C and on the
+counts |M & C'| over the classes C': the kernel runs over those count
+vectors, its states.
 
 Each class is one digit of a mixed-radix state number x.  A class of one is
 a binary digit in the low bits, in vertex order; a class C of two or more
@@ -22,13 +26,15 @@ and an int over all states has N = 2^s * prod(|C| + 1) bits.  Digit j has
 the weight W_j: 2^i for the i-th class of one, and 2^s times the product of
 |C| + 1 over the larger classes before it for a larger class.  A twin-free
 universe has k binary digits, W_w = 2^w and N = 2^k: its states are the
-masks M themselves.
+masks M themselves.  M's lowest class is the class of the lowest nonzero
+digit of its state.
 
 The kernel holds the table bit-parallel, in plain Python ints: R_j is an
 N-bit int with bit x set iff a vertex of class j is in reach[M] for the sets
 M of counts x (then so are all of M's members of class j).  Reachability is
 a monotone system, and the table is its least fixpoint.  It starts from bit
-W_j of R_j for each class j next to the anchor.  Each pass walks the
+W_j of R_j for each class j next to the anchor, or for every class j with
+every start.  Each pass walks the
 classes, grouped by their universe neighbours, in the order of their lowest
 vertices, and applies in place
 
@@ -36,10 +42,14 @@ vertices, and applies in place
 
 where NOTFULL_j has bit x set iff digit j of x is below |C_j|: a path
 through counts x that ends next to class j extends to an unvisited member
-of it.  Digits with the same universe neighbours, split by the anchor, share
-one OR.  It stops after a pass that changes nothing.  An update reads the
-R_i that earlier steps of the same pass have grown, so after pass r every
-state of a path through at most r + 1 vertices is set: no pass after the
+of it.  With every start a path also extends into class j only from the
+states whose lowest nonzero digit is at or below j, so that its start class
+stays the lowest: those are the x with x mod W_{j+1} != 0, and NOTFULL_j,
+whose period is W_{j+1} = W_j * (|C_j| + 1) (W_d = N), clears residue 0
+as well.  Digits with the same universe neighbours, split by the anchor,
+share one OR.  It stops after a pass that changes nothing.  An update reads
+the R_i that earlier steps of the same pass have grown, so after pass r
+every state of a path through at most r + 1 vertices is set: no pass after the
 (k-1)-th changes anything, and a table takes at most k passes (one for
 k <= 1).  Dense graphs, which the paper is about, take far fewer: anchored
 at vertex 0, `random_regular_graph(18, 10, seed=1)` (k = 17) takes 7 and
@@ -49,27 +59,45 @@ whose paths run against the vertex order needs nearly all k: the cycle
 grow by one vertex per pass, as they would layer by layer, and each pass
 costs a whole table.
 
+`closing` has bit x set iff the sets M of counts x close a cycle.
+Anchored, it is the OR of R_j over the classes next to the anchor, less
+the states |M| = 1 the fixpoint starts from, and {anchor} + M is cyclic.
+With every start it is, per start class C, the OR of R_j over C's
+neighbour classes on the states whose lowest nonzero digit is C's (one
+tiled mask of period W_{C+1}), less the 2-sets, which close no cycle, and
+M itself is cyclic: a Hamilton cycle of G[M] passes a vertex s of M's
+lowest class, and dropping one of its edges at s leaves a path from s to a
+neighbour of s, and so of every member of s's class.  So one every-start
+kernel counts each cyclic set of its universe once, at its lowest class.
+R_j holds no state whose lowest digit is above j, so the OR reads only the
+neighbour classes above C.
+
 A state x stands for prod over the classes of binom(|C|, c_C(x)) sets M.
-`subsets_by_size` weighs an int's states so, in one recursive read.  For
-the outermost larger class C, of weight W, digit d of x is the bit run
-x >> d*W & (2^W - 1).  Each nonempty run is read one class further in, with
-d more vertices and binom(|C|, d) times the sets.  A run of the s binary
-digits (2^s bits) is split by |M| with one mask per popcount u of those
+`subsets_by_size` weighs an int's states so, in one recursive read.  The
+h = min(s, LAYER_MAX_DIGITS) lowest binary digits are split by popcount
+masks; every digit above them, a larger class or a class of one, is
+peeled.  For the outermost such class C, of weight W, digit d of x is the
+bit run x >> d*W & (2^W - 1).  Each nonempty run is read one class further
+in, with d more vertices and binom(|C|, d) times the sets.  A run of the h
+low digits (2^h bits) is split by |M| with one mask per popcount u of those
 digits, built by the binomial recurrence: its states in mask u add to the
 size u plus the digits outside it.  Each class shifts the rest of its run
 once per digit and stops when nothing is left, so a read passes over the
-int about (|C| + 1) / 2 times per larger class and makes one call per
-nonempty run.  A twin-free universe is one run of 2^k bits.
+int about (|C| + 1) / 2 times per peeled class and makes one call per
+nonempty run.  A twin-free universe of k <= 16 vertices is one run of 2^k
+bits; one of k > 16 is up to 2^(k-16) runs, so no read builds more than
+17 masks of 2^16 bits, however many classes of one there are.
 
 The table holds d ints of N bits, d <= k the number of classes.  CPython
 stores 30 bits in every 4 bytes, so an int of N bits takes
 24 + 4 * ceil(N / 30) bytes (`sys.getsizeof`).  The NOTFULL_j masks take
 as much again, and an update has at most three ints in flight: 2d + 3 ints
-while the fixpoint runs.  Splitting an int by size holds fewer: the s + 1
-popcount masks of 2^s bits and their s predecessors of half the width and,
-per larger class on the way in, one run and the rest around it, each a
-third as wide as the class outside it or less (a larger class has radix 3
-or more).  So a count and a decision peak at the same 2d + 3 ints.
+while the fixpoint runs.  Splitting an int by size holds fewer: at most 17
+popcount masks of 2^16 bits and their predecessors and, per peeled class
+on the way in, one run and the rest around it, each at most half as wide
+as the run outside it.  The every-start closing set holds the table and at
+most four more ints: the OR, a lowest-digit mask, their AND and the set
+itself.  So a count and a decision peak at the same 2d + 3 ints.
 
 `Quotient` states that peak from its classes, before it builds any int of
 N bits, and refuses a universe whose peak passes TABLE_MAX_BYTES: the peak
@@ -105,6 +133,9 @@ def _peak_bytes(s: int, larger: list[list[int]]) -> int:
 
 
 TABLE_MAX_BYTES = _peak_bytes(23, [])  # a twin-free universe of 23 vertices: 54,806,892
+# The binary digits `subsets_by_size` splits with popcount masks; it reads
+# the ones above them run by run, as it reads a larger class
+LAYER_MAX_DIGITS = 16
 
 
 def _tile(x: int, period: int, size: int) -> int:
@@ -117,8 +148,8 @@ def _tile(x: int, period: int, size: int) -> int:
 
 
 class Quotient:
-    """The kernel on one anchored universe: adj[w] is N(w) within the
-    universe, seed is N(anchor) within it.
+    """The kernel on one universe: adj[w] is N(w) within the universe, and
+    seed is N(anchor) within it, or None for every start.
 
     `classes[j]` lists the local vertices of digit j, lowest first, the
     classes of one before the larger ones; `digit[w]` is w's digit,
@@ -128,17 +159,18 @@ class Quotient:
     passes TABLE_MAX_BYTES.
     """
 
-    def __init__(self, adj: list[int], seed: int):
+    def __init__(self, adj: list[int], seed: int | None):
         k = len(adj)
         groups: dict[int, list[int]] = {}  # N(w) -> the vertices with it
         for w, a in enumerate(adj):
             groups.setdefault(a, []).append(w)
         self.seed = seed
+        split = seed or 0  # every start has no anchor to split the twins
         larger = []  # the classes of two or more: sets of twins, split by the anchor
         if len(groups) < k:
             for members in groups.values():
                 for near in (1, 0):
-                    c = [w for w in members if seed >> w & 1 == near]
+                    c = [w for w in members if split >> w & 1 == near]
                     if len(c) > 1:
                         larger.append(c)
         s = k - sum(map(len, larger))
@@ -184,15 +216,19 @@ class Quotient:
 
         Each pass walks `_plan` once and grows every R_j in place; the
         last pass is the first that changes nothing."""
-        classes, weight, size = self.classes, self.weight, self.size
-        table = [1 << weight[j] if self.seed >> c[0] & 1 else 0 for j, c in enumerate(classes)]
+        classes, weight, size, seed = self.classes, self.weight, self.size, self.seed
+        every = seed is None
+        table = [1 << weight[j] if every or seed >> c[0] & 1 else 0
+                 for j, c in enumerate(classes)]
         plan = []  # (heads, [(j, NOTFULL_j, W_j) for the members j]) per step of _plan
         for heads, members in self._plan:
             steps = []
             for j in members:
                 w, c = weight[j], len(classes[j])
-                # NOTFULL_j: the low W_j * |C_j| of every W_j * (|C_j| + 1) bits
-                steps.append((j, _tile((1 << w * c) - 1, w * (c + 1), size), w))
+                # NOTFULL_j: the low W_j * |C_j| of every W_j * (|C_j| + 1) =
+                # W_{j+1} bits; every start also clears residue 0, the states
+                # whose lowest nonzero digit is above j
+                steps.append((j, _tile((1 << w * c) - 1 - every, w * (c + 1), size), w))
             plan.append((heads, steps))
         changed = True
         while changed:
@@ -214,32 +250,54 @@ class Quotient:
         """Bit x is set iff {anchor} + M is cyclic for the sets M of counts
         x: the OR of the fixpoint's R_j over the classes next to the
         anchor, less the states |M| = 1 that the fixpoint starts from,
-        which close no cycle."""
-        table = self.table()
-        out = start = 0
-        for j, c in enumerate(self.classes):
-            if self.seed >> c[0] & 1:
-                out |= table[j]
-                start |= 1 << self.weight[j]
-        return out ^ start
+        which close no cycle.
+
+        With every start, bit x is set iff M itself is cyclic: per start
+        class C, the OR of R_j over C's neighbour classes on the states
+        whose lowest nonzero digit is C's, less the 2-sets, which close no
+        cycle."""
+        table, classes, weight, size = self.table(), self.classes, self.weight, self.size
+        out = drop = 0
+        if self.seed is not None:
+            for j, c in enumerate(classes):
+                if self.seed >> c[0] & 1:
+                    out |= table[j]
+                    drop |= 1 << weight[j]
+            return out ^ drop
+        for heads, (j,) in self._plan:  # each step is one class: no anchor splits it
+            acc = 0
+            for i in heads:
+                if i > j:  # R_i holds no state whose lowest digit is above i
+                    acc |= table[i]
+                    drop |= 1 << weight[i] + weight[j]
+            if acc:
+                w, c = weight[j], len(classes[j])
+                # the states whose lowest nonzero digit is j: digit j in
+                # 1..|C_j| of every W_{j+1} bits, the digits below it 0
+                lowest = sum(1 << d * w for d in range(1, c + 1))
+                out |= acc & _tile(lowest, w * (c + 1), size)
+        return out ^ drop
 
     def subsets_by_size(self, x: int) -> list[int]:
         """out[t] is the number of sets M with |M| = t that the states set
         in x stand for."""
         s, classes, weight = self.singles, self.classes, self.weight
-        # layers[u] marks the states of the s binary digits with u of them
-        # set, grown one digit at a time by the binomial recurrence
+        out = [0] * (len(self.digit) + 1)
+        if not x:  # nothing to read: build no layers
+            return out
+        # layers[u] marks the states of the h low binary digits with u of
+        # them set, grown one digit at a time by the binomial recurrence
+        h = min(s, LAYER_MAX_DIGITS)
         layers = [1]
-        for i in range(s):
+        for i in range(h):
             layers = [lo | hi << (1 << i) for lo, hi in zip(layers + [0], [0] + layers)]
-        # per larger class, innermost first: W_j, the mask of one run of
+        # per digit above them, innermost first: W_j, the mask of one run of
         # W_j bits and binom(|C_j|, d) for each digit d
         larger = [(w, (1 << w) - 1, [comb(len(c), d) for d in range(len(c) + 1)])
-                  for w, c in zip(weight[s:], classes[s:])]
-        out = [0] * (len(self.digit) + 1)
+                  for w, c in zip(weight[h:], classes[h:])]
 
         def read(run: int, j: int, size: int, sets: int) -> None:
-            # run holds the states of the binary digits and larger[:j], each
+            # run holds the states of the h low digits and larger[:j], each
             # standing for `sets` choices of `size` vertices in the classes
             # outside them
             if not j:
@@ -255,4 +313,5 @@ class Quotient:
                     break
 
         read(x, len(larger), 0, 1)
+        del read  # it names itself: a reference cycle that would keep the layers
         return out

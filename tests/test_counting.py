@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random as _random
 import re
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import (
     brute_cyclic_count,
+    brute_has_ham_cycle,
     brute_max_linear_forest,
     complete,
     cycle,
@@ -25,6 +27,7 @@ from conftest import (
     reference_subsets_by_size,
     reference_table,
     relabel,
+    twin_planted_graph,
 )
 
 from cycsets.analysis import random_regular_graph
@@ -48,7 +51,7 @@ from cycsets.families import (
     enumerate_regular_complements,
 )
 from cycsets.hamilton import is_hamiltonian_exact
-from cycsets.subsetdp import TABLE_MAX_BYTES, Quotient
+from cycsets.subsetdp import LAYER_MAX_DIGITS, TABLE_MAX_BYTES, Quotient
 
 
 # -- exact counts ------------------------------------------------------------
@@ -256,6 +259,10 @@ def test_quotient_layout():
     q = Quotient(*REACH_UNIVERSES["K4_6_split"])
     assert q.classes == [[1, 2], [0, 3], [5, 6, 8], [4, 7, 9]]
     assert (q.singles, q.weight, q.size) == (0, [1, 3, 9, 36], 3 * 3 * 4 * 4)
+    # with every start nothing splits the twins: one class per side
+    q = Quotient(REACH_UNIVERSES["K4_6_split"][0], None)
+    assert q.classes == [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]]
+    assert (q.singles, q.weight, q.size) == (0, [1, 5], 5 * 7)
     # a twin-free universe keeps the masks: k binary digits, W_w = 2^w
     adj, seed = REACH_UNIVERSES["random_10"]
     q = Quotient(adj, seed)
@@ -275,6 +282,19 @@ def test_subsets_by_size_weighs_every_state(adj, seed):
     rnd = _random.Random(len(adj) * 1000 + seed)
     for x in (0, (1 << q.size) - 1, *(rnd.getrandbits(q.size) for _ in range(5)),
               1 << rnd.randrange(q.size)):
+        assert q.subsets_by_size(x) == reference_subsets_by_size(q, x)
+
+
+def test_subsets_by_size_peels_the_binary_digits_above_its_masks():
+    # 18 classes of one, and 17 beside a pair of isolated twins: the binary
+    # digits above LAYER_MAX_DIGITS are read run by run, like a larger class
+    for adj in (_complete_universe(18), _complete_universe(17) + [0, 0]):
+        q = Quotient(adj, 1)
+        k = len(adj)
+        assert q.singles > LAYER_MAX_DIGITS
+        assert q.subsets_by_size((1 << q.size) - 1) == [comb(k, t) for t in range(k + 1)]
+        rnd = _random.Random(k)
+        x = sum(1 << rnd.randrange(q.size) for _ in range(2000))
         assert q.subsets_by_size(x) == reference_subsets_by_size(q, x)
 
 
@@ -305,6 +325,109 @@ def test_quotient_counts_equal_the_per_vertex_counts(g):
     # C_12's paths from vertex 0 through 11 run down the vertex order, and
     # the 3-regular graph is sparse: the fixpoint needs nearly k passes
     assert cyc_count_exact(g).per_size == _per_vertex_count(g)
+
+
+def _split_count(g: Graph, t: int) -> tuple[int, ...]:
+    """per_size with the anchors 0..t-1 counted one kernel each and the
+    suffix {t..m-1} by one every-start kernel (t = 0: the whole graph,
+    t = m: per anchor only)."""
+    hist = [0] * (g.m + 1)
+    for a in range(t):
+        q = anchored(g, a)
+        if q is not None:
+            for size, n in enumerate(q.subsets_by_size(q.closing()), 1):
+                hist[size] += n
+    q = Quotient([r >> t for r in g.rows[t:]], None)
+    for size, n in enumerate(q.subsets_by_size(q.closing())):
+        hist[size] += n
+    return tuple(hist)
+
+
+def _brute_per_size(g: Graph) -> tuple[int, ...]:
+    hist = [0] * (g.m + 1)
+    for mask in range(1 << g.m):
+        verts = list(bits_of(mask))
+        hist[len(verts)] += brute_has_ham_cycle(g, verts)
+    return tuple(hist)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [*(random_graph(m, 40 + m, p=0.5) for m in (4, 7, 10, 12)),
+     *(twin_planted_graph(m, 50 + m) for m in (6, 9, 12)),
+     build_extremal(3, [4]).graph, build_extremal(6, [3, 4]).graph,
+     build_extremal(7, [4, 4]).graph, build_knn(5), build_knn(7), build_star_augmented(6),
+     build_competitor(3).graph, cycle(12), Graph.from_edges(2, [(0, 1)]),
+     Graph.from_edges(3, [(0, 1), (1, 2)]), Graph.from_edges(4, [(0, 3), (2, 3)])],
+    ids=["random_4", "random_7", "random_10", "random_12", "twins_6", "twins_9", "twins_12",
+         "extremal_3_4", "extremal_6_3_4", "extremal_7_4_4", "K5_5", "K7_7", "star_6",
+         "competitor_3", "C12", "K2", "P3", "P3_high"],
+)
+def test_every_split_point_counts_the_same(g):
+    # anchors 0..t-1 one kernel each, then one every-start kernel counting
+    # each cyclic set of {t..m-1} at its lowest twin class; the 2-sets its
+    # closing drops would close at every split of K2, P3 and C12
+    want = _split_count(g, g.m)
+    assert want == cyc_count_exact(g).per_size
+    if g.m <= 12:
+        assert want == _brute_per_size(g)
+    for t in range(g.m):
+        got = _split_count(g, t)
+        assert got == want, t
+        assert got[:3] == (0, 0, 0)
+
+
+# per_size as counted with one kernel per anchor, on graphs with no closed form
+PINNED_PER_SIZE = {
+    "random_10_regular_18": (
+        random_regular_graph(18, 10, seed=1),
+        (0, 0, 0, 144, 785, 3492, 11762, 26887, 42387, 48440, 43758, 31824, 18564, 8568,
+         3060, 816, 153, 18, 1)),
+    "competitor_3": (
+        build_competitor(3).graph,
+        (0, 0, 0, 96, 1173, 2616, 9120, 16992, 29700, 37380, 38808, 30240, 18564, 8568,
+         3060, 816, 153, 18, 1)),
+    "star_12": (
+        build_star_augmented(12),
+        (0, 0, 0, 264, 5076, 11160, 70180, 129800, 447425, 612700, 1370644, 1375308,
+         2100384, 1574496, 1648944, 934560, 660825, 279180, 128590, 38500, 10626, 2024,
+         276, 24, 1)),
+    # sparse, with its paths running against the vertex order
+    "C20": (cycle(20), (0,) * 20 + (1,)),
+    "twin_planted_22": (
+        twin_planted_graph(22, 5),
+        (0, 0, 0, 136, 1049, 3609, 13543, 35051, 81598, 131825, 208133, 225168, 250203,
+         186819, 146663, 73279, 40468, 12536, 4718, 770, 176, 11, 1)),
+}
+
+
+@pytest.mark.parametrize("g, want", PINNED_PER_SIZE.values(), ids=PINNED_PER_SIZE)
+def test_per_size_is_pinned(g, want):
+    assert cyc_count_exact(g).per_size == want
+
+
+def test_subsets_by_size_frees_its_layers():
+    # with the cyclic GC off, a read and a whole count leave nothing of
+    # their big ints behind, where a kept read holds its 17 popcount masks
+    # of 2^16 bits at anchor 0; a count before tracing fills the
+    # interpreter's free lists of small objects
+    g = complete(20)
+    q = anchored(g, 0)
+    x = q.closing()
+    one = sys.getsizeof(x)
+    cyc_count_exact(g)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        q.subsets_by_size(x)
+        after_read = tracemalloc.get_traced_memory()[0] - base
+        cyc_count_exact(g)
+        after_count = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after_read < one // 16 and after_count < one // 16
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
