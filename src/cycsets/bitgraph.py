@@ -35,6 +35,20 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def local_rows(rows, mask: int) -> tuple[list[int], list[int]]:
+    """The bit rows of the subgraph induced on the masked vertices,
+    relabeled 0..k-1, and the vertex list: verts[i] is the original label
+    of local vertex i (increasing order).  No `Graph` is built, so nothing
+    is validated again."""
+    verts = list(bits_of(mask))
+    index = {v: i for i, v in enumerate(verts)}
+    local = [0] * len(verts)
+    for i, v in enumerate(verts):
+        for u in bits_of(rows[v] & mask):
+            local[i] |= 1 << index[u]
+    return local, verts
+
+
 _WORD = (1 << 64) - 1
 _HALVES = tuple((h, (1 << h) - 1) for h in (32, 16, 8, 4, 2, 1))
 
@@ -152,20 +166,6 @@ class Graph:
     def complement(self) -> "Graph":
         full = self.full_mask()
         return Graph(self.m, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(self.rows)))
-
-    def induced(self, mask: int) -> tuple["Graph", list[int]]:
-        """Induced subgraph on the masked vertices, relabeled 0..k-1.
-
-        Returns (subgraph, vertex_list) where vertex_list[i] is the original
-        label of new vertex i (increasing order).
-        """
-        verts = list(bits_of(mask))
-        index = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for i, v in enumerate(verts):
-            for u in bits_of(self.rows[v] & mask):
-                rows[i] |= 1 << index[u]
-        return Graph(len(verts), tuple(rows)), verts
 
     def components(self, mask: int):
         """Yield the vertex masks of the components of g[mask], in order of

@@ -347,7 +347,7 @@ def _suite_bindiff(args) -> list[dict]:
 def _suite_pn(args) -> list[dict]:
     from .numerics import pn_expansion_check
 
-    ns = _parse_ints(args.n_list, "--n-list")
+    ns = _parse_ints("64,128,256,512" if args.n_list is None else args.n_list, "--n-list")
     table = pn_expansion_check(ns)
     checks = [
         _check(f"residual_n{n}", table[n] <= 2.0, f"scaled residual {table[n]:.4f}")
@@ -365,7 +365,7 @@ def _suite_fnsecond(args) -> list[dict]:
     from .numerics import fn_second_estimate_check
 
     out = []
-    for n in _parse_ints(args.n_list, "--n-list"):
+    for n in _parse_ints("10000,250000" if args.n_list is None else args.n_list, "--n-list"):
         r = fn_second_estimate_check(n)
         out.append(_check(f"second_estimate_n{n}", r <= 1.0, f"max ratio {r:.4f}"))
     return out
@@ -400,8 +400,8 @@ def _suite_calculus(args) -> list[dict]:
 
 
 def _suite_gncriterion(args) -> list[dict]:
-    from .counting import anchored
     from .families import _cycle_partitions, build_extremal, gn_criterion_mask
+    from .subsetdp import Quotient
 
     checks = []
     n = args.n
@@ -414,30 +414,24 @@ def _suite_gncriterion(args) -> list[dict]:
         )
     for part in _cycle_partitions(n + 1):
         eg = build_extremal(n, part)
-        g = eg.graph
-        m = g.m
-        bad = int(gn_criterion_mask(eg, 0))  # the empty set is not cyclic
-        for a in range(m):
-            # the masks with minimum a: {a} + (M << (a+1)), cyclic iff the
-            # kernel's closing set has M's state, the sum of its digits'
-            # weights, read a byte of M at a time
-            q = anchored(g, a)
-            k = m - a - 1
-            closing, weight = 0, [0] * k  # no cycle has minimum a
-            if q is not None:
-                closing = q.closing()
-                weight = [q.weight[j] for j in q.digit]
-            low, *high = [
-                [sum(weight[i + w] for w in range(8) if b >> w & 1)
-                 for b in range(1 << min(8, k - i))]
-                for i in range(0, k, 8)
-            ] or [[0]]
-            for hi in range(1 << max(k - 8, 0)):
-                base = sum(t[hi >> 8 * i & 255] for i, t in enumerate(high))
-                first = (hi << 9 | 1) << a
-                for lo, x in enumerate(low):
-                    if gn_criterion_mask(eg, first | lo << a + 1) != (closing >> base + x & 1):
-                        bad += 1
+        m = eg.graph.m
+        # the every-start kernel over the whole member, as `count` runs it:
+        # S is cyclic iff the closing set has S's state, the sum of its
+        # digits' weights, read a byte of S at a time; closed[x] is bit x
+        q = Quotient(eg.graph.rows, None)
+        closed = f"{q.closing():0{q.size}b}"[::-1]
+        weight = [q.weight[j] for j in q.digit]
+        low, *high = [
+            [sum(weight[i + w] for w in range(8) if b >> w & 1)
+             for b in range(1 << min(8, m - i))]
+            for i in range(0, m, 8)
+        ]
+        bad = 0
+        for hi in range(1 << max(m - 8, 0)):
+            base = sum(t[hi >> 8 * i & 255] for i, t in enumerate(high))
+            for lo, x in enumerate(low):
+                if gn_criterion_mask(eg, hi << 8 | lo) != (closed[base + x] == "1"):
+                    bad += 1
         checks.append(
             _check(f"type_{'_'.join(map(str, part))}", bad == 0,
                    f"{1 << m} subsets, {bad} disagreements")
@@ -467,17 +461,19 @@ def _suite_builders(args) -> list[dict]:
         cert.validate(g, g.full_mask())
         ok += 1
     checks.append(_check("near_bipartite_m600", ok == args.count, f"{ok}/{args.count}"))
-    ok = 0
+    ok = 0  # a path counts when it validates and runs from a to b
     for s in range(args.count):
         g, a, b = dirac_instance(200, seed=args.seed + s)
-        ham_path_dirac(g, a, b, seed=args.seed + s).validate(g, g.full_mask())
-        ok += 1
+        path = ham_path_dirac(g, a, b, seed=args.seed + s)
+        path.validate(g, g.full_mask())
+        ok += (path.order[0], path.order[-1]) == (a, b)
     checks.append(_check("dirac_path_m200", ok == args.count, f"{ok}/{args.count}"))
     ok = 0
     for s in range(args.count):
         g, left, right, a, b = bipartite_instance(200, seed=args.seed + s)
-        ham_path_bipartite(g, left, right, a, b, seed=args.seed + s)
-        ok += 1
+        path = ham_path_bipartite(g, left, right, a, b, seed=args.seed + s)
+        path.validate(g, g.full_mask())
+        ok += (path.order[0], path.order[-1]) == (a, b)
     checks.append(_check("bipartite_path_m200", ok == args.count, f"{ok}/{args.count}"))
     return checks
 
@@ -625,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=4, help="gncriterion family size")
     p.add_argument("--n-max", type=int, default=200, help="chernoff range")
-    p.add_argument("--n-list", default="", help="pn / fnsecond n values")
+    p.add_argument("--n-list", help="pn / fnsecond n values")
     p.add_argument("--instances", type=int, default=200, help="balancedcut")
     p.add_argument("--cuts", type=int, default=100, help="balancedcut")
     p.add_argument("--count", type=int, default=5, help="builders instances")
@@ -648,8 +644,6 @@ def main(argv=None) -> int:
     _ARGV = list(argv) if argv is not None else sys.argv[1:]
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "cmd", None) == "verify" and not args.n_list:
-        args.n_list = "10000,250000" if args.suite == "fnsecond" else "64,128,256,512"
     try:
         return args.func(args)
     except PreconditionError as exc:

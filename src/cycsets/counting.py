@@ -2,19 +2,21 @@
 evaluator for the extremal family, and seeded Monte Carlo estimators.
 
 A subset S is cyclic when G[S] has a Hamilton cycle.  Exact counts run
-the reach-set DP of `subsetdp`, the kernel the exact Hamiltonicity decider
-also runs, in two forms.  The low anchors a = 0, 1, ... each count the
-cyclic S with minimum vertex a, from one kernel table over the vertices
-{a+1..m-1}, the fixpoint of in-place passes (at most one per universe
-vertex).  The kernel's states are the counts of M in each twin class of
-that universe.  The table gives the closing set of a (`Quotient.closing`):
-an int with the state x set iff {a} + M is cyclic for the sets M of counts
-x.  `Quotient.subsets_by_size` splits it by |M| = t, reading it one digit
-run of each larger class at a time down to popcount masks over the classes
-of one, and weighs each state by the number of sets M it stands for: the
-number of cyclic subsets of size t+1 with minimum a.  Each of the kernel's
-ints holds N = 2^s * prod(|C| + 1) bits, s the number of classes of one and
-C the larger classes; N = 2^k for a twin-free universe of k vertices.
+the reach-set DP of `subsetdp`, the kernel the exact Hamiltonicity
+decider also runs, in two forms.  The low anchors a = 0, 1, ... each
+count the cyclic S with minimum vertex a, from one kernel table over the
+vertices {a+1..m-1} (`subsetdp.anchored`), the fixpoint of in-place
+passes (at most one per universe vertex).  The kernel's states are the
+counts of M in each twin class of that universe.  The table gives the
+closing set of a (`Quotient.closing`): an int with the state x set iff
+{a} + M is cyclic for the sets M of counts x.
+`Quotient.subsets_by_size` splits it by |M| = t, reading it one digit
+run of each larger class at a time down to popcount masks over the
+classes of one, and weighs each state by the number of sets M it stands
+for: the number of cyclic subsets of size t+1 with minimum a.  Each of
+the kernel's ints holds N = 2^s * prod(|C| + 1) bits, s the number of
+classes of one and C the larger classes; N = 2^k for a twin-free
+universe of k vertices.
 
 Once the suffix {a..m-1} has at most MERGE_MAX_STATES states, prod(|C| + 1)
 over its twin classes, read from the rows before any kernel is built, one
@@ -60,7 +62,7 @@ from typing import TYPE_CHECKING
 
 from .bitgraph import Graph, VertexSet
 from .errors import BudgetExceededError, PreconditionError, check_seed
-from .subsetdp import Quotient
+from .subsetdp import Quotient, anchored
 
 if TYPE_CHECKING:
     from .families import ExtremalGraph
@@ -95,21 +97,6 @@ class EstimateReport:
     decider: str
 
 
-def anchored(g: Graph, a: int) -> Quotient | None:
-    """The kernel of anchor a over the universe of the vertices above it,
-    local index v - (a + 1), or None when no cycle has minimum a.
-
-    Every cyclic set has at least three vertices and appears once, in the
-    closing set (`Quotient.closing`) of its minimum.
-    """
-    shift = a + 1
-    k = g.m - shift
-    anchor_adj = g.rows[a] >> shift
-    if k < 2 or not anchor_adj:
-        return None
-    return Quotient([g.rows[shift + i] >> shift for i in range(k)], anchor_adj)
-
-
 def _suffix_states(g: Graph, a: int) -> int:
     """The states of the every-start kernel over {a..m-1}: prod(|C| + 1)
     over its twin classes, read from the rows before any int is built."""
@@ -136,7 +123,7 @@ def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:
     hist = [0] * (m + 1)
     a = 0
     while _suffix_states(g, a) > MERGE_MAX_STATES:  # the empty suffix has one state
-        q = anchored(g, a)
+        q = anchored(g.rows, a)
         if q is not None:
             for t, n in enumerate(q.subsets_by_size(q.closing()), 1):
                 hist[t] += n

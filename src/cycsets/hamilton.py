@@ -5,14 +5,16 @@ Five layers:
 
 * an exact decider on the anchored reach-set DP of `subsetdp`, the kernel
   exact counting also runs, over the counts of a path's vertices in each
-  twin class of the scope; it takes the kernel's table, the fixpoint of at
-  most one in-place pass per vertex besides the anchor, reads the answer
-  at the full state and backtracks a certificate from that table, or gives
-  a definitive refusal; its `work` is the kernel's own state count, the
-  set bits of the table; its only budget is the kernel's, `TABLE_MAX_BYTES`
-  (54,806,892 bytes: a twin-free scope of 24 vertices, and far more
-  vertices with large twin classes), which the kernel checks before it
-  allocates;
+  twin class of the scope; it relabels the scope with
+  `bitgraph.local_rows` and builds the kernel of local anchor 0 with
+  `subsetdp.anchored`, as a count builds each anchor's; it takes the
+  kernel's table, the fixpoint of at most one in-place pass per vertex
+  besides the anchor, reads the answer at the full state and backtracks a
+  certificate from that table, or gives a definitive refusal; its `work`
+  is the kernel's own state count, the set bits of the table; its only
+  budget is the kernel's, `TABLE_MAX_BYTES` (54,806,892 bytes: a twin-free
+  scope of 24 vertices, and far more vertices with large twin classes),
+  which the kernel checks before it allocates;
 * a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
   more than |X| components, found among twin classes, their
   neighbourhoods, cut vertices and colour classes, and carried as a
@@ -54,10 +56,10 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import TYPE_CHECKING
 
-from .bitgraph import Cut, Graph, VertexSet, bits_of, mask_of
+from .bitgraph import Cut, Graph, VertexSet, bits_of, local_rows, mask_of
 from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .sampling import stream_base, stream_below, stream_pick
-from .subsetdp import Quotient
+from .subsetdp import anchored
 
 if TYPE_CHECKING:
     from .families import ExtremalGraph
@@ -422,16 +424,9 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
         cert.validate(g, smask)
         return HamDecision("not_hamiltonian", cert, "dp", 0)
 
-    verts = scope.members()
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = [0] * s
-    for i, nbrs in enumerate(srows):
-        for u in bits_of(nbrs):
-            adj[i] |= 1 << idx[u]
     # the anchor is local 0; the kernel runs over locals 1..s-1, shifted by 1
-    free_adj = [a >> 1 for a in adj[1:]]
-    seed = adj[0] >> 1
-    q = Quotient(free_adj, seed)
+    adj, verts = local_rows(g.rows, smask)
+    q = anchored(adj, 0)
     # table[j] has bit x set iff a vertex of class j ends a path through the
     # sets of counts x
     table = q.table()
@@ -439,7 +434,7 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     digit, weight = q.digit, q.weight
     mask = (1 << (s - 1)) - 1
     state = q.size - 1  # every class digit full: the state of mask
-    want = seed  # the last vertex closes to the anchor
+    want = q.seed  # the last vertex closes to the anchor
     order_local = []
     while mask:
         # the lowest w in mask, next to the vertex after it, that ends a path
@@ -452,7 +447,7 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
         order_local.append(p + 1)
         mask ^= 1 << p
         state -= weight[digit[p]]
-        want = free_adj[p]
+        want = adj[p + 1] >> 1
     order_local.append(0)
     order = tuple(verts[i] for i in reversed(order_local))
     cert = HamCycleCert(order)

@@ -1,8 +1,9 @@
 """Certified combinatorial primitives on bitgraphs.
 
-Vertex covers (exact branch and bound, bounded by a greedy maximal
-matching) and linear forests, the witnesses the near-bipartite builder
-takes.  Both can be re-validated against their host graph; tie-breaking is
+Vertex covers (exact branch and bound on the scope's rows relabeled by
+`bitgraph.local_rows`, bounded by a greedy maximal matching) and linear
+forests, the witnesses the near-bipartite builder takes.  Both can be
+re-validated against their host graph; tie-breaking is
 lowest-vertex-index-first throughout so all outputs are deterministic.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitgraph import Graph, VertexSet, bits_of, mask_of
+from .bitgraph import Graph, VertexSet, bits_of, local_rows, mask_of
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -137,10 +138,8 @@ def min_vertex_cover_exact(
     include its whole neighborhood).  Raises BudgetExceededError carrying
     best-known bounds if the node budget runs out.
     """
-    sub, verts = g.induced(scope.mask)
-    s = sub.m
-    full = (1 << s) - 1
-    rows = sub.rows
+    rows, verts = local_rows(g.rows, scope.mask)
+    full = (1 << len(rows)) - 1
 
     # greedy 2-approximation as the initial incumbent
     best_mask = greedy_matching_mask(rows, full)

@@ -1,6 +1,6 @@
 """The reach-set DP (Bellman 1962; Held and Karp 1962) over twin-class
-counts, anchored or with every start, shared by exact counting and the
-exact Hamiltonicity decider.
+counts, anchored or with every start, shared by exact counting, the exact
+Hamiltonicity decider and `verify gncriterion`.
 
 Fix an anchor vertex outside a universe of k local vertices 0..k-1.  For a
 mask M over the universe, reach[M] is the set of w in M that end a path
@@ -8,6 +8,11 @@ which starts at the anchor and visits exactly {anchor} + M.  The second
 seed, every start, has no anchor: reach[M] is the set of w in M that end
 a path which visits exactly M and starts at a vertex of M's lowest class
 (below).
+
+`anchored(rows, a)` is the one layout of an anchor's universe: the
+vertices above a, local index v - (a + 1), with N(a) among them as the
+seed.  Counts build each anchor's kernel with it, and the exact decider
+builds its kernel as anchor 0 of the scope's local rows.
 
 Twins are universe vertices with the same neighbours in the universe and
 the same adjacency to the anchor; the anchor can split a set of vertices
@@ -315,3 +320,18 @@ class Quotient:
         read(x, len(larger), 0, 1)
         del read  # it names itself: a reference cycle that would keep the layers
         return out
+
+
+def anchored(rows, a: int) -> Quotient | None:
+    """The kernel of anchor a over the universe of the vertices above it,
+    local index v - (a + 1), on the bit rows `rows`; None when no cycle has
+    minimum a: fewer than two vertices above a, or none next to it.
+
+    Every cyclic set has at least three vertices and appears once, in the
+    closing set (`Quotient.closing`) of its minimum.
+    """
+    shift = a + 1
+    seed = rows[a] >> shift
+    if len(rows) - shift < 2 or not seed:
+        return None
+    return Quotient([r >> shift for r in rows[shift:]], seed)

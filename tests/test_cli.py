@@ -22,7 +22,8 @@ from cycsets.bitgraph import from_graph6, to_graph6
 from cycsets.cli import main
 from cycsets.counting import p_exact_knn
 from cycsets.families import build_competitor, build_extremal, build_knn
-from cycsets.subsetdp import Quotient
+from cycsets.hamilton import HamPathCert
+from cycsets.subsetdp import TABLE_MAX_BYTES, Quotient
 
 
 def run(capsys, *argv):
@@ -174,6 +175,13 @@ def test_count_takes_only_an_input_and_out(capsys):
         main(["count", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: cycsets count [-h] [--out OUT] input\n")
+
+
+def test_count_help_states_the_kernel_budget(capsys):
+    # the parser cannot import subsetdp, so the help text spells the budget out
+    with pytest.raises(SystemExit):
+        main(["count", "--help"])
+    assert f" {TABLE_MAX_BYTES:,} bytes" in capsys.readouterr().out
 
 
 def test_count_parse_errors(tmp_path, capsys):
@@ -378,6 +386,21 @@ def test_verify_gncriterion_reads_the_kernel_that_counts(capsys, monkeypatch):
     assert check["pass"] is False and not check["detail"].endswith(" 0 disagreements")
 
 
+def test_verify_gncriterion_builds_one_every_start_kernel_per_member(capsys, monkeypatch):
+    # the kernel `count` runs on the whole member, not one per anchor
+    seeds = []
+    init = Quotient.__init__
+
+    def recording(q, adj, seed):
+        seeds.append(seed)
+        init(q, adj, seed)
+
+    monkeypatch.setattr(Quotient, "__init__", recording)
+    checks = run_json(capsys, "verify", "gncriterion", "--n", "5")["report"]["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("type_6", True), ("type_3_3", True)]
+    assert seeds == [None, None]
+
+
 def test_verify_gncriterion_refuses_past_the_exact_budget(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "gncriterion", "--n", "11")
@@ -398,13 +421,16 @@ def test_verify_gncriterion_rejects_small_n(capsys, n):
     [
         (["pn", "--n-list", "64,abc"], "bad --n-list '64,abc'"),
         (["pn", "--n-list", ","], "bad --n-list ','"),
+        (["pn", "--n-list", ""], "bad --n-list ''"),
         (["fnsecond", "--n-list", "x"], "bad --n-list 'x'"),
+        (["fnsecond", "--n-list", ""], "bad --n-list ''"),
         (["builders", "--count", "0"], "builders needs --count >= 1, got 0"),
         (["chernoff", "--n-max", "0"], "chernoff needs --n-max >= 1, got 0"),
         (["balancedcut", "--instances", "0"], "balancedcut needs --instances >= 1, got 0"),
         (["balancedcut", "--cuts", "-1"], "balancedcut needs --cuts >= 1, got -1"),
     ],
-    ids=["pn-word", "pn-empty", "fnsecond-word", "builders-0", "chernoff-0",
+    ids=["pn-word", "pn-empty", "pn-blank", "fnsecond-word", "fnsecond-blank", "builders-0",
+         "chernoff-0",
          "balancedcut-instances-0", "balancedcut-cuts-negative"],
 )
 def test_verify_rejects_malformed_or_empty_input(capsys, argv, message):
@@ -455,7 +481,7 @@ _ESTIMATE = ["estimate", "OCTA", "--p", "1/2", "--samples", "50"]
         (_ESTIMATE + ["--decider", "gn", "--n", "3"],
          {"bitgraph", "counting", "errors", "families", "sampling", "subsetdp"}, True),
         (["verify", "gncriterion", "--n", "3"],
-         {"bitgraph", "counting", "errors", "families", "subsetdp"}, False),
+         {"bitgraph", "errors", "families", "subsetdp"}, False),
         (["analyze", "OCTA"],
          {"analysis", "bitgraph", "errors", "families", "sampling", "structures"}, False),
     ],
@@ -636,6 +662,21 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("builder, check", [("ham_path_dirac", "dirac_path_m200"),
+                                            ("ham_path_bipartite", "bipartite_path_m200")])
+def test_verify_builders_checks_the_ends_of_both_paths(capsys, monkeypatch, builder, check):
+    # the path reversed is a valid Hamilton path of the graph, from b to a
+    import cycsets.hamilton as hamilton
+
+    build = getattr(hamilton, builder)
+    monkeypatch.setattr(hamilton, builder,
+                        lambda *args, **kw: HamPathCert(build(*args, **kw).order[::-1]))
+    code, out, err = run(capsys, "verify", "builders", "--count", "1")
+    assert code == 4
+    checks = json.loads(out)["report"]["checks"]
+    assert [(c["name"], c["detail"]) for c in checks if not c["pass"]] == [(check, "0/1")]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -33,7 +33,6 @@ from conftest import (
 from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import Graph, VertexSet, bits_of
 from cycsets.counting import (
-    anchored,
     cyc_count_exact,
     cycle_profile,
     estimate_h,
@@ -51,7 +50,7 @@ from cycsets.families import (
     enumerate_regular_complements,
 )
 from cycsets.hamilton import is_hamiltonian_exact
-from cycsets.subsetdp import LAYER_MAX_DIGITS, TABLE_MAX_BYTES, Quotient
+from cycsets.subsetdp import LAYER_MAX_DIGITS, TABLE_MAX_BYTES, Quotient, anchored
 
 
 # -- exact counts ------------------------------------------------------------
@@ -333,7 +332,7 @@ def _split_count(g: Graph, t: int) -> tuple[int, ...]:
     t = m: per anchor only)."""
     hist = [0] * (g.m + 1)
     for a in range(t):
-        q = anchored(g, a)
+        q = anchored(g.rows, a)
         if q is not None:
             for size, n in enumerate(q.subsets_by_size(q.closing()), 1):
                 hist[size] += n
@@ -412,7 +411,7 @@ def test_subsets_by_size_frees_its_layers():
     # of 2^16 bits at anchor 0; a count before tracing fills the
     # interpreter's free lists of small objects
     g = complete(20)
-    q = anchored(g, 0)
+    q = anchored(g.rows, 0)
     x = q.closing()
     one = sys.getsizeof(x)
     cyc_count_exact(g)
@@ -473,17 +472,17 @@ def test_reach_rounds_peak_memory_is_bounded():
     # (s = 1 beside 11 and 9 classes of two)
     layouts = [complete(24), build_extremal(18, [19]).graph, _blown_up(12, 1), _blown_up(10, 1)]
     for g in layouts:
-        q = anchored(g, 0)
+        q = anchored(g.rows, 0)
         traced = _traced_peak(lambda: q.subsets_by_size(q.closing()))
         assert traced <= q.peak_bytes <= 1.5 * traced
-        q = anchored(g, 0)
+        q = anchored(g.rows, 0)
         assert _traced_peak(lambda: sum(map(int.bit_count, q.table()))) <= q.peak_bytes
-    assert anchored(complete(24), 0).peak_bytes == TABLE_MAX_BYTES
+    assert anchored(complete(24).rows, 0).peak_bytes == TABLE_MAX_BYTES
     # pairs over 16 vertices (m = 32) are refused from their classes alone
     with pytest.raises(BudgetExceededError,
                        match="^subset-DP budget: 31 free vertices in 16 classes "
                              "would take 133924000 bytes "):
-        anchored(_blown_up(16, 1), 0)
+        anchored(_blown_up(16, 1).rows, 0)
 
 
 def test_exact_decision_on_twin_pairs_past_24_vertices():
