@@ -56,17 +56,12 @@ _HALVES = tuple((h, (1 << h) - 1) for h in (32, 16, 8, 4, 2, 1))
 def nth_bit(mask: int, r: int) -> int:
     """Position of the set bit of rank r (0-based, increasing order) in mask.
 
-    Equals list(bits_of(mask))[r].  For r < 8 the r lowest bits are cleared
-    one by one.  Otherwise the 64-bit word that holds rank r is found by
-    word popcounts from the low end, and the bit by halving within that
-    word: no popcount ever reads more than one word."""
+    Equals list(bits_of(mask))[r].  The 64-bit word that holds rank r is
+    found by word popcounts from the low end, and the bit by halving within
+    that word: no popcount ever reads more than one word.  `stream_pick`
+    clears the lowest bits itself for ranks below 8."""
     rest, pos, k = mask, 0, r
-    if 0 <= k < 8:
-        for _ in range(k):
-            rest &= rest - 1
-        if rest:
-            return (rest & -rest).bit_length() - 1
-    elif k >= 0:
+    if k >= 0:
         word = rest & _WORD
         while rest and k >= (c := word.bit_count()):
             k -= c

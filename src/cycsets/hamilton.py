@@ -33,7 +33,8 @@ Five layers:
 * constructive routines that build Hamilton paths/cycles in dense regimes
   the way the existence arguments do (delete-and-splice, pigeonhole on
   cycle successors, cherry matchings over low-degree vertices, crossing
-  connectors of length 2/3), validating every certificate;
+  connectors of length 2/3); each builder validates the certificate it
+  returns, and the helpers under them return bare vertex lists;
 * `gn_criterion`, the O(#cycles) exact criterion for subsets of the
   extremal family on a `VertexSet`; the criterion itself is
   `families.gn_criterion_mask`, beside the cycle layout it reads, so its
@@ -590,11 +591,12 @@ def _dirac_path_scoped(
 
     Deletes a and b, finds a Hamilton cycle of the rest, then splices at a
     cycle edge x-y with a~x and b~y, which the degree counting guarantees.
+    A bare list: its caller validates the certificate.
     """
     size = scope_mask.bit_count()
     if a == b:
         raise PreconditionError("endpoints must differ")
-    if not (scope_mask >> a & 1 and scope_mask >> b & 1):
+    if min(a, b) < 0 or not (scope_mask >> a & 1 and scope_mask >> b & 1):
         raise PreconditionError("endpoints must lie in the scope")
     mindeg = min((g.rows[v] & scope_mask).bit_count() for v in bits_of(scope_mask))
     if 2 * mindeg < size + 2:
@@ -604,9 +606,7 @@ def _dirac_path_scoped(
     rest = scope_mask & ~(1 << a) & ~(1 << b)
     if size == 4:  # only K4 meets the bound; rest is one edge, not a cycle
         x, y = bits_of(rest)
-        path = [a, x, y, b]
-        HamPathCert(tuple(path)).validate(g, scope_mask)
-        return path
+        return [a, x, y, b]
     cyc = _cycle_in_scope(g, rest, seed)
     k = len(cyc)
     for i in range(k):
@@ -614,62 +614,54 @@ def _dirac_path_scoped(
         if g.has_edge(a, x) and g.has_edge(b, y):
             # walk backwards from x around to y
             mid = [cyc[(i - j) % k] for j in range(k)]
-            path = [a] + mid + [b]
-            HamPathCert(tuple(path)).validate(g, scope_mask)
-            return path
+            return [a] + mid + [b]
     raise VerificationError("pigeonhole splice found no cycle edge (out of regime)")
 
 
 def ham_path_dirac(g: Graph, a: int, b: int, seed: int = 0) -> HamPathCert:
     """Hamilton path between any two vertices when min degree >= m/2 + 1."""
-    path = _dirac_path_scoped(g, g.full_mask(), a, b, seed)
-    return HamPathCert(tuple(path))
+    cert = HamPathCert(tuple(_dirac_path_scoped(g, g.full_mask(), a, b, seed)))
+    cert.validate(g, g.full_mask())
+    return cert
 
 
 def _bipartite_path_scoped(
-    g: Graph, lmask: int, rmask: int, a: int, b: int, seed: int = 0
+    cross: Graph, lmask: int, rmask: int, a: int, b: int, seed: int = 0
 ) -> list[int]:
-    """Hamilton path a..b of the crossing graph on lmask|rmask, with
+    """Hamilton path a..b of `cross`, the crossing graph
+    `g.bipartite_restriction(lmask, rmask)` of two disjoint sides, with
     |left| = |right|, a on the left, b on the right, crossing min degree
-    >= m/4 + 1.  Within-side edges are ignored."""
-    if lmask & rmask:
-        raise PreconditionError("sides overlap")
+    >= m/4 + 1.  A bare list: its caller validates the certificate."""
     nl, nr = lmask.bit_count(), rmask.bit_count()
     if nl != nr:
         raise PreconditionError(f"sides must balance (|L|={nl}, |R|={nr})")
-    if not lmask >> a & 1:
+    if a < 0 or not lmask >> a & 1:
         raise PreconditionError("a must be on the left side")
-    if not rmask >> b & 1:
+    if b < 0 or not rmask >> b & 1:
         raise PreconditionError("b must be on the right side")
     m = nl + nr
     scope_mask = lmask | rmask
-    for v in bits_of(lmask):
-        if 4 * (g.rows[v] & rmask).bit_count() < m + 4:
-            raise PreconditionError(f"crossing degree of {v} below m/4 + 1")
-    for v in bits_of(rmask):
-        if 4 * (g.rows[v] & lmask).bit_count() < m + 4:
-            raise PreconditionError(f"crossing degree of {v} below m/4 + 1")
-    cross = g.bipartite_restriction(lmask, rmask)
+    rows = cross.rows
+    for side in (lmask, rmask):
+        for v in bits_of(side):
+            if 4 * rows[v].bit_count() < m + 4:
+                raise PreconditionError(f"crossing degree of {v} below m/4 + 1")
     if nl == 2:
         # remainder is a single crossing edge; wire directly
         r2 = next(bits_of(rmask & ~(1 << b)))
         l2 = next(bits_of(lmask & ~(1 << a)))
-        path = [a, r2, l2, b]
-        HamPathCert(tuple(path)).validate(cross, scope_mask)
-        return path
+        return [a, r2, l2, b]
     rest = scope_mask & ~(1 << a) & ~(1 << b)
     cyc = _cycle_in_scope(cross, rest, seed)
     k = len(cyc)
     pos = {v: i for i, v in enumerate(cyc)}
     # successor pigeonhole: some v ~ a has its successor ~ b
-    for v in bits_of(cross.rows[a] & rest):
+    for v in bits_of(rows[a] & rest):
         w = cyc[(pos[v] + 1) % k]
-        if cross.has_edge(b, w):
+        if rows[b] >> w & 1:
             i = pos[v]
             mid = [cyc[(i - j) % k] for j in range(k)]
-            path = [a] + mid + [b]
-            HamPathCert(tuple(path)).validate(cross, scope_mask)
-            return path
+            return [a] + mid + [b]
     raise VerificationError("successor sets failed to intersect (out of regime)")
 
 
@@ -677,31 +669,33 @@ def ham_path_bipartite(
     g: Graph, left: VertexSet, right: VertexSet, a: int, b: int, seed: int = 0
 ) -> HamPathCert:
     """Hamilton path from a (left) to b (right) of the crossing graph when
-    the sides balance and every crossing degree is >= m/4 + 1."""
-    path = _bipartite_path_scoped(g, left.mask, right.mask, a, b, seed)
-    return HamPathCert(tuple(path))
+    the sides balance and every crossing degree is >= m/4 + 1, validated
+    against the crossing graph, so it uses no within-side edge."""
+    lmask, rmask = left.mask, right.mask
+    if lmask & rmask:
+        raise PreconditionError("sides overlap")
+    cross = g.bipartite_restriction(lmask, rmask)
+    cert = HamPathCert(tuple(_bipartite_path_scoped(cross, lmask, rmask, a, b, seed)))
+    cert.validate(cross, lmask | rmask)
+    return cert
 
 
 def _dense_side_path(
     g: Graph,
     side_mask: int,
+    low: int,
     s: int,
     t: int,
     seed: int,
 ) -> list[int]:
     """Hamilton path s..t of g[side] in the dense-side regime.
 
-    Vertices of side-degree <= TWO_CLIQUES_LOW * g.m are covered first by
-    pendant arms (at s, t) and cherries, the pieces are chained through
-    common neighbors, and the dense remainder is finished by the Dirac path
-    routine.
+    The vertices of `low` (side-degree <= TWO_CLIQUES_LOW * g.m, read by
+    the caller) are covered first by pendant arms (at s, t) and cherries,
+    the pieces are chained through common neighbors, and the dense
+    remainder is finished by the Dirac path routine.  A bare list:
+    `ham_cycle_two_cliques` validates the cycle it is part of.
     """
-    # an int degree d has d <= TWO_CLIQUES_LOW * m iff d <= low_cap
-    low_cap = floor(TWO_CLIQUES_LOW * g.m)
-    low = 0
-    for v in bits_of(side_mask):
-        if (g.rows[v] & side_mask).bit_count() <= low_cap:
-            low |= 1 << v
     high = side_mask & ~low
     used = (1 << s) | (1 << t)
 
@@ -740,11 +734,7 @@ def _dense_side_path(
     tmask = mask_of(tail)
     rest = side_mask & ~pmask & ~tmask
     if not rest:
-        path = piece if piece[-1] == t else piece + tail
-        if mask_of(path) != side_mask:
-            raise VerificationError("side path missed vertices (out of regime)")
-        HamPathCert(tuple(path)).validate(g, side_mask)
-        return path
+        return piece if piece[-1] == t else piece + tail
     end = piece[-1]
     r1 = g.rows[end] & rest
     if not r1:
@@ -755,10 +745,7 @@ def _dense_side_path(
     if not r2:
         raise VerificationError(f"merge failure at endpoints ({head}, remainder)")
     r2v = next(bits_of(r2))
-    mid = _dirac_path_scoped(g, rest, r1v, r2v, seed)
-    path = piece + mid + tail
-    HamPathCert(tuple(path)).validate(g, side_mask)
-    return path
+    return piece + _dirac_path_scoped(g, rest, r1v, r2v, seed) + tail
 
 
 def ham_cycle_two_cliques(g: Graph, cut: Cut, seed: int = 0) -> HamCycleCert:
@@ -773,16 +760,21 @@ def ham_cycle_two_cliques(g: Graph, cut: Cut, seed: int = 0) -> HamCycleCert:
     """
     m = g.m
     xmask, ymask = cut.x.mask, cut.y.mask
+    # an int degree d has d <= TWO_CLIQUES_LOW * m iff d <= low_cap
+    low_cap = floor(TWO_CLIQUES_LOW * m)
+    lows = []
     for name, side in (("X", xmask), ("Y", ymask)):
         size = side.bit_count()
         if 100 * size < 49 * m:
             raise PreconditionError(f"side {name} smaller than 0.49m")
-        mindeg = min((g.rows[v] & side).bit_count() for v in bits_of(side))
-        if 100 * mindeg < m:
+        verts = list(bits_of(side))
+        degs = [(g.rows[v] & side).bit_count() for v in verts]
+        if 100 * min(degs) < m:
             raise PreconditionError(f"inside min degree of {name} below m/100")
-        non = g.non_edges_inside(side)
+        non = size * (size - 1) // 2 - sum(degs) // 2
         if 10**4 * non > m * m:
             raise PreconditionError(f"side {name} has too many inside non-edges")
+        lows.append(mask_of(v for v, d in zip(verts, degs) if d <= low_cap))
     # two disjoint crossing edges, lexicographically first
     a1 = b1 = a2 = b2 = -1
     for u in bits_of(xmask):
@@ -798,8 +790,8 @@ def ham_cycle_two_cliques(g: Graph, cut: Cut, seed: int = 0) -> HamCycleCert:
                 break
     if a2 < 0:
         raise PreconditionError("need two disjoint crossing edges")
-    px = _dense_side_path(g, xmask, a1, a2, seed)
-    py = _dense_side_path(g, ymask, b2, b1, seed + 1)
+    px = _dense_side_path(g, xmask, lows[0], a1, a2, seed)
+    py = _dense_side_path(g, ymask, lows[1], b2, b1, seed + 1)
     cert = HamCycleCert(tuple(px + py))
     cert.validate(g, g.full_mask())
     return cert
@@ -831,30 +823,25 @@ def ham_cycle_near_bipartite(
     crossing = g.edges_between(amask, bmask)
     if 4 * crossing < (1 - 4 * NEAR_BIPARTITE_EPS) * m * m:
         raise PreconditionError("crossing graph too sparse")
-    # an int d has d < gamma * m iff d < gamma_cap
+    # an int d has d < gamma * m iff d < gamma_cap, and d <= LOW * m iff
+    # d <= low_cap; one pass over A, then B, reads each crossing degree once
     gamma_cap = ceil(NEAR_BIPARTITE_GAMMA * m)
-    for v in bits_of(amask):
-        if (g.rows[v] & bmask).bit_count() * 3 < gamma_cap:
-            raise PreconditionError(f"crossing degree of {v} below gamma*m/3")
-    for v in bits_of(bmask):
-        if (g.rows[v] & amask).bit_count() * 3 < gamma_cap:
-            raise PreconditionError(f"crossing degree of {v} below gamma*m/3")
+    low_cap = floor(NEAR_BIPARTITE_LOW * m)
+    low = 0
+    for side, other in ((amask, bmask), (bmask, amask)):
+        for v in bits_of(side):
+            d = (g.rows[v] & other).bit_count()
+            if d * 3 < gamma_cap:
+                raise PreconditionError(f"crossing degree of {v} below gamma*m/3")
+            if d <= low_cap:
+                low |= 1 << v
     k_good_witness.validate(g, amask)
     if k_good_witness.size != f:
         raise PreconditionError(
             f"witness must have exactly |X|-|Y| = {f} edges, has {k_good_witness.size}"
         )
 
-    low_cap = floor(NEAR_BIPARTITE_LOW * m)
-    low_a = 0
-    for v in bits_of(amask):
-        if (g.rows[v] & bmask).bit_count() <= low_cap:
-            low_a |= 1 << v
-    low_b = 0
-    for v in bits_of(bmask):
-        if (g.rows[v] & amask).bit_count() <= low_cap:
-            low_b |= 1 << v
-    high_a, high_b = amask & ~low_a, bmask & ~low_b
+    high_a, high_b = amask & ~low, bmask & ~low
     used = 0
 
     def grab(mask: int, who: str) -> int:
@@ -871,12 +858,12 @@ def ham_cycle_near_bipartite(
     for path in k_good_witness.paths():
         p, q = path[0], path[-1]
         piece = list(path)
-        if low_a >> p & 1:
+        if low >> p & 1:
             piece.insert(0, grab(g.rows[p] & high_b & ~used, f"arm of {p}"))
-        if low_a >> q & 1:
+        if low >> q & 1:
             piece.append(grab(g.rows[q] & high_b & ~used, f"arm of {q}"))
         pieces.append(piece)
-    for v in bits_of((low_a | low_b) & ~fmask):
+    for v in bits_of(low & ~fmask):
         used |= 1 << v
         other_high = high_b if amask >> v & 1 else high_a
         x = grab(g.rows[v] & other_high & ~used, f"cherry of {v}")
@@ -949,7 +936,8 @@ def ham_cycle_near_bipartite(
     y = next(bits_of(g.rows[a_end] & rest_b), -1)
     if x < 0 or y < 0:
         raise VerificationError("merge failure at endpoints (remainder hookup)")
-    mid = _bipartite_path_scoped(g, rest_a, rest_b, x, y, seed)
+    cross = g.bipartite_restriction(rest_a, rest_b)
+    mid = _bipartite_path_scoped(cross, rest_a, rest_b, x, y, seed)
     cert = HamCycleCert(tuple(path + mid))
     cert.validate(g, g.full_mask())
     return cert

@@ -484,9 +484,12 @@ _ESTIMATE = ["estimate", "OCTA", "--p", "1/2", "--samples", "50"]
          {"bitgraph", "errors", "families", "subsetdp"}, False),
         (["analyze", "OCTA"],
          {"analysis", "bitgraph", "errors", "families", "sampling", "structures"}, False),
+        (["verify", "builders", "--count", "1"],
+         {"bitgraph", "errors", "hamilton", "instances", "sampling", "structures",
+          "subsetdp"}, False),
     ],
     ids=["count", "verify-calculus", "estimate-auto", "estimate-gn", "verify-gncriterion",
-         "analyze"],
+         "analyze", "verify-builders"],
 )
 def test_command_loads_only_its_modules(tmp_path, capsys, argv, modules, numpy_loaded):
     # the child imports cycsets.cli and runs entry() in process, since `run`
@@ -677,6 +680,23 @@ def test_verify_builders_checks_the_ends_of_both_paths(capsys, monkeypatch, buil
     assert code == 4
     checks = json.loads(out)["report"]["checks"]
     assert [(c["name"], c["detail"]) for c in checks if not c["pass"]] == [(check, "0/1")]
+
+
+def test_verify_builders_reports_a_certificate_that_fails(capsys, monkeypatch):
+    # a Dirac path that misses its last vertex fails validation; the report
+    # still names every check, and only that one fails, with the message
+    import cycsets.hamilton as hamilton
+
+    build = hamilton.ham_path_dirac
+    monkeypatch.setattr(hamilton, "ham_path_dirac",
+                        lambda *args, **kw: HamPathCert(build(*args, **kw).order[:-1]))
+    code, out, err = run(capsys, "verify", "builders", "--count", "1")
+    assert code == 4
+    checks = json.loads(out)["report"]["checks"]
+    assert [c["name"] for c in checks] == [
+        "two_cliques_m600", "near_bipartite_m600", "dirac_path_m200", "bipartite_path_m200"]
+    assert [(c["name"], c["detail"]) for c in checks if not c["pass"]] == [
+        ("dirac_path_m200", "0/1 (path certificate does not cover the scope)")]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -545,6 +545,20 @@ def test_ham_path_rejects_low_degree():
         ham_path_dirac(cycle(6), 0, 3)
 
 
+# a negative endpoint is refused before any shift by it (a ValueError)
+@pytest.mark.parametrize("a, b", [(-1, 4), (0, -1)], ids=["a", "b"])
+def test_ham_path_dirac_refuses_a_negative_endpoint(a, b):
+    with pytest.raises(PreconditionError, match="endpoints must lie in the scope"):
+        ham_path_dirac(complete(8), a, b)
+
+
+@pytest.mark.parametrize("a, b", [(-1, 4), (0, -1)], ids=["a", "b"])
+def test_ham_path_bipartite_refuses_a_negative_endpoint(a, b):
+    left = VertexSet.of(8, [0, 1, 2, 3])
+    with pytest.raises(PreconditionError, match="must be on the"):
+        ham_path_bipartite(Graph.complete_bipartite(4, 4), left, left.complement(), a, b)
+
+
 def test_ham_path_dirac_random_instances():
     for seed in range(20):
         g, a, b = dirac_instance(20, seed)
@@ -578,6 +592,17 @@ def test_ham_path_bipartite_same_side_rejected():
     left = VertexSet.of(8, [0, 1, 2, 3])
     with pytest.raises(PreconditionError):
         ham_path_bipartite(g, left, left.complement(), 0, 1)
+
+
+def test_ham_path_bipartite_refuses_a_within_side_edge(monkeypatch):
+    # K_{3,3} plus the left edge 0-1; the path is a Hamilton path of g
+    g = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)] + [(0, 1)])
+    left = VertexSet.of(6, [0, 1, 2])
+    path = [3, 0, 1, 4, 2, 5]
+    HamPathCert(tuple(path)).validate(g, g.full_mask())
+    monkeypatch.setattr(hamilton, "_bipartite_path_scoped", lambda *args: path)
+    with pytest.raises(VerificationError, match=r"non-edge \(0,1\)"):
+        ham_path_bipartite(g, left, left.complement(), 0, 3)
 
 
 def test_ham_path_bipartite_random_instances():
@@ -674,6 +699,33 @@ def test_builder_certificates_are_pinned(s):
     ]
     digest = hashlib.sha256(repr(orders).encode()).hexdigest()
     assert digest == BUILDER_ORDER_DIGESTS[s]
+
+
+def test_each_builder_checks_one_certificate_beyond_the_rotation(monkeypatch):
+    # two-cliques runs the rotation engine twice (one Dirac path per side),
+    # the other builders once; each rotation checks the cycle it finds
+    s = 2484195175
+    g1, cut1 = two_cliques_instance(600, s)
+    g2, cut2, forest = near_bipartite_instance(600, s)
+    g3, a3, b3 = dirac_instance(200, s)
+    g4, left, right, a4, b4 = bipartite_instance(200, s)
+    calls = []
+    check = hamilton._check_order
+
+    def counted(*args, **kw):
+        calls.append(args[1])
+        check(*args, **kw)
+
+    monkeypatch.setattr(hamilton, "_check_order", counted)
+    counts = []
+    for build in (lambda: ham_cycle_two_cliques(g1, cut1, seed=s),
+                  lambda: ham_cycle_near_bipartite(g2, cut2, forest, seed=s),
+                  lambda: ham_path_dirac(g3, a3, b3, seed=s),
+                  lambda: ham_path_bipartite(g4, left, right, a4, b4, seed=s)):
+        calls.clear()
+        build()
+        counts.append(len(calls))
+    assert counts == [3, 2, 2, 2]
 
 
 # -- fast criterion for the extremal family ----------------------------------
