@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -34,9 +34,6 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_VERIFICATION = 4
 EXIT_WRITE = 5
-# subsets `verify gncriterion` may walk per family member, one Python
-# criterion call each: at 2^20 a member takes about 1.4 s (2-core VM)
-GNCRITERION_MAX_SUBSETS = 1 << 20
 
 
 class _WriteError(Exception):
@@ -401,40 +398,37 @@ def _suite_calculus(args) -> list[dict]:
 
 def _suite_gncriterion(args) -> list[dict]:
     from .families import _cycle_partitions, build_extremal, gn_criterion_mask
-    from .subsetdp import Quotient
+    from .subsetdp import TABLE_MAX_BYTES, Quotient, _peak_bytes
 
-    checks = []
     n = args.n
     if n < 2:
         raise PreconditionError(f"gncriterion needs --n >= 2, got {n}")
-    if 2 * n >= GNCRITERION_MAX_SUBSETS.bit_length():  # 2^(2n) over it, never built
+    # [n + 1] has the most states: n + 1 classes of one, and B.  Its peak
+    # passes N >= 2^(n + 1) bytes, over the budget once n + 1 reaches the
+    # budget's bit length: a huge --n is refused with no int built
+    if (n + 1 >= TABLE_MAX_BYTES.bit_length()
+            or _peak_bytes(n + 1, [range(n - 1)]) > TABLE_MAX_BYTES):
         raise BudgetExceededError(
-            f"gncriterion walks all 2^{2 * n} subsets of each member; "
-            f"budget is {GNCRITERION_MAX_SUBSETS} subsets"
+            f"gncriterion: the member [{n + 1}] has 2^{n + 1}*{n} states, past the "
+            f"subset-DP budget of {TABLE_MAX_BYTES} bytes"
         )
+    checks = []
     for part in _cycle_partitions(n + 1):
         eg = build_extremal(n, part)
-        m = eg.graph.m
-        # the every-start kernel over the whole member, as `count` runs it:
-        # S is cyclic iff the closing set has S's state, the sum of its
-        # digits' weights, read a byte of S at a time; closed[x] is bit x
+        # the every-start kernel over the whole member: S is cyclic iff the
+        # closing set has S's state.  Swapping twins keeps |S & B| and each
+        # cycle's induced edges, all the criterion reads, so one call per
+        # state, on the lowest d_j members of each class C_j, checks every
+        # subset.  The product, the last class outermost, runs x = 0 .. N - 1
         q = Quotient(eg.graph.rows, None)
         closed = f"{q.closing():0{q.size}b}"[::-1]
-        weight = [q.weight[j] for j in q.digit]
-        low, *high = [
-            [sum(weight[i + w] for w in range(8) if b >> w & 1)
-             for b in range(1 << min(8, m - i))]
-            for i in range(0, m, 8)
-        ]
-        bad = 0
-        for hi in range(1 << max(m - 8, 0)):
-            base = sum(t[hi >> 8 * i & 255] for i, t in enumerate(high))
-            for lo, x in enumerate(low):
-                if gn_criterion_mask(eg, hi << 8 | lo) != (closed[base + x] == "1"):
-                    bad += 1
+        prefixes = [[sum(1 << w for w in c[:d]) for d in range(len(c) + 1)]
+                    for c in reversed(q.classes)]
+        bad = sum(gn_criterion_mask(eg, sum(rep)) != (bit == "1")
+                  for rep, bit in zip(product(*prefixes), closed))
         checks.append(
             _check(f"type_{'_'.join(map(str, part))}", bad == 0,
-                   f"{1 << m} subsets, {bad} disagreements")
+                   f"{1 << eg.graph.m} subsets in {q.size} states, {bad} disagreements")
         )
     return checks
 

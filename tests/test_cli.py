@@ -21,7 +21,9 @@ from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import from_graph6, to_graph6
 from cycsets.cli import main
 from cycsets.counting import p_exact_knn
-from cycsets.families import build_competitor, build_extremal, build_knn
+from cycsets import families
+from cycsets.families import _cycle_partitions, build_competitor, build_extremal, build_knn
+from cycsets.families import gn_criterion_mask
 from cycsets.hamilton import HamPathCert
 from cycsets.subsetdp import TABLE_MAX_BYTES, Quotient
 
@@ -401,12 +403,75 @@ def test_verify_gncriterion_builds_one_every_start_kernel_per_member(capsys, mon
     assert seeds == [None, None]
 
 
-def test_verify_gncriterion_refuses_past_the_exact_budget(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "gncriterion", "--n", "11")
-    assert code == 3
-    assert time.perf_counter() - start < 1.0
-    assert "budget" in err and out == ""
+def test_verify_gncriterion_fails_on_one_flipped_state(capsys, monkeypatch):
+    # the criterion wrong on one representative only: {0, 1, 2} and the
+    # lowest vertex of B, on the member [3, 3]
+    def flipped(eg, smask):
+        wrong = eg.cycles == ((0, 1, 2), (3, 4, 5)) and smask == 0b1000111
+        return gn_criterion_mask(eg, smask) != wrong
+
+    monkeypatch.setattr(families, "gn_criterion_mask", flipped)
+    code, out, err = run(capsys, "verify", "gncriterion", "--n", "5")
+    assert code == 4
+    checks = json.loads(out)["report"]["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("type_6", True), ("type_3_3", False)]
+    assert checks[1]["detail"].endswith(" 1 disagreements")
+
+
+def test_gn_criterion_answers_each_subset_as_its_state():
+    # the premise of the suite's one call per state: every subset S of a
+    # member with n <= 7 gets the answer of its state's representative, the
+    # lowest d_j members of each class C_j.  S's state is the sum of its
+    # vertices' digit weights, read one byte of S at a time
+    checked = 0
+    for n in range(2, 8):
+        for part in _cycle_partitions(n + 1):
+            eg = build_extremal(n, part)
+            m = eg.graph.m
+            q = Quotient(eg.graph.rows, None)
+            radix = [len(c) + 1 for c in q.classes]
+            reps = [sum(1 << w for j, c in enumerate(q.classes)
+                        for w in c[:x // q.weight[j] % radix[j]])
+                    for x in range(q.size)]
+            weight = [q.weight[j] for j in q.digit]
+            low, *high = [
+                [sum(weight[i + w] for w in range(8) if b >> w & 1)
+                 for b in range(1 << min(8, m - i))]
+                for i in range(0, m, 8)
+            ]
+            assert all(sum(weight[v] for v in range(m) if r >> v & 1) == x
+                       for x, r in enumerate(reps))
+            answers = [gn_criterion_mask(eg, r) for r in reps]
+            for hi in range(1 << max(m - 8, 0)):
+                base = sum(t[hi >> 8 * i & 255] for i, t in enumerate(high))
+                for lo, x in enumerate(low):
+                    s = hi << 8 | lo
+                    assert gn_criterion_mask(eg, s) == answers[base + x], (part, s)
+                    checked += 1
+    assert checked == 2**4 + 2**6 + 2**8 + 2 * 2**10 + 2 * 2**12 + 3 * 2**14
+
+
+def test_verify_gncriterion_refuses_past_the_exact_budget(capsys, monkeypatch):
+    # n = 19's first member needs 119,538,900 bytes; no member is listed or built
+    def never(*args):
+        raise AssertionError("a member was listed or built")
+
+    monkeypatch.setattr(families, "_cycle_partitions", never)
+    monkeypatch.setattr(families, "build_extremal", never)
+    for n in ("19", "1000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "gncriterion", "--n", n)
+        assert code == 3
+        assert time.perf_counter() - start < 1.0
+        assert "budget" in err and out == ""
+
+
+@pytest.mark.parametrize("n", ["11", "12"])
+def test_verify_gncriterion_passes_past_n10(capsys, n):
+    checks = run_json(capsys, "verify", "gncriterion", "--n", n)["report"]["checks"]
+    names = [f"type_{'_'.join(map(str, part))}" for part in _cycle_partitions(int(n) + 1)]
+    assert [c["name"] for c in checks] == names and all(c["pass"] for c in checks)
+    assert all(c["detail"].endswith(" 0 disagreements") for c in checks)
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
