@@ -15,16 +15,18 @@ Five layers:
   budget is the kernel's, `TABLE_MAX_BYTES` (54,806,892 bytes: a twin-free
   scope of 24 vertices, and far more vertices with large twin classes),
   which the kernel checks before it allocates;
-* a toughness refuter (Chvátal 1973): a nonempty X whose removal leaves
-  more than |X| components, found among twin classes, their
-  neighbourhoods, cut vertices and colour classes, and carried as a
-  validated `NotHamCert`; incomplete, never claims Hamiltonicity; it
-  reads the scope rows once, skips every scope that Chvátal's
-  degree-sequence condition (Chvátal 1972) proves Hamiltonian, where no
-  such X can exist, and prunes only candidates that cannot split, so the
-  first X that splits is the one found; every cut vertex comes from one
-  depth-first search, skipped where Bondy's condition (Bondy 1969) rules
-  cut vertices out;
+* a degree certificate and a toughness refuter, the auto decider's first
+  tier: a scope that meets Chvátal's degree-sequence condition (Chvátal
+  1972) is Hamiltonian, carried as a `ChvatalCert` that one read of the
+  scope rows checks; otherwise the refuter (Chvátal 1973) looks for a
+  nonempty X whose removal leaves more than |X| components, among twin
+  classes, their neighbourhoods, cut vertices and colour classes, carried
+  as a validated `NotHamCert`; the refuter is incomplete and never claims
+  Hamiltonicity; it skips every Chvátal scope, where no such X can exist,
+  and prunes only candidates that cannot split, so the first X that
+  splits is the one found; every cut vertex comes from one depth-first
+  search, skipped where Bondy's condition (Bondy 1969) rules cut vertices
+  out;
 * a seeded rotation-extension engine: sound, incomplete, never claims
   non-Hamiltonicity; it keeps the free scope vertices as one mask, so an
   extension step is one AND, one `sampling.stream_pick` call (one stream
@@ -145,17 +147,35 @@ class NotHamCert:
 
 
 @dataclass(frozen=True)
+class ChvatalCert:
+    """Chvátal's degree-sequence condition (Chvátal 1972, `_chvatal`) on
+    the scope: it proves G[S] Hamiltonian without naming a cycle, and is
+    checked from one read of the scope rows."""
+
+    def validate(self, g: Graph, scope_mask: int) -> None:
+        if scope_mask.bit_count() < 3:
+            raise VerificationError("degree certificate on fewer than 3 vertices")
+        if not _chvatal(sorted(map(int.bit_count, _scope_rows(g.rows, scope_mask)))):
+            raise VerificationError("scope degrees fail Chvátal's condition")
+
+
+@dataclass(frozen=True)
 class HamDecision:
-    status: str  # 'hamiltonian' | 'not_hamiltonian' | 'unknown'
-    cert: HamCycleCert | NotHamCert | None
+    # 'hamiltonian' (with a HamCycleCert, or a ChvatalCert from the auto
+    # decider) | 'not_hamiltonian' (a NotHamCert or none) | 'unknown'
+    status: str
+    cert: HamCycleCert | ChvatalCert | NotHamCert | None
     method: str
     work: int
 
     def __post_init__(self) -> None:
-        if self.status == "hamiltonian" and not isinstance(self.cert, HamCycleCert):
-            raise VerificationError("hamiltonian decision lacks a cycle certificate")
+        proves = isinstance(self.cert, (HamCycleCert, ChvatalCert))
+        if self.status == "hamiltonian" and not proves:
+            raise VerificationError("hamiltonian decision lacks a cycle or degree certificate")
         if isinstance(self.cert, NotHamCert) and self.status != "not_hamiltonian":
             raise VerificationError("toughness certificate on a non-refusal")
+        if isinstance(self.cert, ChvatalCert) and self.status != "hamiltonian":
+            raise VerificationError("degree certificate on a non-Hamiltonian decision")
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +554,12 @@ def find_ham_cycle_rotation(
 def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDecision:
     """Tiered policy, every answer certified:
 
-    1. `refute_toughness`: a `NotHamCert`, method 'toughness'; a scope
-       that meets Chvátal's degree condition skips its candidates;
+    1. one read of the scope rows: a scope whose sorted degrees meet
+       Chvátal's condition (`_chvatal`) is Hamiltonian, with a
+       `ChvatalCert`, method 'chvatal' and work 0, not validated again,
+       since validating it is the same test; any other scope goes to
+       `refute_toughness`, which reads the rows again, for a `NotHamCert`,
+       method 'toughness';
     2. rotation, within AUTO_ROTATIONS rotations, capped at s*s on scopes of at
        most SMALL_SCOPE vertices, which bounds the cost of a refuter miss;
     3. the exact DP, for scopes within the kernel's byte budget
@@ -548,6 +572,8 @@ def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDec
     s = scope.size
     if s < 3:
         return HamDecision("not_hamiltonian", None, "auto", 0)
+    if _chvatal(sorted(map(int.bit_count, _scope_rows(g.rows, scope.mask)))):
+        return HamDecision("hamiltonian", ChvatalCert(), "chvatal", 0)
     cert = refute_toughness(g, scope.mask)
     if cert is not None:
         return HamDecision("not_hamiltonian", cert, "toughness", 0)

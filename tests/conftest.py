@@ -13,7 +13,9 @@ its work the reference's states counted by twin class and class counts.
 `twin_planted_graph` draws graphs made of twin classes for both.
 `reference_toughness_cut` is the toughness refuter's candidate search
 with no gate and no prunes, and `reference_cut_vertices` finds cut
-vertices by deleting each vertex and counting components.  The
+vertices by deleting each vertex and counting components.
+`closure_is_complete` computes the Bondy–Chvátal closure by its plain
+rule, an oracle for the auto decider's degree tier.  The
 `planted_*` generators draw the classifier's test graphs from the
 package's seeded streams; only the tests classify them.  Likewise only the
 tests list a graph's edges, build complete graphs and cycles, relabel a
@@ -67,6 +69,25 @@ def brute_has_ham_cycle(g: Graph, verts: list[int]) -> bool:
         return False
 
     return extend(start, 1)
+
+
+def closure_is_complete(g: Graph, mask: int) -> bool:
+    """Whether the Bondy–Chvátal closure of g[mask] is complete: join
+    non-adjacent u, v while d(u) + d(v) >= s, degrees in the graph built so
+    far, until no pair qualifies.  A complete closure proves the scope of
+    s >= 3 vertices Hamiltonian (Bondy and Chvátal 1976)."""
+    verts = [v for v in range(g.m) if mask >> v & 1]
+    s = len(verts)
+    nbrs = {v: {u for u in verts if u != v and g.has_edge(u, v)} for v in verts}
+    added = True
+    while added:
+        added = False
+        for u, v in combinations(verts, 2):
+            if v not in nbrs[u] and len(nbrs[u]) + len(nbrs[v]) >= s:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+                added = True
+    return all(len(nbrs[v]) == s - 1 for v in verts)
 
 
 def brute_cyclic_count(g: Graph) -> int:

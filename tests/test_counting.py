@@ -669,6 +669,17 @@ def test_estimate_auto_matches_gn_at_m40():
         assert auto.undecided_fraction == 0
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(3, 4)], ids=str)
+def test_estimate_auto_matches_gn_at_m20(p):
+    # sparse and dense retention: fewer and more scopes the degree tier
+    # decides, each counted as the family criterion counts it
+    eg = build_extremal(10, [11])
+    auto = estimate_h(eg.graph, p, 500, 7, decider="auto")
+    gn = estimate_h(eg.graph, p, 500, 7, decider="gn", eg=eg)
+    assert auto.successes == gn.successes
+    assert auto.undecided_fraction == 0
+
+
 def test_estimate_auto_decides_every_star_augmented_sample():
     # three samples are scopes of 25-27 vertices that neither the refuter
     # nor rotation settles; their twin classes keep them within the DP's bytes

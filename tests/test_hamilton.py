@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     brute_has_ham_cycle,
+    closure_is_complete,
     complete,
     cycle,
     petersen,
@@ -26,6 +27,7 @@ from cycsets.bitgraph import Cut, Graph, VertexSet, bits_of
 from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
 from cycsets.families import build_extremal, build_knn
 from cycsets.hamilton import (
+    ChvatalCert,
     HamCycleCert,
     HamDecision,
     HamPathCert,
@@ -292,6 +294,46 @@ def test_hamiltonian_decision_needs_a_cycle_certificate():
             HamDecision("hamiltonian", cert, "dp", 0)
     with pytest.raises(VerificationError):
         HamDecision("unknown", NotHamCert(1), "toughness", 0)
+    # a degree certificate proves Hamiltonicity, and only that
+    HamDecision("hamiltonian", ChvatalCert(), "chvatal", 0)
+    for status in ("not_hamiltonian", "unknown"):
+        with pytest.raises(VerificationError, match="degree certificate"):
+            HamDecision(status, ChvatalCert(), "chvatal", 0)
+
+
+def test_chvatal_cert_validates_only_dense_scopes():
+    k6 = complete(6)
+    for mask in range(1 << 6):
+        if mask.bit_count() >= 3:
+            ChvatalCert().validate(k6, mask)
+    ChvatalCert().validate(build_knn(4), 0xFF)
+    # neither is Hamiltonian, so no degree certificate can hold
+    for g in (petersen(), Graph.complete_bipartite(3, 5)):
+        with pytest.raises(VerificationError, match="Chvátal"):
+            ChvatalCert().validate(g, g.full_mask())
+    with pytest.raises(VerificationError, match="fewer than 3"):
+        ChvatalCert().validate(k6, 0b11)
+
+
+@pytest.mark.parametrize("m, p", [(8, 0.5), (9, 0.7), (10, 0.6), (10, 0.8)])
+def test_chvatal_decisions_have_complete_closures(m, p):
+    # the Bondy–Chvátal closure, by its plain rule, is an oracle independent
+    # of `_chvatal`: wherever auto answers 'chvatal', the closure is complete
+    # and the scope has a Hamilton cycle
+    g = random_graph(m, 6600 + 10 * m + int(10 * p), p=p)
+    held = 0
+    for mask in range(1 << m):
+        if mask.bit_count() < 3:
+            continue
+        dec = decide_hamiltonian_auto(g, VertexSet(mask, m), seed=mask)
+        if dec.method != "chvatal":
+            continue
+        held += 1
+        assert (dec.status, dec.cert, dec.work) == ("hamiltonian", ChvatalCert(), 0)
+        dec.cert.validate(g, mask)
+        assert closure_is_complete(g, mask), f"{mask:b}"
+        assert brute_has_ham_cycle(g, list(bits_of(mask))), f"{mask:b}"
+    assert held > 0
 
 
 def test_exact_cheap_refusals_carry_certificates():
@@ -447,35 +489,71 @@ def test_generalized_petersen_oracle(n):
         assert (auto.method, auto.cert) == ("dp", None)
 
 
-def _auto_stream_digest(g: Graph, seed: int, samples: int) -> str:
+def _rotation_then_dp(g: Graph, scope: VertexSet, seed: int) -> HamDecision:
+    """The decision the auto decider's rotation and DP tiers give on a
+    scope, with its seed and budget: what it returned on Chvátal scopes
+    before the degree tier."""
+    s = scope.size
+    budget = hamilton.AUTO_ROTATIONS
+    if s <= hamilton.SMALL_SCOPE:
+        budget = min(budget, s * s)
+    dec = find_ham_cycle_rotation(g, scope, budget=budget, seed=seed)
+    if dec.status == "hamiltonian":
+        return dec
+    try:
+        return is_hamiltonian_exact(g, scope)
+    except BudgetExceededError:
+        return dec
+
+
+def _auto_stream_digests(g: Graph, seed: int, samples: int) -> tuple[str, str]:
     """sha256 over the auto decisions of estimate_h's sample stream at
-    p = 1/2: (status, method, work, cert order or x_mask) per sample."""
-    rows = []
-    for mask, base in retention_masks(seed, 0, samples, g.m, 1, 2):
-        dec = decide_hamiltonian_auto(g, VertexSet(mask, g.m), seed=base & 0x3FFFFFFF)
+    p = 1/2: (status, method, work, cert order or x_mask) per sample.  The
+    first digest expands every 'chvatal' decision into `_rotation_then_dp`'s,
+    the stream as the decider gave it before the degree tier; the second is
+    the stream as it is.  Every degree certificate validates, and its
+    expansion is Hamiltonian too."""
+    def row(dec: HamDecision) -> tuple:
         cert = getattr(dec.cert, "order", None) or getattr(dec.cert, "x_mask", None)
-        rows.append((dec.status, dec.method, dec.work, cert))
-    return hashlib.sha256(repr(rows).encode()).hexdigest()
+        return (dec.status, dec.method, dec.work, cert)
+
+    expanded, rows = [], []
+    for mask, base in retention_masks(seed, 0, samples, g.m, 1, 2):
+        scope, engine_seed = VertexSet(mask, g.m), base & 0x3FFFFFFF
+        dec = decide_hamiltonian_auto(g, scope, seed=engine_seed)
+        rows.append(row(dec))
+        if dec.method == "chvatal":
+            dec.cert.validate(g, mask)
+            dec = _rotation_then_dp(g, scope, engine_seed)
+            assert dec.status == "hamiltonian"
+        expanded.append(row(dec))
+    return tuple(hashlib.sha256(repr(r).encode()).hexdigest() for r in (expanded, rows))
 
 
 @pytest.mark.parametrize(
-    "graph, samples, digest",
+    "graph, samples, old, new",
     [
         (build_extremal(10, [11]).graph, 600,
-         "c22fb810118d6c5aae9569bca7bf0655f8e806f953eb56e96da0e9c0dd5c83b4"),
+         "c22fb810118d6c5aae9569bca7bf0655f8e806f953eb56e96da0e9c0dd5c83b4",
+         "1be214b9ba903a48e62e1d8c6452efcc00de0a3e7e75f9cbe296e1656ba73c14"),
         (random_regular_graph(22, 12, seed=4), 600,
-         "e0c539cdc50db48409500efe9caae529fdc2cdb10a533b18c2ef960f431c397b"),
-        # 300-vertex scopes: 6 rotated cycles with 45-383 rotations each, so
-        # rank-selects over ten-word masks on rotated paths and pivot picks
+         "e0c539cdc50db48409500efe9caae529fdc2cdb10a533b18c2ef960f431c397b",
+         "cc1e127270d3940704e735fa31ef17eb3f766cc6b0f3a973d2ed9f7b9bb71aeb"),
+        # 300-vertex scopes: 6 rotated cycles with 45-383 rotations each
+        # (3 of them with the degree tier), so rank-selects over ten-word
+        # masks on rotated paths and pivot picks
         (build_extremal(300, [301]).graph, 16,
-         "7a2f359c383eeca342502e0ebf64f53c6357a33ee3d96b3e5236cd7e04b67513"),
+         "7a2f359c383eeca342502e0ebf64f53c6357a33ee3d96b3e5236cd7e04b67513",
+         "3f8f89f1a7adf33f65dc0771179b090194f3a9edd5bc5ff8567e37becb26a078"),
     ],
     ids=["extremal_m20", "random_12_regular_22", "extremal_m600"],
 )
-def test_auto_decisions_are_pinned_on_the_sample_stream(graph, samples, digest):
-    # m = 20 and 22 taken before the Chvátal gate and the cheaper rotation
-    # pick, m = 600 before the word-level rank-select and one-frame draws
-    assert _auto_stream_digest(graph, 1, samples) == digest
+def test_auto_decisions_are_pinned_on_the_sample_stream(graph, samples, old, new):
+    # old: m = 20 and 22 taken before the Chvátal gate and the cheaper
+    # rotation pick, m = 600 before the word-level rank-select and one-frame
+    # draws; it still holds with the degree tier's decisions expanded, so
+    # the tier moved nothing else.  new: taken with the degree tier
+    assert _auto_stream_digests(graph, 1, samples) == (old, new)
 
 
 @pytest.mark.parametrize(
