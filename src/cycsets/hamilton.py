@@ -16,17 +16,17 @@ Five layers:
   scope of 24 vertices, and far more vertices with large twin classes),
   which the kernel checks before it allocates;
 * a degree certificate and a toughness refuter, the auto decider's first
-  tier: a scope that meets Chvátal's degree-sequence condition (Chvátal
-  1972) is Hamiltonian, carried as a `ChvatalCert` that one read of the
-  scope rows checks; otherwise the refuter (Chvátal 1973) looks for a
-  nonempty X whose removal leaves more than |X| components, among twin
-  classes, their neighbourhoods, cut vertices and colour classes, carried
-  as a validated `NotHamCert`; the refuter is incomplete and never claims
-  Hamiltonicity; it skips every Chvátal scope, where no such X can exist,
-  and prunes only candidates that cannot split, so the first X that
-  splits is the one found; every cut vertex comes from one depth-first
-  search, skipped where Bondy's condition (Bondy 1969) rules cut vertices
-  out;
+  tier, both on one read of the scope rows and their sorted degrees: a
+  scope that meets Chvátal's degree-sequence condition (Chvátal 1972) is
+  Hamiltonian, carried as a `ChvatalCert` that one read of the scope rows
+  checks; otherwise the refuter (Chvátal 1973), given those rows and
+  degrees, looks for a nonempty X whose removal leaves more than |X|
+  components, among twin classes, their neighbourhoods, cut vertices and
+  colour classes, carried as a validated `NotHamCert`; the refuter is
+  incomplete and never claims Hamiltonicity; it prunes only candidates
+  that cannot split, so the first X that splits is the one found; every
+  cut vertex comes from one depth-first search, skipped where Bondy's
+  condition (Bondy 1969) rules cut vertices out;
 * a seeded rotation-extension engine: sound, incomplete, never claims
   non-Hamiltonicity; it keeps the free scope vertices as one mask, so an
   extension step is one AND, one `sampling.stream_pick` call (one stream
@@ -107,6 +107,13 @@ def _check_order(g: Graph, order: tuple[int, ...], scope_mask: int | None, close
         raise VerificationError(f"{kind} certificate does not cover the scope")
 
 
+def _check_scope(g: Graph, scope_mask: int) -> None:
+    """Refuse a scope mask with a bit outside 0..m-1 (or a negative one)
+    before a certificate reads the rows of its vertices."""
+    if scope_mask >> g.m:
+        raise VerificationError(f"scope has a vertex outside 0..{g.m - 1}")
+
+
 @dataclass(frozen=True)
 class HamCycleCert:
     order: tuple[int, ...]
@@ -138,6 +145,7 @@ class NotHamCert:
     def validate(self, g: Graph, scope_mask: int) -> None:
         if not self.x_mask:
             raise VerificationError("toughness certificate has an empty X")
+        _check_scope(g, scope_mask)
         if self.x_mask & ~scope_mask:
             raise VerificationError("toughness certificate leaves the scope")
         if not _splits(g, scope_mask, self.x_mask):
@@ -153,6 +161,7 @@ class ChvatalCert:
     checked from one read of the scope rows."""
 
     def validate(self, g: Graph, scope_mask: int) -> None:
+        _check_scope(g, scope_mask)
         if scope_mask.bit_count() < 3:
             raise VerificationError("degree certificate on fewer than 3 vertices")
         if not _chvatal(sorted(map(int.bit_count, _scope_rows(g.rows, scope_mask)))):
@@ -176,6 +185,10 @@ class HamDecision:
             raise VerificationError("toughness certificate on a non-refusal")
         if isinstance(self.cert, ChvatalCert) and self.status != "hamiltonian":
             raise VerificationError("degree certificate on a non-Hamiltonian decision")
+
+
+# the auto decider's answer on every scope that meets Chvátal's condition
+_CHVATAL_DECISION = HamDecision("hamiltonian", ChvatalCert(), "chvatal", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,30 +400,31 @@ def _chvatal(degs: list[int]) -> bool:
     return True
 
 
-def refute_toughness(g: Graph, scope_mask: int) -> NotHamCert | None:
-    """A validated toughness certificate for g[scope], or None.
+def refute_toughness(
+    g: Graph, scope_mask: int, srows: list[int], degs: list[int]
+) -> NotHamCert | None:
+    """A validated toughness certificate for g[scope], a scope of at least
+    3 vertices, or None.
 
-    One pass reads the scope rows N_S(v) and their degrees.  A scope that
-    meets Chvátal's degree condition (`_chvatal`) is Hamiltonian, hence
-    1-tough, so no X exists and None is returned before any candidate is
-    tried.  Candidates for X (`_toughness_cut`), cheapest first: the lone
-    neighbour of a vertex of scope-degree 1; one vertex of a disconnected
-    scope; the smaller colour class of an unbalanced bipartite scope; and,
-    for every twin class C (singletons included) in order of its lowest
-    vertex, X = C and X = N_S(C).  A cut vertex never has a twin, so the
-    singleton classes try every cut vertex.  On a member of the extremal
-    family, C = the B-part survivors gives both refutations of
-    `gn_criterion`: X = N_S(C) = T when d < 0, and X = C when e(T) < d.
+    `srows` are the scope rows N_S(v) (`_scope_rows`) and `degs` their
+    sorted degrees, as `decide_hamiltonian_auto` reads them once for its
+    first tier.  The refuter has no degree gate of its own: the decider
+    tests Chvátal's condition (`_chvatal`) on the same degrees before it
+    calls the refuter.  Called on a Chvátal scope it still returns None,
+    since such a scope is Hamiltonian, hence 1-tough, so no X splits it.
+
+    Candidates for X (`_toughness_cut`), cheapest first: the lone neighbour
+    of a vertex of scope-degree 1; one vertex of a disconnected scope; the
+    smaller colour class of an unbalanced bipartite scope; and, for every
+    twin class C (singletons included) in order of its lowest vertex,
+    X = C and X = N_S(C).  A cut vertex never has a twin, so the singleton
+    classes try every cut vertex.  On a member of the extremal family,
+    C = the B-part survivors gives both refutations of `gn_criterion`:
+    X = N_S(C) = T when d < 0, and X = C when e(T) < d.
 
     None decides nothing: the Petersen graph is not Hamiltonian and has no
     such X.
     """
-    if scope_mask.bit_count() < 3:
-        return None
-    srows = _scope_rows(g.rows, scope_mask)
-    degs = sorted(map(int.bit_count, srows))
-    if _chvatal(degs):
-        return None
     x = _toughness_cut(g, scope_mask, srows, degs)
     if not x:
         return None
@@ -554,12 +568,13 @@ def find_ham_cycle_rotation(
 def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDecision:
     """Tiered policy, every answer certified:
 
-    1. one read of the scope rows: a scope whose sorted degrees meet
-       Chvátal's condition (`_chvatal`) is Hamiltonian, with a
-       `ChvatalCert`, method 'chvatal' and work 0, not validated again,
-       since validating it is the same test; any other scope goes to
-       `refute_toughness`, which reads the rows again, for a `NotHamCert`,
-       method 'toughness';
+    1. one read of the scope rows and their sorted degrees, shared by both
+       parts of the tier: a scope whose degrees meet Chvátal's condition
+       (`_chvatal`) is Hamiltonian, with a `ChvatalCert`, method 'chvatal'
+       and work 0 (one shared decision, not validated again, since
+       validating it is the same test); any other scope goes to
+       `refute_toughness` with the rows and degrees already read, for a
+       `NotHamCert`, method 'toughness';
     2. rotation, within AUTO_ROTATIONS rotations, capped at s*s on scopes of at
        most SMALL_SCOPE vertices, which bounds the cost of a refuter miss;
     3. the exact DP, for scopes within the kernel's byte budget
@@ -572,9 +587,11 @@ def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDec
     s = scope.size
     if s < 3:
         return HamDecision("not_hamiltonian", None, "auto", 0)
-    if _chvatal(sorted(map(int.bit_count, _scope_rows(g.rows, scope.mask)))):
-        return HamDecision("hamiltonian", ChvatalCert(), "chvatal", 0)
-    cert = refute_toughness(g, scope.mask)
+    srows = _scope_rows(g.rows, scope.mask)
+    degs = sorted(map(int.bit_count, srows))
+    if _chvatal(degs):
+        return _CHVATAL_DECISION
+    cert = refute_toughness(g, scope.mask, srows, degs)
     if cert is not None:
         return HamDecision("not_hamiltonian", cert, "toughness", 0)
     budget = min(AUTO_ROTATIONS, s * s) if s <= SMALL_SCOPE else AUTO_ROTATIONS

@@ -14,6 +14,8 @@ its work the reference's states counted by twin class and class counts.
 `reference_toughness_cut` is the toughness refuter's candidate search
 with no gate and no prunes, and `reference_cut_vertices` finds cut
 vertices by deleting each vertex and counting components.
+`refute_scope` runs the refuter itself on the scope rows and sorted
+degrees, read as the auto decider reads them.
 `closure_is_complete` computes the Bondy–Chvátal closure by its plain
 rule, an oracle for the auto decider's degree tier.  The
 `planted_*` generators draw the classifier's test graphs from the
@@ -30,6 +32,7 @@ from math import comb
 
 import networkx as nx
 
+from cycsets import hamilton
 from cycsets.bitgraph import Graph, bits_of
 from cycsets.instances import _sample_distinct
 from cycsets.sampling import StreamRng
@@ -317,6 +320,13 @@ def reference_toughness_cut(g: Graph, scope_mask: int) -> int:
         if x and len(list(g.components(scope_mask & ~x))) > x.bit_count():
             return x
     return 0
+
+
+def refute_scope(g: Graph, scope_mask: int) -> hamilton.NotHamCert | None:
+    """`hamilton.refute_toughness` on g[scope], given the scope rows and
+    their sorted degrees as `decide_hamiltonian_auto` reads them."""
+    srows = hamilton._scope_rows(g.rows, scope_mask)
+    return hamilton.refute_toughness(g, scope_mask, srows, sorted(map(int.bit_count, srows)))
 
 
 def reference_cut_vertices(g: Graph, scope_mask: int) -> int:

@@ -17,6 +17,7 @@ from conftest import (
     reference_cut_vertices,
     reference_exact_decision,
     reference_toughness_cut,
+    refute_scope,
     twin_planted_graph,
     without_edges,
 )
@@ -40,7 +41,6 @@ from cycsets.hamilton import (
     ham_path_bipartite,
     ham_path_dirac,
     is_hamiltonian_exact,
-    refute_toughness,
 )
 from cycsets.instances import (
     dirac_instance,
@@ -315,6 +315,20 @@ def test_chvatal_cert_validates_only_dense_scopes():
         ChvatalCert().validate(k6, 0b11)
 
 
+def test_scope_certificates_refuse_a_scope_outside_the_graph():
+    # bits at or above m name no vertex: refused before any row is read
+    g = build_knn(3)  # m = 6
+    with pytest.raises(VerificationError, match="outside 0..5"):
+        ChvatalCert().validate(g, 0b1000111)
+    with pytest.raises(VerificationError, match="outside 0..5"):
+        NotHamCert(1).validate(g, 0b11000001)
+    with pytest.raises(VerificationError, match="outside 0..5"):
+        ChvatalCert().validate(g, -1)
+    # an X outside the graph leaves a scope inside it
+    with pytest.raises(VerificationError, match="leaves the scope"):
+        NotHamCert(0b1000000).validate(g, g.full_mask())
+
+
 @pytest.mark.parametrize("m, p", [(8, 0.5), (9, 0.7), (10, 0.6), (10, 0.8)])
 def test_chvatal_decisions_have_complete_closures(m, p):
     # the Bondy–Chvátal closure, by its plain rule, is an oracle independent
@@ -357,19 +371,19 @@ def test_exact_cheap_refusals_carry_certificates():
 
 def test_petersen_has_no_toughness_certificate():
     g = petersen()
-    assert refute_toughness(g, g.full_mask()) is None
+    assert refute_scope(g, g.full_mask()) is None
     dec = decide_hamiltonian_auto(g, _full(10))
     assert (dec.status, dec.method, dec.cert) == ("not_hamiltonian", "dp", None)
 
 
 def test_refuter_bipartite_and_cut_vertex_candidates():
     k = Graph.complete_bipartite(3, 5)
-    assert refute_toughness(k, k.full_mask()) == NotHamCert(0b111)
+    assert refute_scope(k, k.full_mask()) == NotHamCert(0b111)
     # the balanced K_{4,4} is Hamiltonian: nothing to refute
-    assert refute_toughness(build_knn(4), 0xFF) is None
+    assert refute_scope(build_knn(4), 0xFF) is None
     # two triangles sharing a vertex: the shared vertex is a cut vertex
     bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    assert refute_toughness(bowtie, bowtie.full_mask()) == NotHamCert(0b100)
+    assert refute_scope(bowtie, bowtie.full_mask()) == NotHamCert(0b100)
 
 
 @pytest.mark.parametrize(
@@ -382,7 +396,7 @@ def test_refuter_settles_every_family_refutation(n, cycles):
     for mask in range(1 << g.m):
         if mask.bit_count() < 3:
             continue
-        cert = refute_toughness(g, mask)
+        cert = refute_scope(g, mask)
         assert (cert is None) == gn_criterion(eg, VertexSet(mask, g.m)), f"{mask:b}"
 
 
@@ -401,7 +415,7 @@ def test_chvatal_gate_holds_only_on_hamiltonian_scopes(m, p, seed):
             continue
         held += 1
         assert is_hamiltonian_exact(g, VertexSet(mask, m)).status == "hamiltonian"
-        assert refute_toughness(g, mask) is None
+        assert refute_scope(g, mask) is None
         # nor would any candidate have refuted it without the gate
         assert reference_toughness_cut(g, mask) == 0
     assert held > 0
@@ -411,12 +425,39 @@ def test_chvatal_gate_skips_the_candidates(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the refuter searched a Chvátal scope")
 
+    # the gate is the decider's: a Chvátal scope never reaches the refuter's
+    # candidate search
     monkeypatch.setattr(hamilton, "_toughness_cut", unreachable)
     g = build_extremal(6, [7]).graph
-    assert refute_toughness(g, g.full_mask()) is None
+    dec = decide_hamiltonian_auto(g, _full(g.m))
+    assert (dec.status, dec.method) == ("hamiltonian", "chvatal")
     # the same search runs on a scope that misses the gate
     with pytest.raises(AssertionError, match="Chvátal"):
-        refute_toughness(petersen(), petersen().full_mask())
+        decide_hamiltonian_auto(petersen(), _full(10))
+
+
+def test_auto_reads_the_scope_rows_once_per_decision(monkeypatch):
+    # one read serves the degree tier and the refuter, and rotation reads none
+    g = build_extremal(10, [11]).graph
+    scopes = {}
+    for mask, base in retention_masks(1, 0, 200, g.m, 1, 2):
+        scope, seed = VertexSet(mask, g.m), base & 0x3FFFFFFF
+        method = decide_hamiltonian_auto(g, scope, seed=seed).method
+        scopes.setdefault(method, (scope, seed))
+    assert {"chvatal", "toughness", "rotation"} <= scopes.keys()
+    calls = []
+    scope_rows = hamilton._scope_rows
+
+    def counted(rows, scope_mask):
+        calls.append(scope_mask)
+        return scope_rows(rows, scope_mask)
+
+    monkeypatch.setattr(hamilton, "_scope_rows", counted)
+    for method in ("chvatal", "toughness", "rotation"):
+        scope, seed = scopes[method]
+        calls.clear()
+        assert decide_hamiltonian_auto(g, scope, seed=seed).method == method
+        assert calls == [scope.mask], method
 
 
 # random graphs at m <= 11, and graphs of twin classes of up to three
@@ -443,7 +484,25 @@ def test_refuter_finds_the_plain_search_certificate(name):
         if mask.bit_count() < 3:
             continue
         x = reference_toughness_cut(g, mask)
-        assert refute_toughness(g, mask) == (NotHamCert(x) if x else None), f"{mask:b}"
+        assert refute_scope(g, mask) == (NotHamCert(x) if x else None), f"{mask:b}"
+
+
+@pytest.mark.parametrize("name", sorted(REFUTER_GRAPHS))
+def test_auto_equals_its_tiers_composed_on_every_scope(name):
+    # the tiers run one after another from their public entries, each
+    # reading what it needs, give the decider's (status, method, cert, work)
+    g = _refuter_graph(name)
+    for mask in range(1 << g.m):
+        if mask.bit_count() < 3:
+            continue
+        scope = VertexSet(mask, g.m)
+        if hamilton._chvatal(_scope_degrees(g, mask)):
+            want = HamDecision("hamiltonian", ChvatalCert(), "chvatal", 0)
+        elif (cert := refute_scope(g, mask)) is not None:
+            want = HamDecision("not_hamiltonian", cert, "toughness", 0)
+        else:
+            want = _rotation_then_dp(g, scope, mask)
+        assert decide_hamiltonian_auto(g, scope, seed=mask) == want, f"{mask:b}"
 
 
 @pytest.mark.parametrize("name", sorted(REFUTER_GRAPHS))
@@ -485,7 +544,7 @@ def test_generalized_petersen_oracle(n):
             dec.cert.validate(g, g.full_mask())
     if want == "not_hamiltonian":
         # cubic and 1-tough: no toughness certificate, the DP refuses
-        assert refute_toughness(g, g.full_mask()) is None
+        assert refute_scope(g, g.full_mask()) is None
         assert (auto.method, auto.cert) == ("dp", None)
 
 
@@ -575,7 +634,7 @@ def test_deciders_agree_on_every_scope(m, p, seeds):
             ham = exact.status == "hamiltonian"
             if m <= 9:
                 assert ham == brute_has_ham_cycle(g, scope.members())
-            cert = refute_toughness(g, mask)
+            cert = refute_scope(g, mask)
             if cert is not None:
                 assert not ham
                 cert.validate(g, mask)
