@@ -15,18 +15,23 @@ Five layers:
   budget is the kernel's, `TABLE_MAX_BYTES` (54,806,892 bytes: a twin-free
   scope of 24 vertices, and far more vertices with large twin classes),
   which the kernel checks before it allocates;
-* a degree certificate and a toughness refuter, the auto decider's first
-  tier, both on one read of the scope rows and their sorted degrees: a
-  scope that meets Chvátal's degree-sequence condition (Chvátal 1972) is
-  Hamiltonian, carried as a `ChvatalCert` that one read of the scope rows
-  checks; otherwise the refuter (Chvátal 1973), given those rows and
-  degrees, looks for a nonempty X whose removal leaves more than |X|
-  components, among twin classes, their neighbourhoods, cut vertices and
-  colour classes, carried as a validated `NotHamCert`; the refuter is
-  incomplete and never claims Hamiltonicity; it prunes only candidates
-  that cannot split, so the first X that splits is the one found; every
-  cut vertex comes from one depth-first search, skipped where Bondy's
-  condition (Bondy 1969) rules cut vertices out;
+* the auto decider's first three tiers, all on one read of the scope
+  rows and their sorted degrees: a scope that meets Chvátal's
+  degree-sequence condition (Chvátal 1972) is Hamiltonian, carried as a
+  `ChvatalCert` that one read of the scope rows checks; otherwise the
+  twin-class map, built once, decides a join scope exactly (a twin class
+  C joined to a nonempty T = S - C of maximum degree at most 2, as every
+  scope of an extremal member that meets both parts is: Hamiltonian iff
+  |C| <= |T| and G[T] has at most |C| components), with a woven
+  `HamCycleCert` or a `NotHamCert`; otherwise the toughness refuter
+  (Chvátal 1973), given the class map and degrees, looks for a nonempty X
+  whose removal leaves more than |X| components, among twin classes,
+  their neighbourhoods, cut vertices and colour classes, carried as a
+  validated `NotHamCert`; the refuter is incomplete and never claims
+  Hamiltonicity; it prunes only candidates that cannot split, so the
+  first X that splits is the one found; every cut vertex comes from one
+  depth-first search, skipped where Bondy's condition (Bondy 1969) rules
+  cut vertices out;
 * a seeded rotation-extension engine: sound, incomplete, never claims
   non-Hamiltonicity; it keeps the free scope vertices as one mask, so an
   extension step is one AND, one `sampling.stream_pick` call (one stream
@@ -54,6 +59,7 @@ module.  `gn_criterion` imports `families` when it is called.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -238,14 +244,31 @@ def _scope_rows(rows, scope_mask: int) -> list[int]:
     return srows
 
 
-def _cheap_cut(g: Graph, scope_mask: int, srows: list[int], reached: int) -> int:
+def _twin_classes(scope_mask: int, srows: list[int]) -> dict[int, int]:
+    """The twin classes of g[scope]: N_S(v) -> the mask of the scope
+    vertices with that neighbourhood, in order of each class's lowest
+    vertex.  `srows` are the scope rows (`_scope_rows`).  Twins are never
+    adjacent, since no vertex is its own neighbour, so each class is
+    independent and disjoint from its neighbourhood."""
+    classes: dict[int, int] = {}
+    rest = scope_mask
+    for nbrs in srows:
+        low = rest & -rest
+        classes[nbrs] = classes.get(nbrs, 0) | low
+        rest ^= low
+    return classes
+
+
+def _cheap_cut(g: Graph, scope_mask: int, neighbourhoods, reached: int) -> int:
     """X of one vertex that splits g[scope] (at least 3 vertices): the lone
     neighbour of the first vertex of scope-degree 1, else, for a
     disconnected scope, a vertex of its largest component (any vertex when
-    all are single).  `srows` are the scope rows (`_scope_rows`), `reached`
-    the component of the lowest scope vertex.  0 when the scope is
-    connected with minimum degree at least 2."""
-    for nbrs in srows:
+    all are single).  `neighbourhoods` are the scope rows (`_scope_rows`)
+    or the keys of the twin-class map (`_twin_classes`), whose order of
+    lowest vertex meets the first vertex of scope-degree 1 first too;
+    `reached` is the component of the lowest scope vertex.  0 when the
+    scope is connected with minimum degree at least 2."""
+    for nbrs in neighbourhoods:
         if nbrs.bit_count() == 1:
             return nbrs
     if reached == scope_mask:
@@ -342,10 +365,12 @@ def _may_split(s: int, k: int, delta: int) -> bool:
     return (s - k) // max(delta - k + 1, 1) > k
 
 
-def _toughness_cut(g: Graph, scope_mask: int, srows: list[int], degs: list[int]) -> int:
+def _toughness_cut(
+    g: Graph, scope_mask: int, classes: dict[int, int], degs: list[int]
+) -> int:
     """The first X in `refute_toughness`'s candidate order that splits
-    g[scope], or 0; `srows` are the scope rows, `degs` their sorted
-    degrees.
+    g[scope], or 0; `classes` is the scope's twin-class map
+    (`_twin_classes`), `degs` the sorted scope degrees.
 
     Prunes skip only candidates that cannot split, so the order holds.  A
     singleton class {v} splits iff v is a cut vertex: none exists when
@@ -356,18 +381,12 @@ def _toughness_cut(g: Graph, scope_mask: int, srows: list[int], degs: list[int])
     (`_more_components`, which stops when too few vertices are left)."""
     rows = g.rows
     reached_even, reached_odd, odd_cycle = _colour_classes(rows, scope_mask)
-    x = _cheap_cut(g, scope_mask, srows, reached_even | reached_odd)
+    x = _cheap_cut(g, scope_mask, classes, reached_even | reached_odd)
     if x:
         return x
     small, large = sorted((reached_even, reached_odd), key=int.bit_count)
     if not odd_cycle and small.bit_count() < large.bit_count():
         return small
-    classes: dict[int, int] = {}
-    rest = scope_mask
-    for nbrs in srows:
-        low = rest & -rest
-        classes[nbrs] = classes.get(nbrs, 0) | low
-        rest ^= low
     s = len(degs)
     cuts = 0 if _bondy(degs) else -1  # -1: not searched yet
     for nbrs, cls in classes.items():
@@ -400,16 +419,105 @@ def _chvatal(degs: list[int]) -> bool:
     return True
 
 
+def _path_cover(rows, t_mask: int, most: int) -> list[list[int]] | None:
+    """The components of g[T], a graph of maximum degree at most 2, each as
+    a path through all its vertices: first the path components, each walked
+    from its lowest end (a vertex of T-degree at most 1), in order of that
+    end, then each cycle from its lowest vertex.  None once there are more
+    than `most` of them."""
+    ends = 0
+    for v in bits_of(t_mask):
+        if (rows[v] & t_mask).bit_count() < 2:
+            ends |= 1 << v
+    paths = []
+    left = t_mask
+    while left:
+        if len(paths) == most:
+            return None
+        start = ends & left or left
+        low = start & -start
+        left ^= low
+        v = low.bit_length() - 1
+        path = [v]
+        while nxt := rows[v] & left:
+            low = nxt & -nxt
+            left ^= low
+            v = low.bit_length() - 1
+            path.append(v)
+        paths.append(path)
+    return paths
+
+
+def _join_decision(
+    g: Graph, scope_mask: int, classes: dict[int, int], degs: list[int]
+) -> HamDecision | None:
+    """The exact decision on a join scope, validated, or None when the
+    scope is not one.
+
+    A join scope S has a twin class C (`classes`, `_twin_classes`) whose
+    members are adjacent to every vertex of a nonempty T = S - C, and G[T]
+    has maximum degree at most 2: it is C joined to p paths and cycles.
+    With c = |C| and t = |T|, G[S] is Hamiltonian iff c <= t and p <= c.
+    Twins are never adjacent, so C cuts a Hamilton cycle into c arcs, paths
+    of G[T] that cover T; and c paths that cover T, with a member of C
+    between each two, close one.  G[T] splits into any number of paths
+    from p to t.
+
+    The other classes partition T, so t is at least their number: a scope
+    whose largest degree is below that (most twin-free scopes) has no
+    joined class, and the classes are not scanned.  A member of T has
+    scope degree c + deg_T and one of C degree t, so one bisection of the
+    sorted degrees `degs` checks the degree bound, and their sum gives
+    e(T).  The answer has method 'join' and work 0:
+    X = T when c > t (removing T leaves c isolated vertices); X = C when
+    p > c, known from t - e(T) > c before any path is built, since
+    p >= t - e(T); else a `HamCycleCert` woven from the c paths.
+    """
+    if degs[-1] < len(classes) - 1:
+        return None
+    s = len(degs)
+    for t_mask, c_mask in classes.items():
+        if t_mask | c_mask != scope_mask or not t_mask:
+            continue
+        c, t = c_mask.bit_count(), t_mask.bit_count()
+        if s - bisect_right(degs, c + 2) != (c if t > c + 2 else 0):
+            continue  # some vertex of T has three neighbours in T
+        paths = None
+        if c <= t and t - (sum(degs) // 2 - c * t) <= c:
+            paths = _path_cover(g.rows, t_mask, c)
+        if paths is None:
+            cert = NotHamCert(t_mask if c > t else c_mask)
+            cert.validate(g, scope_mask)
+            return HamDecision("not_hamiltonian", cert, "join", 0)
+        # a member of C before each path, and before c - p more vertices
+        # inside the paths, which splits them into c
+        members = bits_of(c_mask)
+        extra = c - len(paths)
+        order = []
+        for path in paths:
+            order += (next(members), path[0])
+            for v in path[1:]:
+                if extra:
+                    order.append(next(members))
+                    extra -= 1
+                order.append(v)
+        cycle = HamCycleCert(tuple(order))
+        cycle.validate(g, scope_mask)
+        return HamDecision("hamiltonian", cycle, "join", 0)
+    return None
+
+
 def refute_toughness(
-    g: Graph, scope_mask: int, srows: list[int], degs: list[int]
+    g: Graph, scope_mask: int, classes: dict[int, int], degs: list[int]
 ) -> NotHamCert | None:
     """A validated toughness certificate for g[scope], a scope of at least
     3 vertices, or None.
 
-    `srows` are the scope rows N_S(v) (`_scope_rows`) and `degs` their
-    sorted degrees, as `decide_hamiltonian_auto` reads them once for its
-    first tier.  The refuter has no degree gate of its own: the decider
-    tests Chvátal's condition (`_chvatal`) on the same degrees before it
+    `classes` is the scope's twin-class map (`_twin_classes`) and `degs`
+    the sorted scope degrees, as `decide_hamiltonian_auto` builds them once
+    for the join tier and the refuter.  The refuter has no degree gate of its own:
+    the decider tests Chvátal's condition (`_chvatal`) on the same degrees,
+    and the join tier (`_join_decision`) on the same classes, before it
     calls the refuter.  Called on a Chvátal scope it still returns None,
     since such a scope is Hamiltonian, hence 1-tough, so no X splits it.
 
@@ -420,12 +528,13 @@ def refute_toughness(
     X = C and X = N_S(C).  A cut vertex never has a twin, so the singleton
     classes try every cut vertex.  On a member of the extremal family,
     C = the B-part survivors gives both refutations of `gn_criterion`:
-    X = N_S(C) = T when d < 0, and X = C when e(T) < d.
+    X = N_S(C) = T when d < 0, and X = C when e(T) < d; in the decider the
+    join tier settles those scopes first, with the same two X.
 
     None decides nothing: the Petersen graph is not Hamiltonian and has no
     such X.
     """
-    x = _toughness_cut(g, scope_mask, srows, degs)
+    x = _toughness_cut(g, scope_mask, classes, degs)
     if not x:
         return None
     cert = NotHamCert(x)
@@ -446,9 +555,12 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
     DP with a `NotHamCert` and work 0, at any size; the DP's own refusals
     carry none.  Past that, the kernel's byte budget applies: `Quotient`
     raises BudgetExceededError before it allocates (every twin-free scope
-    of more than 24 vertices).
+    of more than 24 vertices).  A scope with a vertex outside the graph
+    raises PreconditionError.
     """
     smask = scope.mask
+    if smask >> g.m:
+        raise PreconditionError(f"scope has a vertex outside 0..{g.m - 1}")
     s = scope.size
     if s < 3:
         return HamDecision("not_hamiltonian", None, "dp", 0)
@@ -507,8 +619,11 @@ def find_ham_cycle_rotation(
     of the scope, an extension the rank-`below(|ext|)` free neighbour of
     the endpoint (both one `stream_pick` call), a rotation the
     `below(#pivots)`-th pivot in path order (`stream_below`).  `free`
-    holds the scope vertices off the path."""
+    holds the scope vertices off the path.  A scope with a vertex outside
+    the graph raises PreconditionError."""
     smask = scope.mask
+    if smask >> g.m:
+        raise PreconditionError(f"scope has a vertex outside 0..{g.m - 1}")
     s = scope.size
     if s < 3:
         return HamDecision("unknown", None, "rotation", 0)
@@ -568,30 +683,42 @@ def find_ham_cycle_rotation(
 def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDecision:
     """Tiered policy, every answer certified:
 
-    1. one read of the scope rows and their sorted degrees, shared by both
-       parts of the tier: a scope whose degrees meet Chvátal's condition
-       (`_chvatal`) is Hamiltonian, with a `ChvatalCert`, method 'chvatal'
-       and work 0 (one shared decision, not validated again, since
-       validating it is the same test); any other scope goes to
-       `refute_toughness` with the rows and degrees already read, for a
+    1. one read of the scope rows and their sorted degrees, which the
+       first three tiers share: a scope whose degrees meet Chvátal's
+       condition (`_chvatal`) is Hamiltonian, with a `ChvatalCert`,
+       method 'chvatal' and work 0 (one shared decision, not validated
+       again, since validating it is the same test);
+    2. the twin-class map (`_twin_classes`), built once from those rows: a
+       join scope, a twin class joined to a graph of maximum degree at most
+       2 (every scope of an extremal member that meets both parts), is
+       decided exactly by `_join_decision`, method 'join' and work 0;
+    3. `refute_toughness`, given the class map and the degrees, for a
        `NotHamCert`, method 'toughness';
-    2. rotation, within AUTO_ROTATIONS rotations, capped at s*s on scopes of at
-       most SMALL_SCOPE vertices, which bounds the cost of a refuter miss;
-    3. the exact DP, for scopes within the kernel's byte budget
-       (`subsetdp.TABLE_MAX_BYTES`: twin-free scopes of at most 24
-       vertices, larger ones with large twin classes).
+    4. search: rotation, within AUTO_ROTATIONS rotations, capped at s*s on
+       scopes of at most SMALL_SCOPE vertices, which bounds the cost of a
+       refuter miss; then the exact DP, for scopes within the kernel's
+       byte budget (`subsetdp.TABLE_MAX_BYTES`: twin-free scopes of at
+       most 24 vertices, larger ones with large twin classes).
 
     A scope neither refuted nor rotated that the kernel refuses stays
-    unknown, with the rotation's decision.
+    unknown, with the rotation's decision.  A scope with a vertex outside
+    the graph raises PreconditionError before any row is read.
     """
+    smask = scope.mask
+    if smask >> g.m:
+        raise PreconditionError(f"scope has a vertex outside 0..{g.m - 1}")
     s = scope.size
     if s < 3:
         return HamDecision("not_hamiltonian", None, "auto", 0)
-    srows = _scope_rows(g.rows, scope.mask)
+    srows = _scope_rows(g.rows, smask)
     degs = sorted(map(int.bit_count, srows))
     if _chvatal(degs):
         return _CHVATAL_DECISION
-    cert = refute_toughness(g, scope.mask, srows, degs)
+    classes = _twin_classes(smask, srows)
+    dec = _join_decision(g, smask, classes, degs)
+    if dec is not None:
+        return dec
+    cert = refute_toughness(g, smask, classes, degs)
     if cert is not None:
         return HamDecision("not_hamiltonian", cert, "toughness", 0)
     budget = min(AUTO_ROTATIONS, s * s) if s <= SMALL_SCOPE else AUTO_ROTATIONS

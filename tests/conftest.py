@@ -10,12 +10,16 @@ states back into per-vertex masks to compare them, and
 `reference_exact_decision` is the exact decider on the reference table,
 its work the reference's states counted by twin class and class counts.
 `reference_subsets_by_size` weighs the kernel's states one at a time.
-`twin_planted_graph` draws graphs made of twin classes for both.
+`twin_planted_graph` draws graphs made of twin classes for both, and
+`join_planted_graph` complete bipartite graphs with a path-and-cycle graph
+inside one part, for the auto decider's join tier.
 `reference_toughness_cut` is the toughness refuter's candidate search
 with no gate and no prunes, and `reference_cut_vertices` finds cut
 vertices by deleting each vertex and counting components.
-`refute_scope` runs the refuter itself on the scope rows and sorted
-degrees, read as the auto decider reads them.
+`refute_scope` and `join_scope` run the refuter and the join tier
+themselves on the twin-class map and sorted degrees, built as the auto
+decider builds them; `joined_class` finds the join tier's twin class by
+its plain definition.
 `closure_is_complete` computes the Bondy–Chvátal closure by its plain
 rule, an oracle for the auto decider's degree tier.  The
 `planted_*` generators draw the classifier's test graphs from the
@@ -322,11 +326,46 @@ def reference_toughness_cut(g: Graph, scope_mask: int) -> int:
     return 0
 
 
-def refute_scope(g: Graph, scope_mask: int) -> hamilton.NotHamCert | None:
-    """`hamilton.refute_toughness` on g[scope], given the scope rows and
-    their sorted degrees as `decide_hamiltonian_auto` reads them."""
+def _classes_and_degrees(g: Graph, scope_mask: int) -> tuple[dict[int, int], list[int]]:
+    """The twin-class map and sorted degrees of g[scope], built as
+    `decide_hamiltonian_auto` builds them from one read of the scope rows."""
     srows = hamilton._scope_rows(g.rows, scope_mask)
-    return hamilton.refute_toughness(g, scope_mask, srows, sorted(map(int.bit_count, srows)))
+    return hamilton._twin_classes(scope_mask, srows), sorted(map(int.bit_count, srows))
+
+
+def refute_scope(g: Graph, scope_mask: int) -> hamilton.NotHamCert | None:
+    """`hamilton.refute_toughness` on g[scope], given the twin-class map
+    and sorted degrees as `decide_hamiltonian_auto` builds them."""
+    return hamilton.refute_toughness(g, scope_mask, *_classes_and_degrees(g, scope_mask))
+
+
+def join_scope(g: Graph, scope_mask: int) -> hamilton.HamDecision | None:
+    """The auto decider's join tier (`hamilton._join_decision`) on
+    g[scope], given the twin-class map and sorted degrees as the decider
+    builds them."""
+    return hamilton._join_decision(g, scope_mask, *_classes_and_degrees(g, scope_mask))
+
+
+def joined_class(g: Graph, scope_mask: int) -> int:
+    """The first twin class C of g[S], in order of its lowest vertex, that
+    is joined: every member of C is adjacent to every vertex of a nonempty
+    T = S - C, and no vertex of T has more than two neighbours in T.  0
+    when there is none.  By the plain definition: vertex sets and
+    `has_edge`, every pair looked at."""
+    verts = list(bits_of(scope_mask))
+    nbrs = {v: frozenset(u for u in verts if g.has_edge(u, v)) for v in verts}
+    for v in verts:
+        cls = [u for u in verts if nbrs[u] == nbrs[v]]
+        if cls[0] != v:
+            continue  # the class was tried at its lowest vertex
+        rest = [u for u in verts if u not in cls]
+        if (
+            rest
+            and all(g.has_edge(c, u) for c in cls for u in rest)
+            and all(sum(g.has_edge(u, w) for w in rest) <= 2 for u in rest)
+        ):
+            return sum(1 << c for c in cls)
+    return 0
 
 
 def reference_cut_vertices(g: Graph, scope_mask: int) -> int:
@@ -353,6 +392,27 @@ def twin_planted_graph(m: int, seed: int) -> Graph:
     edges = [(perm[u], perm[v]) for u in range(m) for v in range(u + 1, m)
              if base.has_edge(owner[u], owner[v])]
     return Graph.from_edges(m, edges)
+
+
+def join_planted_graph(a: int, b: int, seed: int) -> Graph:
+    """K_{a,b} with a stdlib-random graph of maximum degree at most 2 added
+    inside the part of a vertices (each pair taken with probability 0.6
+    while both ends have fewer than two such edges), then relabelled at
+    random."""
+    rnd = random.Random(seed)
+    m = a + b
+    edges = [(u, v) for u in range(a) for v in range(a, m)]
+    deg = [0] * a
+    pairs = list(combinations(range(a), 2))
+    rnd.shuffle(pairs)
+    for u, v in pairs:
+        if deg[u] < 2 and deg[v] < 2 and rnd.random() < 0.6:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    perm = list(range(m))
+    rnd.shuffle(perm)
+    return Graph.from_edges(m, [(perm[u], perm[v]) for u, v in edges])
 
 
 def random_graph(m: int, seed: int, p: float = 0.5) -> Graph:

@@ -12,6 +12,9 @@ from conftest import (
     closure_is_complete,
     complete,
     cycle,
+    join_planted_graph,
+    join_scope,
+    joined_class,
     petersen,
     random_graph,
     reference_cut_vertices,
@@ -26,7 +29,7 @@ from cycsets import hamilton
 from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import Cut, Graph, VertexSet, bits_of
 from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
-from cycsets.families import build_extremal, build_knn
+from cycsets.families import build_extremal, build_knn, gn_criterion_mask
 from cycsets.hamilton import (
     ChvatalCert,
     HamCycleCert,
@@ -437,14 +440,20 @@ def test_chvatal_gate_skips_the_candidates(monkeypatch):
 
 
 def test_auto_reads_the_scope_rows_once_per_decision(monkeypatch):
-    # one read serves the degree tier and the refuter, and rotation reads none
-    g = build_extremal(10, [11]).graph
+    # one read serves the degree tier, the join tier and the refuter, and
+    # rotation reads none; the extremal member gives the first two kinds of
+    # scope, the random graph the scopes with no joined class
     scopes = {}
-    for mask, base in retention_masks(1, 0, 200, g.m, 1, 2):
-        scope, seed = VertexSet(mask, g.m), base & 0x3FFFFFFF
-        method = decide_hamiltonian_auto(g, scope, seed=seed).method
-        scopes.setdefault(method, (scope, seed))
-    assert {"chvatal", "toughness", "rotation"} <= scopes.keys()
+    for g in (build_extremal(10, [11]).graph, random_regular_graph(22, 12, seed=4)):
+        for mask, base in retention_masks(1, 0, 200, g.m, 1, 2):
+            scope, seed = VertexSet(mask, g.m), base & 0x3FFFFFFF
+            method = decide_hamiltonian_auto(g, scope, seed=seed).method
+            scopes.setdefault(method, (g, scope, seed))
+    assert {"chvatal", "join", "toughness", "rotation"} <= scopes.keys()
+    assert scopes["toughness"][0].m == scopes["rotation"][0].m == 22
+    for method in ("toughness", "rotation"):
+        g, scope, _ = scopes[method]
+        assert joined_class(g, scope.mask) == 0, method
     calls = []
     scope_rows = hamilton._scope_rows
 
@@ -453,8 +462,8 @@ def test_auto_reads_the_scope_rows_once_per_decision(monkeypatch):
         return scope_rows(rows, scope_mask)
 
     monkeypatch.setattr(hamilton, "_scope_rows", counted)
-    for method in ("chvatal", "toughness", "rotation"):
-        scope, seed = scopes[method]
+    for method in ("chvatal", "join", "toughness", "rotation"):
+        g, scope, seed = scopes[method]
         calls.clear()
         assert decide_hamiltonian_auto(g, scope, seed=seed).method == method
         assert calls == [scope.mask], method
@@ -498,11 +507,98 @@ def test_auto_equals_its_tiers_composed_on_every_scope(name):
         scope = VertexSet(mask, g.m)
         if hamilton._chvatal(_scope_degrees(g, mask)):
             want = HamDecision("hamiltonian", ChvatalCert(), "chvatal", 0)
+        elif (joined := join_scope(g, mask)) is not None:
+            want = joined
         elif (cert := refute_scope(g, mask)) is not None:
             want = HamDecision("not_hamiltonian", cert, "toughness", 0)
         else:
             want = _rotation_then_dp(g, scope, mask)
         assert decide_hamiltonian_auto(g, scope, seed=mask) == want, f"{mask:b}"
+
+
+# the join tier's graphs: every extremal member with n <= 6, every K_{a,b}
+# with a, b <= 5 and a scope of 3 vertices, K_{a,b} with a path-and-cycle
+# graph inside one part (m <= 10), and the refuter's graphs
+EXTREMAL_SMALL = [(2, [3]), (3, [4]), (4, [5]), (5, [6]), (5, [3, 3]), (6, [7]), (6, [3, 4])]
+JOIN_GRAPHS = {
+    **{f"extremal_{n}_{'_'.join(map(str, c))}": ("extremal", n, c) for n, c in EXTREMAL_SMALL},
+    **{f"K_{a}_{b}": ("knn", a, b) for a in range(1, 6) for b in range(1, 6) if a + b >= 3},
+    **{f"join_{a}_{b}_{seed}": ("join", a, b, seed)
+       for a, b in ((4, 6), (5, 5), (6, 4), (7, 3), (5, 3)) for seed in range(2)},
+    **{name: ("refuter", name) for name in REFUTER_GRAPHS},
+}
+
+
+def _join_graph(name: str) -> Graph:
+    kind, *args = JOIN_GRAPHS[name]
+    if kind == "extremal":
+        return build_extremal(*args).graph
+    if kind == "knn":
+        return Graph.complete_bipartite(*args)
+    if kind == "join":
+        return join_planted_graph(*args)
+    return _refuter_graph(*args)
+
+
+@pytest.mark.parametrize("name", sorted(JOIN_GRAPHS))
+def test_join_tier_decides_exactly_the_joined_scopes(name):
+    # on every scope of at least 3 vertices the tier answers exactly where
+    # the plain definition finds a joined class, with the status of plain
+    # backtracking and a certificate that validates: X = T or X = C of that
+    # class for a refusal
+    g = _join_graph(name)
+    fired = 0
+    for mask in range(1 << g.m):
+        if mask.bit_count() < 3:
+            continue
+        cls = joined_class(g, mask)
+        dec = join_scope(g, mask)
+        assert (dec is not None) == bool(cls), f"{mask:b}"
+        if dec is None:
+            continue
+        fired += 1
+        assert (dec.method, dec.work) == ("join", 0)
+        ham = brute_has_ham_cycle(g, list(bits_of(mask)))
+        assert (dec.status == "hamiltonian") == ham, f"{mask:b}"
+        dec.cert.validate(g, mask)
+        if not ham:
+            assert dec.cert.x_mask in (cls, mask ^ cls), f"{mask:b}"
+    assert fired > 0
+
+
+@pytest.mark.parametrize("p", [(1, 4), (1, 2), (3, 4)], ids=["1/4", "1/2", "3/4"])
+def test_auto_matches_gn_at_the_paper_scale(p):
+    # m = 600: every sample is decided by the degree tier or the join tier,
+    # with the family criterion's answer, and nothing reaches rotation
+    eg = build_extremal(300, [301])
+    g = eg.graph
+    methods = set()
+    for mask, base in retention_masks(7, 0, 200, g.m, *p):
+        dec = decide_hamiltonian_auto(g, VertexSet(mask, g.m), seed=base & 0x3FFFFFFF)
+        methods.add(dec.method)
+        assert (dec.status == "hamiltonian") == gn_criterion_mask(eg, mask), f"{mask:x}"
+    assert methods <= {"join", "chvatal"} and "join" in methods
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [decide_hamiltonian_auto, is_hamiltonian_exact, find_ham_cycle_rotation],
+    ids=["auto", "exact", "rotation"],
+)
+def test_deciders_refuse_a_scope_outside_the_graph(decide, monkeypatch):
+    # refused before any row is read: the scope-row reader is never called,
+    # and a scope of one vertex, which needs no row, is refused too
+    def unreachable(*args):
+        raise AssertionError("a scope row was read")
+
+    monkeypatch.setattr(hamilton, "_scope_rows", unreachable)
+    g = build_knn(3)  # m = 6
+    for mask in (0b1000111, 0b1000000):
+        with pytest.raises(PreconditionError, match="outside 0..5"):
+            decide(g, VertexSet(mask, 7))
+    monkeypatch.undo()
+    # a scope inside the graph, on a larger universe, is still decided
+    assert decide(g, VertexSet(0b111111, 7)).status == "hamiltonian"
 
 
 @pytest.mark.parametrize("name", sorted(REFUTER_GRAPHS))
@@ -565,54 +661,77 @@ def _rotation_then_dp(g: Graph, scope: VertexSet, seed: int) -> HamDecision:
         return dec
 
 
-def _auto_stream_digests(g: Graph, seed: int, samples: int) -> tuple[str, str]:
+def _refuter_then_rest(g: Graph, scope: VertexSet, seed: int) -> HamDecision:
+    """The decision the auto decider's refuter, rotation and DP tiers give
+    on a scope, with its seed and budget: what it returned on join scopes
+    before the join tier."""
+    cert = refute_scope(g, scope.mask)
+    if cert is not None:
+        return HamDecision("not_hamiltonian", cert, "toughness", 0)
+    return _rotation_then_dp(g, scope, seed)
+
+
+def _auto_stream_digests(g: Graph, seed: int, samples: int) -> tuple[str, str, str]:
     """sha256 over the auto decisions of estimate_h's sample stream at
     p = 1/2: (status, method, work, cert order or x_mask) per sample.  The
-    first digest expands every 'chvatal' decision into `_rotation_then_dp`'s,
-    the stream as the decider gave it before the degree tier; the second is
-    the stream as it is.  Every degree certificate validates, and its
-    expansion is Hamiltonian too."""
+    three digests are of the stream as the decider gave it before the
+    degree tier, before the join tier, and as it is.  The first expands
+    every 'chvatal' decision into `_rotation_then_dp`'s and every 'join'
+    decision into `_refuter_then_rest`'s; the second expands only the
+    'join' decisions.  Every degree and join certificate validates, and no
+    expansion changes a status."""
     def row(dec: HamDecision) -> tuple:
         cert = getattr(dec.cert, "order", None) or getattr(dec.cert, "x_mask", None)
         return (dec.status, dec.method, dec.work, cert)
 
-    expanded, rows = [], []
+    streams: tuple[list, list, list] = ([], [], [])
     for mask, base in retention_masks(seed, 0, samples, g.m, 1, 2):
         scope, engine_seed = VertexSet(mask, g.m), base & 0x3FFFFFFF
         dec = decide_hamiltonian_auto(g, scope, seed=engine_seed)
-        rows.append(row(dec))
+        before_chvatal = before_join = dec
         if dec.method == "chvatal":
             dec.cert.validate(g, mask)
-            dec = _rotation_then_dp(g, scope, engine_seed)
-            assert dec.status == "hamiltonian"
-        expanded.append(row(dec))
-    return tuple(hashlib.sha256(repr(r).encode()).hexdigest() for r in (expanded, rows))
+            before_chvatal = _rotation_then_dp(g, scope, engine_seed)
+        elif dec.method == "join":
+            dec.cert.validate(g, mask)
+            before_chvatal = before_join = _refuter_then_rest(g, scope, engine_seed)
+        assert before_chvatal.status == dec.status
+        for stream, d in zip(streams, (before_chvatal, before_join, dec)):
+            stream.append(row(d))
+    return tuple(hashlib.sha256(repr(r).encode()).hexdigest() for r in streams)
 
 
 @pytest.mark.parametrize(
-    "graph, samples, old, new",
+    "graph, samples, before_chvatal, before_join, now",
     [
         (build_extremal(10, [11]).graph, 600,
          "c22fb810118d6c5aae9569bca7bf0655f8e806f953eb56e96da0e9c0dd5c83b4",
-         "1be214b9ba903a48e62e1d8c6452efcc00de0a3e7e75f9cbe296e1656ba73c14"),
+         "1be214b9ba903a48e62e1d8c6452efcc00de0a3e7e75f9cbe296e1656ba73c14",
+         "3a68f7dae7fa94a7cae7a8bbca49bde4084cb68c7ee045d0c131a961d94d75a6"),
         (random_regular_graph(22, 12, seed=4), 600,
          "e0c539cdc50db48409500efe9caae529fdc2cdb10a533b18c2ef960f431c397b",
-         "cc1e127270d3940704e735fa31ef17eb3f766cc6b0f3a973d2ed9f7b9bb71aeb"),
-        # 300-vertex scopes: 6 rotated cycles with 45-383 rotations each
-        # (3 of them with the degree tier), so rank-selects over ten-word
-        # masks on rotated paths and pivot picks
+         "cc1e127270d3940704e735fa31ef17eb3f766cc6b0f3a973d2ed9f7b9bb71aeb",
+         "5df8bd7c1bbb021bdc0c498bbbe84c9a13464611b6846bc6bb1f535bb5dd8fec"),
+        # 300-vertex scopes: before the degree and join tiers, 6 rotated
+        # cycles with 45-383 rotations each, so rank-selects over ten-word
+        # masks on rotated paths and pivot picks; 3 before the join tier,
+        # none now
         (build_extremal(300, [301]).graph, 16,
          "7a2f359c383eeca342502e0ebf64f53c6357a33ee3d96b3e5236cd7e04b67513",
-         "3f8f89f1a7adf33f65dc0771179b090194f3a9edd5bc5ff8567e37becb26a078"),
+         "3f8f89f1a7adf33f65dc0771179b090194f3a9edd5bc5ff8567e37becb26a078",
+         "e8513241de8856ef0ef57d3b798e04c3360f74537310b60972b8745ce4fa1519"),
     ],
     ids=["extremal_m20", "random_12_regular_22", "extremal_m600"],
 )
-def test_auto_decisions_are_pinned_on_the_sample_stream(graph, samples, old, new):
-    # old: m = 20 and 22 taken before the Chvátal gate and the cheaper
-    # rotation pick, m = 600 before the word-level rank-select and one-frame
-    # draws; it still holds with the degree tier's decisions expanded, so
-    # the tier moved nothing else.  new: taken with the degree tier
-    assert _auto_stream_digests(graph, 1, samples) == (old, new)
+def test_auto_decisions_are_pinned_on_the_sample_stream(
+    graph, samples, before_chvatal, before_join, now
+):
+    # before_chvatal: m = 20 and 22 taken before the Chvátal gate and the
+    # cheaper rotation pick, m = 600 before the word-level rank-select and
+    # one-frame draws; before_join: taken with the degree tier; now: taken
+    # with the join tier.  The older digests still hold with the newer
+    # tiers' decisions expanded, so each tier moved nothing else
+    assert _auto_stream_digests(graph, 1, samples) == (before_chvatal, before_join, now)
 
 
 @pytest.mark.parametrize(
