@@ -56,26 +56,55 @@ _HALVES = tuple((h, (1 << h) - 1) for h in (32, 16, 8, 4, 2, 1))
 def nth_bit(mask: int, r: int) -> int:
     """Position of the set bit of rank r (0-based, increasing order) in mask.
 
-    Equals list(bits_of(mask))[r].  The 64-bit word that holds rank r is
-    found by word popcounts from the low end, and the bit by halving within
-    that word: no popcount ever reads more than one word.  `stream_pick`
-    clears the lowest bits itself for ranks below 8."""
-    rest, pos, k = mask, 0, r
-    if k >= 0:
-        word = rest & _WORD
-        while rest and k >= (c := word.bit_count()):
-            k -= c
-            rest >>= 64
+    Equals list(bits_of(mask))[r].  On a mask wider than one 64-bit word,
+    the window that holds rank r is found by window popcounts from the
+    nearer end: for a rank below half the popcount n, the words from the
+    low end; else 64-bit windows from the top bit down, for rank n - 1 - r
+    from the top, the last window cut at bit 0.  The bit is then found by
+    halving within that window: past the first popcount, none reads more
+    than one word.  `stream_pick` clears the lowest bits itself for ranks
+    below 8."""
+    n = mask.bit_count()
+    if not 0 <= r < n:
+        raise PreconditionError(f"rank {r} outside 0..{n - 1}")
+    pos = 0
+    if mask <= _WORD:
+        word = mask
+    elif 2 * r < n:
+        word = mask & _WORD
+        while r >= (c := word.bit_count()):
+            r -= c
             pos += 64
-            word = rest & _WORD
-        if rest:
-            for h, low in _HALVES:
-                if k >= (c := (word & low).bit_count()):
-                    k -= c
-                    word >>= h
-                    pos += h
-            return pos
-    raise PreconditionError(f"rank {r} outside 0..{mask.bit_count() - 1}")
+            word = mask >> pos & _WORD
+    else:
+        r = n - 1 - r  # the rank from the top
+        pos = mask.bit_length() - 64
+        word = mask >> pos
+        while r >= (c := word.bit_count()):
+            r -= c
+            if pos > 64:
+                pos -= 64
+                word = mask >> pos & _WORD
+            else:
+                word = mask & ((1 << pos) - 1)
+                pos = 0
+        r = c - 1 - r  # the rank within the window, from its low end
+    for h, low in _HALVES:
+        if r >= (c := (word & low).bit_count()):
+            r -= c
+            word >>= h
+            pos += h
+    return pos
+
+
+def _add_edges(m: int, rows: list[int], edges) -> None:
+    """OR each edge (u, v) into rows u and v; an edge with an endpoint
+    outside 0..m-1, or a loop, raises PreconditionError."""
+    for u, v in edges:
+        if u == v or not (0 <= u < m and 0 <= v < m):
+            raise PreconditionError(f"bad edge ({u},{v}) for m={m}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
 
 
 def _bit_matrix(m: int, rows) -> str:
@@ -115,12 +144,24 @@ class Graph:
     @staticmethod
     def from_edges(m: int, edges) -> "Graph":
         rows = [0] * m
-        for u, v in edges:
-            if u == v or not (0 <= u < m and 0 <= v < m):
-                raise PreconditionError(f"bad edge ({u},{v}) for m={m}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        _add_edges(m, rows, edges)
         return Graph(m, tuple(rows))
+
+    @staticmethod
+    def _derived(m: int, rows: tuple[int, ...]) -> "Graph":
+        """A `Graph` on rows derived from a validated graph's, built without
+        `__post_init__`'s check.  Only `complement` and
+        `bipartite_restriction` call it, and their rows are valid by
+        construction: each keeps, for every vertex v, a subset of the
+        vertices 0..m-1 other than v, and each keeps the pair {u, v}
+        whenever it keeps u in row v (the complement of a symmetric matrix
+        is symmetric; the restriction to disjoint sides L and R keeps
+        rows[v] & R for v in L and rows[v] & L for v in R).  At m = 600 the
+        check this skips, the O(m²) symmetry test, costs about 2 ms."""
+        g = object.__new__(Graph)
+        object.__setattr__(g, "m", m)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     @staticmethod
     def complete_bipartite(a: int, b: int) -> "Graph":
@@ -153,14 +194,16 @@ class Graph:
 
     def with_edges(self, edges) -> "Graph":
         rows = list(self.rows)
-        for u, v in edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        _add_edges(self.m, rows, edges)
         return Graph(self.m, tuple(rows))
 
     def complement(self) -> "Graph":
+        """The complement graph, built unchecked (`_derived`): the diagonal
+        stays clear and no bit reaches m."""
         full = self.full_mask()
-        return Graph(self.m, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(self.rows)))
+        return Graph._derived(
+            self.m, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(self.rows))
+        )
 
     def components(self, mask: int):
         """Yield the vertex masks of the components of g[mask], in order of
@@ -181,7 +224,11 @@ class Graph:
 
     def bipartite_restriction(self, lmask: int, rmask: int) -> "Graph":
         """Only the edges between the disjoint sets L and R, on all m
-        vertices (vertices outside L ∪ R become isolated)."""
+        vertices (vertices outside L ∪ R become isolated).  Built unchecked
+        (`_derived`), which is sound only for disjoint sides, so overlapping
+        sides raise PreconditionError."""
+        if lmask & rmask:
+            raise PreconditionError("sides overlap")
         rows = []
         for v in range(self.m):
             if lmask >> v & 1:
@@ -190,7 +237,7 @@ class Graph:
                 rows.append(self.rows[v] & lmask)
             else:
                 rows.append(0)
-        return Graph(self.m, tuple(rows))
+        return Graph._derived(self.m, tuple(rows))
 
     # -- edge counts between vertex sets -----------------------------------
 

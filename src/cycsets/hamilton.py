@@ -36,12 +36,19 @@ Five layers:
   non-Hamiltonicity; it keeps the free scope vertices as one mask, so an
   extension step is one AND, one `sampling.stream_pick` call (one stream
   word, drawn and rank-selected) and one XOR; a rotation counts to its
-  pivot from the nearer end of the path;
+  pivot from the nearer end of the path; the engine itself, `_rotate`, takes
+  bare rows and a scope mask and returns a bare vertex list:
+  `find_ham_cycle_rotation` wraps it with the scope check and validates the
+  cycle, while the builders call it directly;
 * constructive routines that build Hamilton paths/cycles in dense regimes
   the way the existence arguments do (delete-and-splice, pigeonhole on
   cycle successors, cherry matchings over low-degree vertices, crossing
   connectors of length 2/3); each builder validates the certificate it
-  returns, and the helpers under them return bare vertex lists;
+  returns, once, and the helpers under them, the rotation engine included,
+  return bare vertex lists, so a cycle rotation finds is checked only as
+  part of that certificate; a cut or side over another vertex universe
+  than the graph's is refused before any row is read, and the crossing
+  graphs are built unchecked (`Graph.bipartite_restriction`);
 * `gn_criterion`, the O(#cycles) exact criterion for subsets of the
   extremal family on a `VertexSet`; the criterion itself is
   `families.gn_criterion_mask`, beside the cycle layout it reads, so its
@@ -607,37 +614,23 @@ def is_hamiltonian_exact(g: Graph, scope: VertexSet) -> HamDecision:
 # ---------------------------------------------------------------------------
 
 
-def find_ham_cycle_rotation(
-    g: Graph, scope: VertexSet, budget: int = 20000, seed: int = 0
-) -> HamDecision:
-    """Seeded rotation-extension search: hamiltonian-or-unknown, never a
-    refusal.  Deterministic given seed; budget counts rotations across all
-    restarts.
-
-    Each restart reads its own stream, based at `stream_base(seed,
-    restart)`, one word per draw: the start is the rank-`below(s)` vertex
-    of the scope, an extension the rank-`below(|ext|)` free neighbour of
-    the endpoint (both one `stream_pick` call), a rotation the
-    `below(#pivots)`-th pivot in path order (`stream_below`).  `free`
-    holds the scope vertices off the path.  A scope with a vertex outside
-    the graph raises PreconditionError."""
-    smask = scope.mask
-    if smask >> g.m:
-        raise PreconditionError(f"scope has a vertex outside 0..{g.m - 1}")
-    s = scope.size
-    if s < 3:
-        return HamDecision("unknown", None, "rotation", 0)
-    rows = g.rows
+def _rotate(rows, scope_mask: int, budget: int, seed: int) -> tuple[list[int] | None, int]:
+    """The rotation-extension engine behind `find_ham_cycle_rotation`: a
+    Hamilton cycle of the scope (at least 3 vertices, all below len(rows))
+    as a bare vertex list, or None, and the rotations spent.  It checks
+    neither the scope nor the cycle: the public wrapper does both, and the
+    builders validate the certificate each cycle ends up in."""
+    s = scope_mask.bit_count()
     rotations = 0
     per_restart = max(budget // ROTATION_RESTARTS, 4 * s)
     for restart in range(ROTATION_RESTARTS):
         if rotations >= budget:
             break
         base = stream_base(seed, restart)
-        start = stream_pick(base, 0, smask)
+        start = stream_pick(base, 0, scope_mask)
         word = 1  # the next stream word
         path = [start]
-        free = smask ^ (1 << start)
+        free = scope_mask ^ (1 << start)
         spent = 0
         while spent < per_restart and rotations < budget:
             end = path[-1]
@@ -649,15 +642,13 @@ def find_ham_cycle_rotation(
                 free ^= 1 << v
                 continue
             if not free and rows[end] >> start & 1:  # rotations keep path[0]
-                cert = HamCycleCert(tuple(path))
-                cert.validate(g, smask)
-                return HamDecision("hamiltonian", cert, "rotation", rotations)
+                return path, rotations
             if len(path) < 3:
                 break
             # rotate: pick a path neighbour path[i] of the endpoint, i below
             # len(path) - 2, and reverse the tail after it; path[-2] is
             # always a neighbour, the only one not below len(path) - 2
-            nbrs = rows[end] & (smask ^ free)
+            nbrs = rows[end] & (scope_mask ^ free)
             pivots = nbrs.bit_count() - 1
             if not pivots:
                 break
@@ -677,7 +668,36 @@ def find_ham_cycle_rotation(
             path[i + 1 :] = path[:i:-1]
             rotations += 1
             spent += 1
-    return HamDecision("unknown", None, "rotation", rotations)
+    return None, rotations
+
+
+def find_ham_cycle_rotation(
+    g: Graph, scope: VertexSet, budget: int = 20000, seed: int = 0
+) -> HamDecision:
+    """Seeded rotation-extension search: hamiltonian-or-unknown, never a
+    refusal.  Deterministic given seed; budget counts rotations across all
+    restarts.
+
+    Each restart reads its own stream, based at `stream_base(seed,
+    restart)`, one word per draw: the start is the rank-`below(s)` vertex
+    of the scope, an extension the rank-`below(|ext|)` free neighbour of
+    the endpoint (both one `stream_pick` call), a rotation the
+    `below(#pivots)`-th pivot in path order (`stream_below`).  `free`
+    holds the scope vertices off the path.  The search is the engine
+    `_rotate`; this wrapper refuses a scope with a vertex outside the graph
+    (PreconditionError), answers unknown below 3 vertices and validates
+    the cycle it returns."""
+    smask = scope.mask
+    if smask >> g.m:
+        raise PreconditionError(f"scope has a vertex outside 0..{g.m - 1}")
+    if scope.size < 3:
+        return HamDecision("unknown", None, "rotation", 0)
+    order, rotations = _rotate(g.rows, smask, budget, seed)
+    if order is None:
+        return HamDecision("unknown", None, "rotation", rotations)
+    cert = HamCycleCert(tuple(order))
+    cert.validate(g, smask)
+    return HamDecision("hamiltonian", cert, "rotation", rotations)
 
 
 def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDecision:
@@ -737,21 +757,35 @@ def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDec
 
 
 def _cycle_in_scope(g: Graph, scope_mask: int, seed: int) -> list[int]:
-    """Hamilton cycle of g[scope] via rotation (200 rotations per vertex,
-    at least 20000), exact fallback within the kernel's byte budget."""
+    """Hamilton cycle of g[scope] via the rotation engine `_rotate` (200
+    rotations per vertex, at least 20000), exact fallback within the
+    kernel's byte budget.  A bare list, unchecked when rotation finds it:
+    the builder validates the certificate it is part of.  The scope lies
+    within g and has at least 3 vertices, as every builder's checks make
+    it."""
     size = scope_mask.bit_count()
-    scope = VertexSet(scope_mask, g.m)
-    dec = find_ham_cycle_rotation(g, scope, budget=max(20000, 200 * size), seed=seed)
-    if dec.status != "hamiltonian":
-        try:
-            dec = is_hamiltonian_exact(g, scope)
-        except BudgetExceededError:
-            pass
-    if dec.status != "hamiltonian":
-        raise BudgetExceededError(
-            f"cycle engine gave up on a {size}-vertex scope (work {dec.work})"
-        )
-    return list(dec.cert.order)
+    order, work = _rotate(g.rows, scope_mask, max(20000, 200 * size), seed)
+    if order is not None:
+        return order
+    try:
+        dec = is_hamiltonian_exact(g, VertexSet(scope_mask, g.m))
+    except BudgetExceededError:
+        pass
+    else:
+        if dec.status == "hamiltonian":
+            return list(dec.cert.order)
+        work = dec.work
+    raise BudgetExceededError(
+        f"cycle engine gave up on a {size}-vertex scope (work {work})"
+    )
+
+
+def _check_universe(g: Graph, *sets: Cut | VertexSet) -> None:
+    """Refuse a cut or side over another vertex universe than g's before a
+    builder reads a row: the rotation engine reads rows unchecked."""
+    for x in sets:
+        if x.m != g.m:
+            raise PreconditionError(f"vertex universe of {x.m}, graph of {g.m}")
 
 
 def _dirac_path_scoped(
@@ -840,10 +874,11 @@ def ham_path_bipartite(
 ) -> HamPathCert:
     """Hamilton path from a (left) to b (right) of the crossing graph when
     the sides balance and every crossing degree is >= m/4 + 1, validated
-    against the crossing graph, so it uses no within-side edge."""
+    against the crossing graph, so it uses no within-side edge.  Sides over
+    another vertex universe than g's, or overlapping sides, raise
+    PreconditionError."""
+    _check_universe(g, left, right)
     lmask, rmask = left.mask, right.mask
-    if lmask & rmask:
-        raise PreconditionError("sides overlap")
     cross = g.bipartite_restriction(lmask, rmask)
     cert = HamPathCert(tuple(_bipartite_path_scoped(cross, lmask, rmask, a, b, seed)))
     cert.validate(cross, lmask | rmask)
@@ -928,6 +963,7 @@ def ham_cycle_two_cliques(g: Graph, cut: Cut, seed: int = 0) -> HamCycleCert:
     via the Dirac routine); the two paths and the two crossing edges close
     the cycle.
     """
+    _check_universe(g, cut)
     m = g.m
     xmask, ymask = cut.x.mask, cut.y.mask
     # an int degree d has d <= TWO_CLIQUES_LOW * m iff d <= low_cap
@@ -982,6 +1018,7 @@ def ham_cycle_near_bipartite(
     3, and the balanced remainder is closed through the bipartite path
     routine.
     """
+    _check_universe(g, cut)
     m = g.m
     amask, bmask = cut.x.mask, cut.y.mask
     na, nb = amask.bit_count(), bmask.bit_count()

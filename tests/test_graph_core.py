@@ -41,13 +41,20 @@ def test_mask_bits_round_trip():
 
 
 def test_nth_bit_matches_bit_list():
+    # every width up to 200, so the top window (ranks in the upper half are
+    # counted from the top bit down) ends at every offset from bit 0
     rnd = random.Random(5)
-    for width in (1, 2, 7, 63, 64, 65, 128, 300, 600, 700):
+    for width in (*range(1, 201), 300, 600, 700):
         for density in (0.02, 0.5, 0.97):
             mask = mask_of(v for v in range(width) if rnd.random() < density)
             mask |= 1 << (width - 1)
+            if density == 0.5:
+                mask |= mask_of(b for b in (63, 64, 127, 128) if b < width)
             members = list(bits_of(mask))
             assert [nth_bit(mask, r) for r in range(len(members))] == members
+            for r in (-1, len(members)):
+                with pytest.raises(PreconditionError):
+                    nth_bit(mask, r)
     # set bits on both sides of 64-bit word boundaries, and one bit per word
     straddling = [
         mask_of([63, 64]),
@@ -98,6 +105,17 @@ def test_graph_edge_ops():
     g2 = g.with_edges([(0, 2)])
     assert g2.has_edge(0, 2) and not g.has_edge(0, 2)
     assert sorted(edge_list(g)) == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("edge", [(-1, 2), (2, -1), (0, 5), (7, 1), (3, 3)])
+def test_edges_outside_the_graph_or_loops_are_refused(edge):
+    # with_edges refuses them as from_edges does, before any shift by them
+    g = Graph.from_edges(5, [(0, 1), (1, 2)])
+    message = f"bad edge ({edge[0]},{edge[1]}) for m=5"
+    for build in (lambda: g.with_edges([(0, 2), edge]), lambda: Graph.from_edges(5, [edge])):
+        with pytest.raises(PreconditionError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def _rejection(m: int, rows) -> str:
@@ -193,6 +211,31 @@ def test_bipartite_restriction_keeps_only_crossing_edges():
         (u, v) for u, v in edge_list(g) if (lmask >> u & 1 and rmask >> v & 1)
         or (rmask >> u & 1 and lmask >> v & 1)
     )
+
+
+def test_bipartite_restriction_refuses_overlapping_sides():
+    with pytest.raises(PreconditionError, match="sides overlap"):
+        build_knn(3).bipartite_restriction(0b000111, 0b111001)
+
+
+def test_derived_graphs_equal_checked_graphs():
+    # complement and bipartite_restriction skip the constructor's check;
+    # their rows must be ones the check accepts, equal to the reference
+    rnd = random.Random(23)
+    for m in (0, 1, 2, 7, 40, 64, 65, 130):
+        for seed in range(4):
+            g = random_graph(m, 100 * m + seed, p=rnd.choice([0.1, 0.5, 0.9]))
+            full = (1 << m) - 1
+            co = g.complement()
+            assert co == Graph(m, tuple(full ^ r ^ 1 << v for v, r in enumerate(g.rows)))
+            for _ in range(3):
+                side = [rnd.randrange(3) for _ in range(m)]
+                lmask = mask_of(v for v in range(m) if side[v] == 0)
+                rmask = mask_of(v for v in range(m) if side[v] == 1)
+                h = g.bipartite_restriction(lmask, rmask)
+                rows = [r & (rmask if lmask >> v & 1 else lmask if rmask >> v & 1 else 0)
+                        for v, r in enumerate(g.rows)]
+                assert h == Graph(m, tuple(rows))
 
 
 def test_edges_between_and_inside():

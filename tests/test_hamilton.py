@@ -25,7 +25,7 @@ from conftest import (
     without_edges,
 )
 
-from cycsets import hamilton
+from cycsets import bitgraph, hamilton
 from cycsets.analysis import random_regular_graph
 from cycsets.bitgraph import Cut, Graph, VertexSet, bits_of
 from cycsets.errors import BudgetExceededError, PreconditionError, VerificationError
@@ -957,14 +957,26 @@ def test_builder_certificates_are_pinned(s):
     assert digest == BUILDER_ORDER_DIGESTS[s]
 
 
-def test_each_builder_checks_one_certificate_beyond_the_rotation(monkeypatch):
-    # two-cliques runs the rotation engine twice (one Dirac path per side),
-    # the other builders once; each rotation checks the cycle it finds
-    s = 2484195175
+def _builder_calls(s: int):
+    """The four builders on the benchmark's instances of seed s, each as a
+    call with no arguments."""
     g1, cut1 = two_cliques_instance(600, s)
     g2, cut2, forest = near_bipartite_instance(600, s)
     g3, a3, b3 = dirac_instance(200, s)
     g4, left, right, a4, b4 = bipartite_instance(200, s)
+    return {
+        "two_cliques": lambda: ham_cycle_two_cliques(g1, cut1, seed=s),
+        "near_bipartite": lambda: ham_cycle_near_bipartite(g2, cut2, forest, seed=s),
+        "dirac_path": lambda: ham_path_dirac(g3, a3, b3, seed=s),
+        "bipartite_path": lambda: ham_path_bipartite(g4, left, right, a4, b4, seed=s),
+    }
+
+
+def test_each_builder_checks_one_certificate_beyond_the_rotation(monkeypatch):
+    # two-cliques runs the rotation engine twice (one Dirac path per side),
+    # the other builders once; the engine checks none of the cycles it
+    # finds, so the certificate each builder returns is the only check
+    builds = _builder_calls(2484195175)
     calls = []
     check = hamilton._check_order
 
@@ -974,14 +986,78 @@ def test_each_builder_checks_one_certificate_beyond_the_rotation(monkeypatch):
 
     monkeypatch.setattr(hamilton, "_check_order", counted)
     counts = []
-    for build in (lambda: ham_cycle_two_cliques(g1, cut1, seed=s),
-                  lambda: ham_cycle_near_bipartite(g2, cut2, forest, seed=s),
-                  lambda: ham_path_dirac(g3, a3, b3, seed=s),
-                  lambda: ham_path_bipartite(g4, left, right, a4, b4, seed=s)):
+    for build in builds.values():
         calls.clear()
         build()
         counts.append(len(calls))
-    assert counts == [3, 2, 2, 2]
+    assert counts == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("name", ["near_bipartite", "bipartite_path"])
+def test_crossing_graph_builders_build_no_bit_matrix(monkeypatch, name):
+    # the crossing graph is derived from a validated graph, so building it
+    # runs no symmetry check (the one caller of the bit matrix)
+    build = _builder_calls(3800690240)[name]
+
+    def refuse(*args):
+        raise AssertionError("bit matrix built")
+
+    monkeypatch.setattr(bitgraph, "_bit_matrix", refuse)
+    build()
+
+
+def _with_non_edge(rows, order: list[int]) -> list[int]:
+    """The cycle `order` with one 2-opt move: the first order[i], order[j]
+    (j >= i + 2) that are not adjacent become consecutive."""
+    for i in range(len(order) - 2):
+        for j in range(i + 2, len(order) - (i == 0)):
+            if not rows[order[i]] >> order[j] & 1:
+                return order[: i + 1] + order[i + 1 : j + 1][::-1] + order[j + 1 :]
+    raise AssertionError("the scope is complete")
+
+
+@pytest.mark.parametrize("name", ["two_cliques", "near_bipartite", "dirac_path", "bipartite_path"])
+def test_builders_refuse_a_rotation_cycle_with_a_non_edge(monkeypatch, name):
+    # the engine's cycles are checked only inside the builder's certificate
+    build = _builder_calls(2484195175)[name]
+    engine = hamilton._rotate
+
+    def corrupted(rows, scope_mask, budget, seed):
+        order, rotations = engine(rows, scope_mask, budget, seed)
+        return _with_non_edge(rows, order), rotations
+
+    monkeypatch.setattr(hamilton, "_rotate", corrupted)
+    with pytest.raises(VerificationError, match="non-edge"):
+        build()
+
+
+def _other_universe(m: int) -> tuple[Cut, VertexSet, VertexSet]:
+    """A cut of 0..m-1 into halves, and its two sides."""
+    left = VertexSet((1 << m // 2) - 1, m)
+    right = left.complement()
+    return Cut(left, right), left, right
+
+
+def test_two_cliques_refuses_a_cut_of_another_universe():
+    g, _ = two_cliques_instance(40, 1)
+    cut, _, _ = _other_universe(80)
+    with pytest.raises(PreconditionError, match="vertex universe of 80, graph of 40"):
+        ham_cycle_two_cliques(g, cut)
+
+
+def test_near_bipartite_refuses_a_cut_of_another_universe():
+    g, _, _ = near_bipartite_instance(40, 1)
+    cut, _, _ = _other_universe(80)
+    with pytest.raises(PreconditionError, match="vertex universe of 80, graph of 40"):
+        ham_cycle_near_bipartite(g, cut, LinearForest(()))
+
+
+@pytest.mark.parametrize("a", [0, 45])
+def test_bipartite_path_refuses_sides_of_another_universe(a):
+    g, _, _, _, b = bipartite_instance(40, 1)
+    _, left, right = _other_universe(50)
+    with pytest.raises(PreconditionError, match="vertex universe of 50, graph of 40"):
+        ham_path_bipartite(g, left, right, a, b)
 
 
 # -- fast criterion for the extremal family ----------------------------------
