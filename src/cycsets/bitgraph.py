@@ -27,12 +27,33 @@ def mask_of(vertices) -> int:
     return m
 
 
+# Per byte value b: the offsets of its set bits in increasing order
+# (`_BYTE_BITS[b]`, read by `bits_of`), their count (`_BYTE_POPCOUNT[b]`)
+# and, at 8 * b + r, the offset of its set bit of rank r (`_BYTE_SELECT`,
+# 0 for r at or past the count); the last two finish `nth_bit`.
+_BYTE_BITS: tuple[tuple[int, ...], ...] = ((),)
+for _i in range(8):  # the bits of b + 2^i, for b < 2^i, are those of b, then i
+    _BYTE_BITS += tuple(bits + (_i,) for bits in _BYTE_BITS)
+del _i
+_BYTE_POPCOUNT = bytes(map(len, _BYTE_BITS))
+_BYTE_SELECT = b"".join(bytes(bits).ljust(8, b"\0") for bits in _BYTE_BITS)
+
+
 def bits_of(mask: int):
-    """Iterate set bit positions of mask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Iterate set bit positions of mask in increasing order, lazily.
+
+    The mask is read once, as little-endian bytes, and each nonzero byte
+    yields its offsets from `_BYTE_BITS`, so no m-bit int is built per set
+    bit.  A negative mask has no finite bit set: PreconditionError on the
+    first `next`."""
+    if mask < 0:
+        raise PreconditionError("negative mask")
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                yield base + i
+        base += 8
 
 
 def local_rows(rows, mask: int) -> tuple[list[int], list[int]]:
@@ -50,21 +71,25 @@ def local_rows(rows, mask: int) -> tuple[list[int], list[int]]:
 
 
 _WORD = (1 << 64) - 1
-_HALVES = tuple((h, (1 << h) - 1) for h in (32, 16, 8, 4, 2, 1))
 
 
-def nth_bit(mask: int, r: int) -> int:
+def nth_bit(mask: int, r: int, n: int | None = None) -> int:
     """Position of the set bit of rank r (0-based, increasing order) in mask.
 
-    Equals list(bits_of(mask))[r].  On a mask wider than one 64-bit word,
-    the window that holds rank r is found by window popcounts from the
-    nearer end: for a rank below half the popcount n, the words from the
-    low end; else 64-bit windows from the top bit down, for rank n - 1 - r
-    from the top, the last window cut at bit 0.  The bit is then found by
-    halving within that window: past the first popcount, none reads more
-    than one word.  `stream_pick` clears the lowest bits itself for ranks
-    below 8."""
-    n = mask.bit_count()
+    Equals list(bits_of(mask))[r].  A caller that has counted the mask
+    passes its popcount as n, so it is not counted again; a negative mask
+    or a rank outside 0..n-1 raises PreconditionError.  On a mask wider
+    than one 64-bit word, the window that holds rank r is found by window
+    popcounts from the nearer end: for a rank below half the popcount n,
+    the words from the low end; else 64-bit windows from the top bit down,
+    for rank n - 1 - r from the top, the last window cut at bit 0.  Within
+    that window two halvings (32 and 16 bits) leave two bytes; the byte
+    popcount table picks the byte and the byte select table the bit
+    (rank/select on machine words, Vigna, WEA 2008)."""
+    if n is None:
+        n = mask.bit_count()
+    if mask < 0:
+        raise PreconditionError("negative mask")
     if not 0 <= r < n:
         raise PreconditionError(f"rank {r} outside 0..{n - 1}")
     pos = 0
@@ -89,12 +114,19 @@ def nth_bit(mask: int, r: int) -> int:
                 word = mask & ((1 << pos) - 1)
                 pos = 0
         r = c - 1 - r  # the rank within the window, from its low end
-    for h, low in _HALVES:
-        if r >= (c := (word & low).bit_count()):
-            r -= c
-            word >>= h
-            pos += h
-    return pos
+    if r >= (c := (word & 0xFFFFFFFF).bit_count()):
+        r -= c
+        word >>= 32
+        pos += 32
+    if r >= (c := (word & 0xFFFF).bit_count()):
+        r -= c
+        word >>= 16
+        pos += 16
+    if r >= (c := _BYTE_POPCOUNT[word & 255]):
+        r -= c
+        word >>= 8
+        pos += 8
+    return pos + _BYTE_SELECT[(word & 255) << 3 | r]
 
 
 def _add_edges(m: int, rows: list[int], edges) -> None:
@@ -225,18 +257,18 @@ class Graph:
     def bipartite_restriction(self, lmask: int, rmask: int) -> "Graph":
         """Only the edges between the disjoint sets L and R, on all m
         vertices (vertices outside L ∪ R become isolated).  Built unchecked
-        (`_derived`), which is sound only for disjoint sides, so overlapping
-        sides raise PreconditionError."""
+        (`_derived`), which is sound only for disjoint sides of vertices
+        0..m-1, so overlapping sides, or a side with a vertex outside,
+        raise PreconditionError.  Only the rows of L and R are filled."""
         if lmask & rmask:
             raise PreconditionError("sides overlap")
-        rows = []
-        for v in range(self.m):
-            if lmask >> v & 1:
-                rows.append(self.rows[v] & rmask)
-            elif rmask >> v & 1:
-                rows.append(self.rows[v] & lmask)
-            else:
-                rows.append(0)
+        if (lmask | rmask) >> self.m:
+            raise PreconditionError(f"side has a vertex outside 0..{self.m - 1}")
+        rows = [0] * self.m
+        for v in bits_of(lmask):
+            rows[v] = self.rows[v] & rmask
+        for v in bits_of(rmask):
+            rows[v] = self.rows[v] & lmask
         return Graph._derived(self.m, tuple(rows))
 
     # -- edge counts between vertex sets -----------------------------------

@@ -1027,21 +1027,21 @@ def ham_cycle_near_bipartite(
     if na > nb + NEAR_BIPARTITE_EPS * m:
         raise PreconditionError(f"imbalance {na - nb} exceeds eps*m")
     f = na - nb
-    crossing = g.edges_between(amask, bmask)
-    if 4 * crossing < (1 - 4 * NEAR_BIPARTITE_EPS) * m * m:
+    # each crossing degree is read once: the degrees of A sum to e(A, B)
+    cross_degs = [(v, (g.rows[v] & bmask).bit_count()) for v in bits_of(amask)]
+    if 4 * sum(d for _, d in cross_degs) < (1 - 4 * NEAR_BIPARTITE_EPS) * m * m:
         raise PreconditionError("crossing graph too sparse")
+    cross_degs += [(v, (g.rows[v] & amask).bit_count()) for v in bits_of(bmask)]
     # an int d has d < gamma * m iff d < gamma_cap, and d <= LOW * m iff
-    # d <= low_cap; one pass over A, then B, reads each crossing degree once
+    # d <= low_cap
     gamma_cap = ceil(NEAR_BIPARTITE_GAMMA * m)
     low_cap = floor(NEAR_BIPARTITE_LOW * m)
     low = 0
-    for side, other in ((amask, bmask), (bmask, amask)):
-        for v in bits_of(side):
-            d = (g.rows[v] & other).bit_count()
-            if d * 3 < gamma_cap:
-                raise PreconditionError(f"crossing degree of {v} below gamma*m/3")
-            if d <= low_cap:
-                low |= 1 << v
+    for v, d in cross_degs:
+        if d * 3 < gamma_cap:
+            raise PreconditionError(f"crossing degree of {v} below gamma*m/3")
+        if d <= low_cap:
+            low |= 1 << v
     k_good_witness.validate(g, amask)
     if k_good_witness.size != f:
         raise PreconditionError(

@@ -18,6 +18,8 @@ first block, so `import cycsets.sampling` does not load it.
 `stream_below` and `stream_pick` draw word k of a stream from its base and
 k, with no object, for a caller that keeps its own counter: the rotation
 engine in `hamilton`, whose extension step is one `stream_pick` call.
+`stream_pick` counts its mask once, draws the rank, and hands both to
+`bitgraph.nth_bit`, the one rank-select.
 """
 
 from __future__ import annotations
@@ -74,21 +76,16 @@ def stream_below(base: int, counter: int, n: int) -> int:
 
 def stream_pick(base: int, counter: int, mask: int) -> int:
     """The set bit of a nonempty mask of rank `stream_below(base, counter,
-    popcount)`, drawn and selected in one call: `stream_below` and
-    `nth_bit` inlined for ranks below 8, where the lowest bits are cleared
-    one by one."""
+    popcount)`, drawn and selected in one call: `stream_below` inlined,
+    then `nth_bit` given the popcount counted here, so the mask is counted
+    once."""
     n = mask.bit_count()
     if n == 1:
         return mask.bit_length() - 1
     z = base ^ (counter * _COUNTER_MUL & _M64)
     z = (z ^ (z >> 30)) * _MIX_MUL1 & _M64
     z = (z ^ (z >> 27)) * _MIX_MUL2 & _M64
-    r = (z ^ (z >> 31)) * n >> 64
-    if r >= 8:
-        return nth_bit(mask, r)
-    for _ in range(r):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
+    return nth_bit(mask, (z ^ (z >> 31)) * n >> 64, n)
 
 
 class StreamRng:

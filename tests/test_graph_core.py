@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+import types
+from itertools import islice
 
 import networkx as nx
 import pytest
@@ -20,6 +22,9 @@ from conftest import (
 )
 
 from cycsets.bitgraph import (
+    _BYTE_BITS,
+    _BYTE_POPCOUNT,
+    _BYTE_SELECT,
     Cut,
     Graph,
     VertexSet,
@@ -38,6 +43,48 @@ def test_mask_bits_round_trip():
     for vertices in ([], [0], [3, 1, 7], list(range(40))):
         mask = mask_of(vertices)
         assert list(bits_of(mask)) == sorted(vertices)
+
+
+def test_bits_of_matches_the_shift_reference():
+    # every width up to 700, so the byte walk ends at every offset of a
+    # byte, with set bits on both sides of byte and word boundaries
+    rnd = random.Random(7)
+    for width in range(701):
+        for density in (0.02, 0.5, 0.97):
+            mask = mask_of(v for v in range(width) if rnd.random() < density)
+            mask |= mask_of(b for b in (7, 8, 63, 64, 127, 128) if b < width)
+            assert list(bits_of(mask)) == [i for i in range(width) if mask >> i & 1]
+
+
+def test_bits_of_is_lazy_and_starts_at_the_lowest_bit():
+    rnd = random.Random(8)
+    for _ in range(50):
+        mask = rnd.getrandbits(600) | 1 << 599
+        bits = bits_of(mask)
+        assert isinstance(bits, types.GeneratorType)
+        assert next(bits) == (mask & -mask).bit_length() - 1
+
+
+@pytest.mark.parametrize("mask", [-1, -6, -(1 << 600)], ids=["-1", "-6", "-2^600"])
+def test_bits_of_refuses_a_negative_mask(mask):
+    with pytest.raises(PreconditionError, match="negative mask"):
+        list(islice(bits_of(mask), 1000))
+
+
+@pytest.mark.parametrize("mask", [-1, -6, -(1 << 600)], ids=["-1", "-6", "-2^600"])
+def test_nth_bit_refuses_a_negative_mask(mask):
+    with pytest.raises(PreconditionError, match="negative mask"):
+        nth_bit(mask, 0)
+
+
+def test_byte_tables_match_a_reference():
+    assert len(_BYTE_BITS) == len(_BYTE_POPCOUNT) == 256 and len(_BYTE_SELECT) == 2048
+    for b in range(256):
+        bits = [i for i in range(8) if b >> i & 1]
+        assert _BYTE_BITS[b] == tuple(bits)
+        assert _BYTE_POPCOUNT[b] == len(bits)
+        for r, i in enumerate(bits):
+            assert _BYTE_SELECT[8 * b + r] == i
 
 
 def test_nth_bit_matches_bit_list():
@@ -216,6 +263,12 @@ def test_bipartite_restriction_keeps_only_crossing_edges():
 def test_bipartite_restriction_refuses_overlapping_sides():
     with pytest.raises(PreconditionError, match="sides overlap"):
         build_knn(3).bipartite_restriction(0b000111, 0b111001)
+
+
+@pytest.mark.parametrize("lmask, rmask", [(1 << 9, 0b11), (0b11, 1 << 20), (0b11, -4)])
+def test_bipartite_restriction_refuses_a_side_outside_the_graph(lmask, rmask):
+    with pytest.raises(PreconditionError, match="outside 0..8"):
+        random_graph(9, 1).bipartite_restriction(lmask, rmask)
 
 
 def test_derived_graphs_equal_checked_graphs():

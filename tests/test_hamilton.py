@@ -925,6 +925,21 @@ def test_near_bipartite_wrong_witness_rejected():
         ham_cycle_near_bipartite(g, cut, LinearForest(((0, 1),)))
 
 
+@pytest.mark.parametrize("low, message", [
+    ({10, 150}, "crossing degree of 150 below"),  # X is read before Y
+    ({10, 11, 150, 151, 152}, "crossing graph too sparse"),  # before any degree
+])
+def test_near_bipartite_refusals_keep_their_order(low, message):
+    # K_{100,100}, each vertex of `low` left 5 crossing edges; X = 100..199
+    g = Graph.from_edges(200, [
+        (u, v) for u in range(100) for v in range(100, 200)
+        if not (u in low and v >= 105 or v in low and u >= 5)
+    ])
+    cut = Cut(VertexSet.of(200, range(100, 200)), VertexSet.of(200, range(100)))
+    with pytest.raises(PreconditionError, match=message):
+        ham_cycle_near_bipartite(g, cut, LinearForest(()))
+
+
 def test_near_bipartite_builder_instances():
     for seed in range(2):
         g, cut, forest = near_bipartite_instance(600, seed)
