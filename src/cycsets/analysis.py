@@ -224,14 +224,16 @@ def _near_bipartite_holds(g: Graph, am: int, eps: Fraction) -> tuple[bool, dict]
 def classify(
     g: Graph, eps: Fraction = Fraction(1, 320), seed: int = 0, samples: int = 400
 ) -> Classification:
-    """Three-case trichotomy for min degree >= m/2 (verified witnesses),
-    at the proof's epsilon `eps`, 0 < eps <= 1/320."""
+    """Three-case trichotomy for min degree >= m/2 and m >= 1 (verified
+    witnesses), at the proof's epsilon `eps`, 0 < eps <= 1/320."""
     if not 0 < eps <= Fraction(1, 320):
         raise PreconditionError("need 0 < eps <= 1/320")
     if samples < 1:  # a sampled verdict on no pairs would be vacuous
         raise PreconditionError(f"need samples >= 1, got {samples}")
     check_seed(seed)
     m = g.m
+    if not m:  # no vertex: no cut to witness any case
+        raise PreconditionError("classify requires at least one vertex")
     if 2 * g.min_degree() < m:
         raise PreconditionError("classify requires min degree >= m/2")
     full = g.full_mask()

@@ -6,9 +6,11 @@ intersection/union is a single int op regardless of m.  Everything is
 immutable after construction; all operations elsewhere in the package are
 pure functions of these values.
 
-Also provides VertexSet / Cut wrappers with bitmask semantics and a
-bit-exact graph6 reader/writer (standard N(n) short and extended forms; the
-reader also takes the optional >>graph6<< header of graph6 files).
+Also provides VertexSet / Cut wrappers with bitmask semantics, the two
+walks of an induced subgraph that the rest of the package shares
+(`twin_classes`, `path_cover`), and a bit-exact graph6 reader/writer
+(standard N(n) short and extended forms; the reader also takes the optional
+>>graph6<< header of graph6 files).
 """
 
 from __future__ import annotations
@@ -70,15 +72,58 @@ def local_rows(rows, mask: int) -> tuple[list[int], list[int]]:
     return local, verts
 
 
+def twin_classes(mask: int, srows: list[int]) -> dict[int, int]:
+    """The twin classes of the subgraph induced on mask: N(v) -> the mask
+    of its vertices with that neighbourhood, in order of each class's
+    lowest vertex.  `srows` are the rows restricted to mask, rows[v] &
+    mask, for its vertices v in increasing order.  Twins are never
+    adjacent, since no vertex is its own neighbour, so each class is
+    independent and disjoint from its neighbourhood."""
+    classes: dict[int, int] = {}
+    rest = mask
+    for nbrs in srows:
+        low = rest & -rest
+        classes[nbrs] = classes.get(nbrs, 0) | low
+        rest ^= low
+    return classes
+
+
+def path_cover(rows, mask: int) -> list[list[int]]:
+    """The components of the subgraph induced on mask, a graph of maximum
+    degree at most 2, each as a path through all its vertices: first the
+    path components (isolated vertices included), each walked from its
+    lower end, in order of that end, then each cycle from its lowest
+    vertex.  Every step goes to the lowest unvisited neighbour."""
+    ends = 0  # the vertices of degree at most 1 in the subgraph
+    for v in bits_of(mask):
+        if (rows[v] & mask).bit_count() < 2:
+            ends |= 1 << v
+    paths = []
+    left = mask
+    while left:
+        start = ends & left or left
+        low = start & -start
+        left ^= low
+        v = low.bit_length() - 1
+        path = [v]
+        while nxt := rows[v] & left:
+            low = nxt & -nxt
+            left ^= low
+            v = low.bit_length() - 1
+            path.append(v)
+        paths.append(path)
+    return paths
+
+
 _WORD = (1 << 64) - 1
 
 
-def nth_bit(mask: int, r: int, n: int | None = None) -> int:
+def nth_bit(mask: int, r: int, n: int) -> int:
     """Position of the set bit of rank r (0-based, increasing order) in mask.
 
-    Equals list(bits_of(mask))[r].  A caller that has counted the mask
-    passes its popcount as n, so it is not counted again; a negative mask
-    or a rank outside 0..n-1 raises PreconditionError.  On a mask wider
+    Equals list(bits_of(mask))[r].  The caller passes the mask's popcount
+    as n, which it has counted already; a negative mask or a rank outside
+    0..n-1 raises PreconditionError.  On a mask wider
     than one 64-bit word, the window that holds rank r is found by window
     popcounts from the nearer end: for a rank below half the popcount n,
     the words from the low end; else 64-bit windows from the top bit down,
@@ -86,8 +131,6 @@ def nth_bit(mask: int, r: int, n: int | None = None) -> int:
     that window two halvings (32 and 16 bits) leave two bytes; the byte
     popcount table picks the byte and the byte select table the bit
     (rank/select on machine words, Vigna, WEA 2008)."""
-    if n is None:
-        n = mask.bit_count()
     if mask < 0:
         raise PreconditionError("negative mask")
     if not 0 <= r < n:
@@ -301,10 +344,6 @@ class VertexSet:
     @staticmethod
     def of(m: int, vertices) -> "VertexSet":
         return VertexSet(mask_of(vertices), m)
-
-    @staticmethod
-    def empty(m: int) -> "VertexSet":
-        return VertexSet(0, m)
 
     @property
     def size(self) -> int:

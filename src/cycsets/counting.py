@@ -60,7 +60,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import TYPE_CHECKING
 
-from .bitgraph import Graph, VertexSet
+from .bitgraph import Graph, VertexSet, twin_classes
 from .errors import BudgetExceededError, PreconditionError, check_seed
 from .subsetdp import Quotient, anchored
 
@@ -104,10 +104,9 @@ class EstimateReport:
 def _suffix_states(g: Graph, a: int) -> int:
     """The states of the every-start kernel over {a..m-1}: prod(|C| + 1)
     over its twin classes, read from the rows before any int is built."""
-    sizes: dict[int, int] = {}
-    for r in g.rows[a:]:
-        sizes[r >> a] = sizes.get(r >> a, 0) + 1
-    return prod(n + 1 for n in sizes.values())
+    suffix = g.full_mask() >> a << a
+    classes = twin_classes(suffix, [r & suffix for r in g.rows[a:]])
+    return prod(c.bit_count() + 1 for c in classes.values())
 
 
 def cyc_count_exact(g: Graph, workers: int = 1) -> CycReport:

@@ -291,23 +291,29 @@ def enumerate_regular_complements(n: int) -> list[Graph]:
     )
 
 
+def _pairing(m: int, d: int, rng):
+    """The pairs (u, v) of a uniform random perfect matching of the d
+    points of each of m vertices, drawn lazily with rng (a StreamRng or
+    random.Random-compatible object exposing below(n)): the last free
+    point, then a uniform pick among the others, one draw per pair."""
+    if m * d % 2:
+        raise PreconditionError("m*d must be even")
+    points = list(range(m * d))
+    while points:
+        a = points.pop()
+        b = points.pop(rng.below(len(points)))
+        yield a // d, b // d
+
+
 def pairing_model_regular(m: int, d: int, rng) -> Graph | None:
     """One attempt at a d-regular simple graph on m vertices (pairing model).
 
     Each vertex gets d points; points are paired by a uniform random perfect
-    matching drawn with rng (a StreamRng or random.Random-compatible object
-    exposing below(n)).  Returns None if the pairing produced a loop or a
-    repeated edge; callers retry.
+    matching (`_pairing`).  Returns None at the first loop or repeated
+    edge, with no further draw; callers retry.
     """
-    if m * d % 2:
-        raise PreconditionError("m*d must be even")
-    points = list(range(m * d))
     rows = [0] * m
-    while points:
-        a = points.pop()
-        idx = rng.below(len(points))
-        b = points.pop(idx)
-        u, v = a // d, b // d
+    for u, v in _pairing(m, d, rng):
         if u == v or rows[u] >> v & 1:
             return None
         rows[u] |= 1 << v
@@ -320,20 +326,13 @@ def pairing_model_repaired(m: int, d: int, rng) -> Graph:
 
     Whole-graph rejection dies for dense degrees (the chance of a simple
     pairing is about e^{-lam-lam^2}, lam = (d-1)/2 -- hopeless already at
-    d ~ m/2).  Instead the defective pairs (loops, repeats) are rejected
-    individually: each is re-wired by a random degree-preserving double
-    swap that strictly reduces the defect count, for at most REPAIR_STEPS
-    steps.  Deterministic given rng; distribution is near-uniform, which is
+    d ~ m/2).  Instead the defective pairs (loops, repeats) of one pairing
+    (`_pairing`) are rejected individually: each is re-wired by a random
+    degree-preserving double swap that strictly reduces the defect count,
+    for at most REPAIR_STEPS steps.  Deterministic given rng; distribution is near-uniform, which is
     all the instance tests need.
     """
-    if m * d % 2:
-        raise PreconditionError("m*d must be even")
-    points = list(range(m * d))
-    pairs: list[tuple[int, int]] = []
-    while points:
-        a = points.pop()
-        b = points.pop(rng.below(len(points)))
-        pairs.append((a // d, b // d))
+    pairs = list(_pairing(m, d, rng))
     mult: dict[tuple[int, int], int] = {}
     for u, v in pairs:
         mult[_key(u, v)] = mult.get(_key(u, v), 0) + 1

@@ -72,7 +72,9 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import TYPE_CHECKING
 
-from .bitgraph import Cut, Graph, VertexSet, bits_of, local_rows, mask_of
+from .bitgraph import (
+    Cut, Graph, VertexSet, bits_of, local_rows, mask_of, path_cover, twin_classes,
+)
 from .errors import BudgetExceededError, PreconditionError, VerificationError
 from .sampling import stream_base, stream_below, stream_pick
 from .subsetdp import anchored
@@ -251,30 +253,15 @@ def _scope_rows(rows, scope_mask: int) -> list[int]:
     return srows
 
 
-def _twin_classes(scope_mask: int, srows: list[int]) -> dict[int, int]:
-    """The twin classes of g[scope]: N_S(v) -> the mask of the scope
-    vertices with that neighbourhood, in order of each class's lowest
-    vertex.  `srows` are the scope rows (`_scope_rows`).  Twins are never
-    adjacent, since no vertex is its own neighbour, so each class is
-    independent and disjoint from its neighbourhood."""
-    classes: dict[int, int] = {}
-    rest = scope_mask
-    for nbrs in srows:
-        low = rest & -rest
-        classes[nbrs] = classes.get(nbrs, 0) | low
-        rest ^= low
-    return classes
-
-
 def _cheap_cut(g: Graph, scope_mask: int, neighbourhoods, reached: int) -> int:
     """X of one vertex that splits g[scope] (at least 3 vertices): the lone
     neighbour of the first vertex of scope-degree 1, else, for a
     disconnected scope, a vertex of its largest component (any vertex when
     all are single).  `neighbourhoods` are the scope rows (`_scope_rows`)
-    or the keys of the twin-class map (`_twin_classes`), whose order of
-    lowest vertex meets the first vertex of scope-degree 1 first too;
-    `reached` is the component of the lowest scope vertex.  0 when the
-    scope is connected with minimum degree at least 2."""
+    or the keys of the twin-class map (`bitgraph.twin_classes`), whose
+    order of lowest vertex meets the first vertex of scope-degree 1 first
+    too; `reached` is the component of the lowest scope vertex.  0 when
+    the scope is connected with minimum degree at least 2."""
     for nbrs in neighbourhoods:
         if nbrs.bit_count() == 1:
             return nbrs
@@ -377,7 +364,7 @@ def _toughness_cut(
 ) -> int:
     """The first X in `refute_toughness`'s candidate order that splits
     g[scope], or 0; `classes` is the scope's twin-class map
-    (`_twin_classes`), `degs` the sorted scope degrees.
+    (`bitgraph.twin_classes`), `degs` the sorted scope degrees.
 
     Prunes skip only candidates that cannot split, so the order holds.  A
     singleton class {v} splits iff v is a cut vertex: none exists when
@@ -426,44 +413,16 @@ def _chvatal(degs: list[int]) -> bool:
     return True
 
 
-def _path_cover(rows, t_mask: int, most: int) -> list[list[int]] | None:
-    """The components of g[T], a graph of maximum degree at most 2, each as
-    a path through all its vertices: first the path components, each walked
-    from its lowest end (a vertex of T-degree at most 1), in order of that
-    end, then each cycle from its lowest vertex.  None once there are more
-    than `most` of them."""
-    ends = 0
-    for v in bits_of(t_mask):
-        if (rows[v] & t_mask).bit_count() < 2:
-            ends |= 1 << v
-    paths = []
-    left = t_mask
-    while left:
-        if len(paths) == most:
-            return None
-        start = ends & left or left
-        low = start & -start
-        left ^= low
-        v = low.bit_length() - 1
-        path = [v]
-        while nxt := rows[v] & left:
-            low = nxt & -nxt
-            left ^= low
-            v = low.bit_length() - 1
-            path.append(v)
-        paths.append(path)
-    return paths
-
-
 def _join_decision(
     g: Graph, scope_mask: int, classes: dict[int, int], degs: list[int]
 ) -> HamDecision | None:
     """The exact decision on a join scope, validated, or None when the
     scope is not one.
 
-    A join scope S has a twin class C (`classes`, `_twin_classes`) whose
-    members are adjacent to every vertex of a nonempty T = S - C, and G[T]
-    has maximum degree at most 2: it is C joined to p paths and cycles.
+    A join scope S has a twin class C (`classes`, `bitgraph.twin_classes`)
+    whose members are adjacent to every vertex of a nonempty T = S - C, and
+    G[T] has maximum degree at most 2: it is C joined to p paths and
+    cycles (`bitgraph.path_cover`).
     With c = |C| and t = |T|, G[S] is Hamiltonian iff c <= t and p <= c.
     Twins are never adjacent, so C cuts a Hamilton cycle into c arcs, paths
     of G[T] that cover T; and c paths that cover T, with a member of C
@@ -478,7 +437,8 @@ def _join_decision(
     e(T).  The answer has method 'join' and work 0:
     X = T when c > t (removing T leaves c isolated vertices); X = C when
     p > c, known from t - e(T) > c before any path is built, since
-    p >= t - e(T); else a `HamCycleCert` woven from the c paths.
+    p >= t - e(T), else from the path cover; else a `HamCycleCert` woven
+    from the p paths, split into c.
     """
     if degs[-1] < len(classes) - 1:
         return None
@@ -491,8 +451,8 @@ def _join_decision(
             continue  # some vertex of T has three neighbours in T
         paths = None
         if c <= t and t - (sum(degs) // 2 - c * t) <= c:
-            paths = _path_cover(g.rows, t_mask, c)
-        if paths is None:
+            paths = path_cover(g.rows, t_mask)
+        if paths is None or len(paths) > c:
             cert = NotHamCert(t_mask if c > t else c_mask)
             cert.validate(g, scope_mask)
             return HamDecision("not_hamiltonian", cert, "join", 0)
@@ -520,13 +480,14 @@ def refute_toughness(
     """A validated toughness certificate for g[scope], a scope of at least
     3 vertices, or None.
 
-    `classes` is the scope's twin-class map (`_twin_classes`) and `degs`
-    the sorted scope degrees, as `decide_hamiltonian_auto` builds them once
-    for the join tier and the refuter.  The refuter has no degree gate of its own:
-    the decider tests Chvátal's condition (`_chvatal`) on the same degrees,
-    and the join tier (`_join_decision`) on the same classes, before it
-    calls the refuter.  Called on a Chvátal scope it still returns None,
-    since such a scope is Hamiltonian, hence 1-tough, so no X splits it.
+    `classes` is the scope's twin-class map (`bitgraph.twin_classes`) and
+    `degs` the sorted scope degrees, as `decide_hamiltonian_auto` builds
+    them once for the join tier and the refuter.  The refuter has no degree
+    gate of its own: the decider tests Chvátal's condition (`_chvatal`) on
+    the same degrees, and the join tier (`_join_decision`) on the same
+    classes, before it calls the refuter.  Called on a Chvátal scope it
+    still returns None, since such a scope is Hamiltonian, hence 1-tough,
+    so no X splits it.
 
     Candidates for X (`_toughness_cut`), cheapest first: the lone neighbour
     of a vertex of scope-degree 1; one vertex of a disconnected scope; the
@@ -708,10 +669,10 @@ def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDec
        condition (`_chvatal`) is Hamiltonian, with a `ChvatalCert`,
        method 'chvatal' and work 0 (one shared decision, not validated
        again, since validating it is the same test);
-    2. the twin-class map (`_twin_classes`), built once from those rows: a
-       join scope, a twin class joined to a graph of maximum degree at most
-       2 (every scope of an extremal member that meets both parts), is
-       decided exactly by `_join_decision`, method 'join' and work 0;
+    2. the twin-class map (`bitgraph.twin_classes`), built once from those
+       rows: a join scope, a twin class joined to a graph of maximum degree
+       at most 2 (every scope of an extremal member that meets both parts),
+       is decided exactly by `_join_decision`, method 'join' and work 0;
     3. `refute_toughness`, given the class map and the degrees, for a
        `NotHamCert`, method 'toughness';
     4. search: rotation, within AUTO_ROTATIONS rotations, capped at s*s on
@@ -734,7 +695,7 @@ def decide_hamiltonian_auto(g: Graph, scope: VertexSet, seed: int = 0) -> HamDec
     degs = sorted(map(int.bit_count, srows))
     if _chvatal(degs):
         return _CHVATAL_DECISION
-    classes = _twin_classes(smask, srows)
+    classes = twin_classes(smask, srows)
     dec = _join_decision(g, smask, classes, degs)
     if dec is not None:
         return dec

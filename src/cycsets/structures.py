@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitgraph import Graph, VertexSet, bits_of, local_rows, mask_of
+from .bitgraph import Graph, VertexSet, bits_of, local_rows, mask_of, path_cover
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -77,29 +77,14 @@ class LinearForest:
             parent[ru] = rv
 
     def paths(self) -> list[list[int]]:
-        """The forest's paths as vertex lists (each path from its lower end)."""
-        adj: dict[int, list[int]] = {}
+        """The forest's paths as vertex lists, each from its lower end, in
+        order of that end (`bitgraph.path_cover`)."""
+        mask = self.vertex_mask()
+        rows = [0] * mask.bit_length()
         for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen: set[int] = set()
-        out = []
-        ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
-        for e in ends:
-            if e in seen:
-                continue
-            path = [e]
-            seen.add(e)
-            cur, prev = e, None
-            while True:
-                nxt = [w for w in adj[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                path.append(cur)
-                seen.add(cur)
-            out.append(path)
-        return out
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return path_cover(rows, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -148,24 +133,6 @@ def min_vertex_cover_exact(
     root_lower = best_size // 2
     nodes = 0
 
-    def cover_cycles(mask: int) -> int:
-        """Optimal cover mask of a union of cycles: every second vertex
-        round each cycle of k vertices, ceil(k/2) of them."""
-        out = 0
-        seen = 0
-        for v in bits_of(mask):
-            if seen >> v & 1:
-                continue
-            comp = [v]
-            seen |= 1 << v
-            cur = v
-            while nxts := rows[cur] & mask & ~seen:
-                cur = next(bits_of(nxts))
-                seen |= 1 << cur
-                comp.append(cur)
-            out |= mask_of(comp[::2])
-        return out
-
     def rec(mask: int, acc_mask: int, acc: int) -> None:
         nonlocal best_mask, best_size, nodes
         nodes += 1
@@ -200,7 +167,8 @@ def min_vertex_cover_exact(
         degs = [((rows[v] & mask).bit_count(), v) for v in bits_of(mask)]
         dmax, vmax = max(degs, key=lambda t: (t[0], -t[1]))
         if dmax <= 2:  # the reductions leave no degree below 2: only cycles
-            cov = cover_cycles(mask)
+            # every second vertex round each cycle of k vertices, ceil(k/2)
+            cov = mask_of(v for cyc in path_cover(rows, mask) for v in cyc[::2])
             tot = acc + cov.bit_count()
             if tot < best_size:
                 best_size, best_mask = tot, acc_mask | cov

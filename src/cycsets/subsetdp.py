@@ -120,7 +120,7 @@ from __future__ import annotations
 
 from math import comb, prod
 
-from .bitgraph import bits_of
+from .bitgraph import bits_of, twin_classes
 from .errors import BudgetExceededError
 
 
@@ -166,18 +166,15 @@ class Quotient:
 
     def __init__(self, adj: list[int], seed: int | None):
         k = len(adj)
-        groups: dict[int, list[int]] = {}  # N(w) -> the vertices with it
-        for w, a in enumerate(adj):
-            groups.setdefault(a, []).append(w)
+        groups = twin_classes((1 << k) - 1, adj)  # N(w) -> the mask of its vertices
         self.seed = seed
         split = seed or 0  # every start has no anchor to split the twins
         larger = []  # the classes of two or more: sets of twins, split by the anchor
         if len(groups) < k:
             for members in groups.values():
-                for near in (1, 0):
-                    c = [w for w in members if split >> w & 1 == near]
-                    if len(c) > 1:
-                        larger.append(c)
+                for part in (members & split, members & ~split):
+                    if part & (part - 1):
+                        larger.append(list(bits_of(part)))
         s = k - sum(map(len, larger))
         self.peak_bytes = peak = _peak_bytes(s, larger)
         if peak > TABLE_MAX_BYTES:
@@ -186,17 +183,8 @@ class Quotient:
                 f"subset-DP budget: {k} free vertices in {s + len(larger)} classes "
                 f"would take {need} bytes > {TABLE_MAX_BYTES}"
             )
-        # _plan: (digits of N(w), digits of the vertices w) for each N(w)
-        if not larger:  # every class is one vertex: digit w is vertex w
-            self.classes = [[w] for w in range(k)]
-            self.singles = k
-            self.weight = [1 << w for w in range(k)]
-            self.size = 1 << k
-            self.digit = range(k)
-            self._plan = [(list(bits_of(a)), members) for a, members in groups.items()]
-            return
         inlarger = sum(1 << w for c in larger for w in c)
-        self.classes = [[w] for w in range(k) if not inlarger >> w & 1] + larger
+        self.classes = classes = [[w] for w in range(k) if not inlarger >> w & 1] + larger
         self.singles = s
         self.weight = weight = [1 << j for j in range(s)]
         size = 1 << s
@@ -205,15 +193,15 @@ class Quotient:
             size *= len(c) + 1
         self.size = size
         self.digit = digit = [0] * k
-        for j, c in enumerate(self.classes):
+        steps = {a: [] for a in groups}  # N(w) -> the digits of the vertices w
+        for j, c in enumerate(classes):
             for w in c:
                 digit[w] = j
+            steps[adj[c[0]]].append(j)
+        # _plan: (digits of N(w), digits of the vertices w) for each N(w);
         # N(w) is a union of whole classes, so it reads each at its first member
-        firsts = sum(1 << c[0] for c in self.classes)
-        self._plan = [
-            ([digit[u] for u in bits_of(a & firsts)], sorted({digit[w] for w in members}))
-            for a, members in groups.items()
-        ]
+        firsts = sum(1 << c[0] for c in classes)
+        self._plan = [([digit[u] for u in bits_of(a & firsts)], js) for a, js in steps.items()]
 
     def table(self) -> list[int]:
         """The least fixpoint of the kernel: R_j has bit x set iff a vertex

@@ -37,7 +37,7 @@ from math import comb
 import networkx as nx
 
 from cycsets import hamilton
-from cycsets.bitgraph import Graph, bits_of
+from cycsets.bitgraph import Graph, bits_of, twin_classes
 from cycsets.instances import _sample_distinct
 from cycsets.sampling import StreamRng
 
@@ -330,7 +330,7 @@ def _classes_and_degrees(g: Graph, scope_mask: int) -> tuple[dict[int, int], lis
     """The twin-class map and sorted degrees of g[scope], built as
     `decide_hamiltonian_auto` builds them from one read of the scope rows."""
     srows = hamilton._scope_rows(g.rows, scope_mask)
-    return hamilton._twin_classes(scope_mask, srows), sorted(map(int.bit_count, srows))
+    return twin_classes(scope_mask, srows), sorted(map(int.bit_count, srows))
 
 
 def refute_scope(g: Graph, scope_mask: int) -> hamilton.NotHamCert | None:

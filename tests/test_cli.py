@@ -309,6 +309,15 @@ def test_analyze_precondition(tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_refuses_the_empty_graph(tmp_path, capsys):
+    # graph6 "?" has no vertex, so no cut witnesses any case
+    f = tmp_path / "empty.g6"
+    f.write_text("?\n")
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert out == "" and err == "error: classify requires at least one vertex\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_analyze_refuses_fewer_than_one_sample(tmp_path, capsys, samples):
     # m = 20 takes the sampled path, where no pairs would make a vacuous pass

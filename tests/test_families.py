@@ -260,6 +260,32 @@ def test_pairing_model_deterministic():
         assert a.rows == b.rows
 
 
+def test_pairing_model_regular_stops_at_its_first_defect():
+    # replays the recorded draws on the points: an attempt fails exactly
+    # when its last draw made the first loop or repeated edge, and
+    # succeeds after one draw per pair
+    outcomes = set()
+    for attempt in range(40):
+        rng, draws = StreamRng(7, attempt), []
+
+        class Recorder:
+            def below(self, n):
+                draws.append(rng.below(n))
+                return draws[-1]
+
+        g = pairing_model_regular(12, 3, Recorder())
+        points, seen, defects = list(range(36)), set(), []
+        for idx in draws:
+            u, v = sorted((points.pop() // 3, points.pop(idx) // 3))
+            defects.append(u == v or (u, v) in seen)
+            seen.add((u, v))
+        assert not any(defects[:-1])
+        assert defects[-1] == (g is None)
+        assert g is None or len(draws) == 18
+        outcomes.add(g is None)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("m,d", [(8, 5), (20, 11), (12, 7), (16, 9)])
 def test_pairing_model_repaired_dense(m, d):
     g = pairing_model_repaired(m, d, StreamRng(31, 0))

@@ -33,7 +33,9 @@ from cycsets.bitgraph import (
     local_rows,
     mask_of,
     nth_bit,
+    path_cover,
     to_graph6,
+    twin_classes,
 )
 from cycsets.errors import PreconditionError
 from cycsets.families import build_extremal, build_knn
@@ -74,7 +76,7 @@ def test_bits_of_refuses_a_negative_mask(mask):
 @pytest.mark.parametrize("mask", [-1, -6, -(1 << 600)], ids=["-1", "-6", "-2^600"])
 def test_nth_bit_refuses_a_negative_mask(mask):
     with pytest.raises(PreconditionError, match="negative mask"):
-        nth_bit(mask, 0)
+        nth_bit(mask, 0, mask.bit_count())
 
 
 def test_byte_tables_match_a_reference():
@@ -98,10 +100,10 @@ def test_nth_bit_matches_bit_list():
             if density == 0.5:
                 mask |= mask_of(b for b in (63, 64, 127, 128) if b < width)
             members = list(bits_of(mask))
-            assert [nth_bit(mask, r) for r in range(len(members))] == members
+            assert [nth_bit(mask, r, mask.bit_count()) for r in range(len(members))] == members
             for r in (-1, len(members)):
                 with pytest.raises(PreconditionError):
-                    nth_bit(mask, r)
+                    nth_bit(mask, r, mask.bit_count())
     # set bits on both sides of 64-bit word boundaries, and one bit per word
     straddling = [
         mask_of([63, 64]),
@@ -113,13 +115,13 @@ def test_nth_bit_matches_bit_list():
     ]
     for mask in straddling:
         members = list(bits_of(mask))
-        assert [nth_bit(mask, r) for r in range(len(members))] == members
+        assert [nth_bit(mask, r, mask.bit_count()) for r in range(len(members))] == members
 
 
 def test_nth_bit_rejects_rank_out_of_range():
     for mask, r in ((0, 0), (0b1011, 3), (0b1011, -1), (1 << 200, 8), (mask_of(range(100)), 100)):
         with pytest.raises(PreconditionError):
-            nth_bit(mask, r)
+            nth_bit(mask, r, mask.bit_count())
 
 
 def test_vertex_set_algebra():
@@ -128,8 +130,8 @@ def test_vertex_set_algebra():
     assert a.size == 3 and a.members() == [0, 2, 4]
     assert a.complement().members() == [1, 3, 5, 6, 7]
     assert b.complement().complement() == b
-    assert VertexSet.empty(5).complement().size == 5
-    assert VertexSet.empty(5).size == 0
+    assert VertexSet(0, 5).complement().size == 5
+    assert VertexSet(0, 5).size == 0
 
 
 def test_graph_builders_and_counts():
@@ -247,6 +249,68 @@ def test_components_match_networkx():
                 assert sorted(got) == sorted(mask_of(c) for c in want)
                 # yielded in order of their lowest vertex
                 assert got == sorted(got, key=lambda c: c & -c)
+
+
+def _planted_max_degree_2(rnd: random.Random, m: int, outside: int):
+    """A graph on m + outside vertices whose first m (the mask) induce
+    isolated vertices, paths and cycles, relabeled at random, and the
+    expected path cover: each path from its lower end, in order of that
+    end, then each cycle from its lowest vertex towards its lower
+    neighbour.  The outside vertices are joined to every other vertex."""
+    verts = list(range(m))
+    rnd.shuffle(verts)
+    paths, cycles, edges = [], [], []
+    while verts:
+        kind = rnd.choice(["path", "cycle"] if len(verts) >= 3 else ["path"])
+        size = rnd.randint(3 if kind == "cycle" else 1, min(len(verts), 9))
+        piece, verts = verts[:size], verts[size:]
+        edges += zip(piece, piece[1:])
+        if kind == "cycle":
+            edges.append((piece[-1], piece[0]))
+            i = piece.index(min(piece))
+            piece = piece[i:] + piece[:i]  # from the lowest vertex
+            if piece[-1] < piece[1]:
+                piece = piece[:1] + piece[:0:-1]
+            cycles.append(piece)
+        else:
+            paths.append(piece if piece[0] <= piece[-1] else piece[::-1])
+    n = m + outside
+    edges += [(u, v) for u in range(m, n) for v in range(u)]
+    want = sorted(paths, key=lambda p: p[0]) + sorted(cycles, key=lambda c: c[0])
+    return Graph.from_edges(n, edges), want
+
+
+def test_path_cover_matches_a_planted_cover():
+    rnd = random.Random(31)
+    for m in (*range(0, 12), 20, 40, 63, 64, 65, 130):
+        for _ in range(6):
+            g, want = _planted_max_degree_2(rnd, m, rnd.choice([0, 3]))
+            got = path_cover(g.rows, (1 << m) - 1)
+            assert got == want
+            assert sorted(v for path in got for v in path) == list(range(m))
+            assert all(g.has_edge(u, v) for path in got for u, v in zip(path, path[1:]))
+
+
+def test_twin_classes_match_grouping_by_row():
+    rnd = random.Random(37)
+    for q in (1, 2, 4, 7):
+        for seed in range(5):
+            # a blow-up: each vertex of a random graph on q vertices becomes
+            # an independent set of 1-4 twins, relabeled at random
+            base = random_graph(q, 100 * q + seed, p=0.5)
+            owner = [b for b in range(q) for _ in range(rnd.randint(1, 4))]
+            rnd.shuffle(owner)
+            m = len(owner)
+            g = Graph.from_edges(m, [(u, v) for u in range(m) for v in range(u + 1, m)
+                                     if base.has_edge(owner[u], owner[v])])
+            for mask in ((1 << m) - 1, rnd.getrandbits(m), rnd.getrandbits(m)):
+                want: dict[int, list[int]] = {}
+                for v in bits_of(mask):
+                    want.setdefault(g.rows[v] & mask, []).append(v)
+                srows = [g.rows[v] & mask for v in bits_of(mask)]
+                got = twin_classes(mask, srows)
+                # equal, in order of each class's lowest vertex
+                assert list(got.items()) == [(a, mask_of(c)) for a, c in want.items()]
 
 
 def test_bipartite_restriction_keeps_only_crossing_edges():

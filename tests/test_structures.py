@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
@@ -97,6 +99,27 @@ def test_min_cover_budget_reports_its_bounds():
 
 
 # -- forged structures -------------------------------------------------------
+
+
+def test_linear_forest_paths_on_a_planted_forest():
+    rnd = random.Random(41)
+    for m in (2, 5, 9, 30, 64, 70):
+        g = complete(m)
+        for _ in range(8):
+            # random paths of 2+ vertices over a random subset of 0..m-1
+            verts = rnd.sample(range(m), rnd.randint(2, m))
+            want = []
+            while len(verts) >= 2:
+                size = rnd.randint(2, len(verts))
+                path, verts = verts[:size], verts[size:]
+                want.append(path)
+            edges = [e for path in want for e in zip(path, path[1:])]
+            rnd.shuffle(edges)
+            forest = LinearForest(tuple(edges))
+            forest.validate(g)
+            # each path from its lower end, in order of that end
+            want = sorted((p if p[0] < p[-1] else p[::-1] for p in want), key=lambda p: p[0])
+            assert forest.paths() == want
 
 
 @pytest.mark.parametrize(
