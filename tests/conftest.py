@@ -23,7 +23,9 @@ its plain definition.
 `closure_is_complete` computes the Bondy–Chvátal closure by its plain
 rule, an oracle for the auto decider's degree tier.  The
 `planted_*` generators draw the classifier's test graphs from the
-package's seeded streams; only the tests classify them.  Likewise only the
+package's seeded streams; only the tests classify them.  `low_near_bipartite` and `low_two_cliques` put
+vertices of low crossing or side degree into the dense-regime builders'
+instances, so their arms, cherries and connectors run.  Likewise only the
 tests list a graph's edges, build complete graphs and cycles, relabel a
 graph or delete its edges, so those helpers live here too.
 """
@@ -37,9 +39,10 @@ from math import comb
 import networkx as nx
 
 from cycsets import hamilton
-from cycsets.bitgraph import Graph, bits_of, twin_classes
-from cycsets.instances import _sample_distinct
+from cycsets.bitgraph import Cut, Graph, VertexSet, bits_of, twin_classes
+from cycsets.instances import _sample_distinct, near_bipartite_instance
 from cycsets.sampling import StreamRng
+from cycsets.structures import LinearForest
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -488,3 +491,61 @@ def planted_near_bipartite(m: int, seed: int) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(m, tuple(rows))
+
+
+def low_near_bipartite(m: int, seed: int) -> tuple[Graph, Cut, LinearForest]:
+    """`near_bipartite_instance(m, seed)` with the crossing degree of a few
+    vertices cut to m // 6 (below m/5, so low for the near-bipartite
+    builder, and at least m/10): one or two ends of the witness paths, when
+    there is a witness, two vertices of X off the witness and two of Y.
+    Each keeps a random m // 6 of its crossing neighbours; a later cut may
+    take one more edge from an earlier one."""
+    g, cut, forest = near_bipartite_instance(m, seed)
+    rng = StreamRng(seed, 1)
+    amask, bmask = cut.x.mask, cut.y.mask
+    ends = [v for path in forest.paths() for v in (path[0], path[-1])]
+    low = _sample_distinct(rng, ends, 1 + rng.below(2)) if ends else []
+    low += _sample_distinct(rng, list(bits_of(amask & ~forest.vertex_mask())), 2)
+    low += _sample_distinct(rng, list(bits_of(bmask)), 2)
+    rows = list(g.rows)
+    for v in low:
+        nbrs = list(bits_of(rows[v] & (bmask if amask >> v & 1 else amask)))
+        for w in _sample_distinct(rng, nbrs, len(nbrs) - m // 6):
+            rows[v] ^= 1 << w
+            rows[w] ^= 1 << v
+    return Graph(m, tuple(rows)), cut, forest
+
+
+def low_two_cliques(at_end: bool, seed: int) -> tuple[Graph, Cut]:
+    """Two complete sides of 1000 vertices (m = 2000) joined by a random
+    crossing matching of 2 to 5 edges, with one vertex of each side cut to
+    side degree 600 = 0.3m, low for the two-cliques builder: 399 missing
+    side edges against the regime's m^2/10^4 = 400.  With `at_end` the low
+    vertices are ends of the two crossing edges the builder takes (the
+    lowest matched vertex of X and its partner), so each side path starts
+    or ends with an arm; otherwise they are unmatched, and each gets a
+    cherry."""
+    m, half = 2000, 1000
+    rng = StreamRng(seed, 0)
+    xmask = (1 << half) - 1
+    ymask = ((1 << m) - 1) ^ xmask
+    rows = [(xmask if v < half else ymask) & ~(1 << v) for v in range(m)]
+    k = 2 + rng.below(4)
+    xs = _sample_distinct(rng, list(range(half)), k)
+    ys = _sample_distinct(rng, list(range(half, m)), k)
+    for u, v in zip(xs, ys):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if at_end:
+        low = [min(xs), ys[xs.index(min(xs))]]
+    else:
+        low = [
+            _sample_distinct(rng, [v for v in range(half) if v not in xs], 1)[0],
+            _sample_distinct(rng, [v for v in range(half, m) if v not in ys], 1)[0],
+        ]
+    for v in low:
+        side = list(bits_of(rows[v] & (xmask if v < half else ymask)))
+        for w in _sample_distinct(rng, side, len(side) - 600):
+            rows[v] ^= 1 << w
+            rows[w] ^= 1 << v
+    return Graph(m, tuple(rows)), Cut(VertexSet(xmask, m), VertexSet(ymask, m))

@@ -15,6 +15,8 @@ from conftest import (
     join_planted_graph,
     join_scope,
     joined_class,
+    low_near_bipartite,
+    low_two_cliques,
     petersen,
     random_graph,
     reference_cut_vertices,
@@ -946,6 +948,63 @@ def test_near_bipartite_builder_instances():
         cert = ham_cycle_near_bipartite(g, cut, forest, seed=seed)
         cert.validate(g, g.full_mask())
         assert len(cert.order) == 600
+
+
+def _two_small_cliques(k: int) -> tuple[Graph, Cut]:
+    """Two copies of K_k, on 0..k-1 and k..2k-1, joined by the disjoint
+    edges (0, k) and (1, k+1): Hamiltonian, and in the two-cliques regime."""
+    m = 2 * k
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(k + u, k + v) for u, v in edges] + [(0, k), (1, k + 1)]
+    left = VertexSet((1 << k) - 1, m)
+    return Graph.from_edges(m, edges), Cut(left, left.complement())
+
+
+def test_small_regime_graphs_keep_their_certificates():
+    # two K_k (k = 6..8) and K_{n,n} (n = 3..8, empty witness): the sizes
+    # the builders handled before the smallest ones were mended
+    orders = [ham_cycle_two_cliques(*_two_small_cliques(k)).order for k in range(6, 9)]
+    for n in range(3, 9):
+        left = VertexSet((1 << n) - 1, 2 * n)
+        g = Graph.complete_bipartite(n, n)
+        orders.append(ham_cycle_near_bipartite(g, Cut(left, left.complement()), LinearForest(())).order)
+    digest = hashlib.sha256(repr(orders).encode()).hexdigest()
+    assert digest == "86af8e48e031353672c279a0c8444bd1e299f3887b268503c522c9565e8eef40"
+
+
+def _order_or_refusal(build) -> tuple[int, ...] | str:
+    try:
+        return build().order
+    except PreconditionError as exc:
+        return f"refused: {exc}"
+
+
+def test_near_bipartite_low_degree_vertices_are_pinned():
+    # low witness ends get arms, low vertices off the witness cherries, and
+    # the pieces are chained by connectors of length 2 and 3; cutting six
+    # vertices' crossing edges leaves every m = 60 and 100 instance, and
+    # some of m = 200, below the crossing density, a regime refusal
+    results = []
+    for m in (60, 100, 200, 600):
+        for s in range(25):
+            g, cut, forest = low_near_bipartite(m, s)
+            results.append(_order_or_refusal(
+                lambda: ham_cycle_near_bipartite(g, cut, forest, seed=s)))
+    assert sum(isinstance(r, tuple) for r in results) == 39
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "619ac4d9f02f7646468023f3119a4afb7915bf0f1d9f49cd84109700e3c4c49a"
+
+
+# at_end False gives each side a cherry; True an arm at the start of X's path
+# and one at the end of Y's
+@pytest.mark.parametrize("at_end, digest", [
+    (False, "8343933144a88a3391badc5b8b3b05d88c1ef6ebfb6ccef910c2dd881cc850f5"),
+    (True, "62b03f89c8800276152e4ae9d899025ff6c3f9629b74c33fa611d8b64a25359a"),
+])
+def test_two_cliques_low_degree_vertices_are_pinned(at_end, digest):
+    g, cut = low_two_cliques(at_end, 0)
+    order = ham_cycle_two_cliques(g, cut, seed=0).order
+    assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
 
 
 # Instance seeds of the benchmark's certify_dense workload for run seeds 1 and
