@@ -43,12 +43,14 @@ Five layers:
 * constructive routines that build Hamilton paths/cycles in dense regimes
   the way the existence arguments do (delete-and-splice, pigeonhole on
   cycle successors, cherry matchings over low-degree vertices, crossing
-  connectors of length 2/3); each builder validates the certificate it
-  returns, once, and the helpers under them, the rotation engine included,
-  return bare vertex lists, so a cycle rotation finds is checked only as
-  part of that certificate; a cut or side over another vertex universe
-  than the graph's is refused before any row is read, and the crossing
-  graphs are built unchecked (`Graph.bipartite_restriction`);
+  connectors of length 2/3); both cycle builders cover their low-degree
+  vertices by pendant arms and cherries and join the pieces in one loop,
+  `_chain`, each through its own connector; each builder validates the
+  certificate it returns, once, and the helpers under them, the rotation
+  engine included, return bare vertex lists, so a cycle rotation finds is
+  checked only as part of that certificate; a cut or side over another
+  vertex universe than the graph's is refused before any row is read, and
+  the crossing graphs are built unchecked (`Graph.bipartite_restriction`);
 * `gn_criterion`, the O(#cycles) exact criterion for subsets of the
   extremal family on a `VertexSet`; the criterion itself is
   `families.gn_criterion_mask`, beside the cycle layout it reads, so its
@@ -100,10 +102,10 @@ NEAR_BIPARTITE_GAMMA = Fraction(3, 10)
 NEAR_BIPARTITE_LOW = Fraction(1, 5)
 
 
-def _check_order(g: Graph, order: tuple[int, ...], scope_mask: int | None, closed: bool) -> None:
+def _check_order(g: Graph, order: tuple[int, ...], scope_mask: int, closed: bool) -> None:
     """Validate a certificate's vertex order in one pass: every vertex in
     0..m-1, every step (and, for a cycle, the last back to the first) an
-    edge, no vertex twice, and, given a scope, exactly its vertices."""
+    edge, no vertex twice, and exactly the scope's vertices."""
     kind = "cycle" if closed else "path"
     m = g.m
     if min(order) < 0 or max(order) >= m:
@@ -118,7 +120,7 @@ def _check_order(g: Graph, order: tuple[int, ...], scope_mask: int | None, close
         u = v
     if mask.bit_count() != len(order):
         raise VerificationError(f"{kind} certificate repeats a vertex")
-    if scope_mask is not None and mask != scope_mask:
+    if mask != scope_mask:
         raise VerificationError(f"{kind} certificate does not cover the scope")
 
 
@@ -133,7 +135,7 @@ def _check_scope(g: Graph, scope_mask: int) -> None:
 class HamCycleCert:
     order: tuple[int, ...]
 
-    def validate(self, g: Graph, scope_mask: int | None = None) -> None:
+    def validate(self, g: Graph, scope_mask: int) -> None:
         if len(self.order) < 3:
             raise VerificationError("cycle certificate shorter than 3")
         _check_order(g, self.order, scope_mask, closed=True)
@@ -143,7 +145,7 @@ class HamCycleCert:
 class HamPathCert:
     order: tuple[int, ...]
 
-    def validate(self, g: Graph, scope_mask: int | None = None) -> None:
+    def validate(self, g: Graph, scope_mask: int) -> None:
         if len(self.order) < 2:
             raise VerificationError("path certificate shorter than 2")
         _check_order(g, self.order, scope_mask, closed=False)
@@ -846,22 +848,39 @@ def ham_path_bipartite(
     return cert
 
 
+def _chain(path: list[int], pieces, connect) -> None:
+    """Extend `path` by each piece in turn, as given or else reversed,
+    through the connector that `connect(end, w)` returns for the path's
+    last vertex and the piece's first: the new vertices between them, or
+    None when there is none.  Neither end connecting is a merge failure."""
+    for piece in pieces:
+        end = path[-1]
+        for cand in (piece, piece[::-1]):
+            via = connect(end, cand[0])
+            if via is not None:
+                path += via
+                path += cand
+                break
+        else:
+            raise VerificationError(f"merge failure at endpoints ({end}, {piece[0]})")
+
+
 def _dense_side_path(
-    g: Graph,
-    side_mask: int,
-    low: int,
-    s: int,
-    t: int,
-    seed: int,
+    g: Graph, side_mask: int, low: int, s: int, t: int, seed: int
 ) -> list[int]:
     """Hamilton path s..t of g[side] in the dense-side regime.
 
-    The vertices of `low` (side-degree <= TWO_CLIQUES_LOW * g.m, read by
-    the caller) are covered first by pendant arms (at s, t) and cherries,
-    the pieces are chained through common neighbors, and the dense
-    remainder is finished by the Dirac path routine.  A bare list:
+    A side of at most 5 vertices is complete, since the regime allows a
+    graph of at most 10 vertices no missing side edge: its path is s, the
+    other side vertices, then t.  Otherwise the vertices of `low`
+    (side-degree <= TWO_CLIQUES_LOW * g.m, read by the caller) are covered
+    first by pendant arms (at s, t) and cherries, the pieces are chained
+    through common neighbours (`_chain`), and the dense remainder is
+    finished by the Dirac path routine.  A bare list:
     `ham_cycle_two_cliques` validates the cycle it is part of.
     """
+    if side_mask.bit_count() <= 5:
+        return [s, *bits_of(side_mask & ~(1 << s) & ~(1 << t)), t]
     high = side_mask & ~low
     used = (1 << s) | (1 << t)
 
@@ -880,27 +899,21 @@ def _dense_side_path(
     if low >> t & 1:
         tail.insert(0, take_lowest(g.rows[t] & high & ~used, f"arm of {t}"))
     cherries = []
-    for v in bits_of(low & ~(1 << s) & ~(1 << t)):
+    for v in bits_of(low & ~used):
         used |= 1 << v
         x = take_lowest(g.rows[v] & high & ~used, f"cherry of {v}")
         y = take_lowest(g.rows[v] & high & ~used, f"cherry of {v}")
         cherries.append([x, v, y])
-    for ch in cherries:
-        end = piece[-1]
-        z = g.rows[end] & g.rows[ch[0]] & high & ~used
-        if z:
-            piece.extend([take_lowest(z, f"join {end}-{ch[0]}")] + ch)
-            continue
-        z = g.rows[end] & g.rows[ch[2]] & high & ~used
-        if not z:
-            raise VerificationError(f"merge failure at endpoints ({end}, {ch[0]})")
-        piece.extend([take_lowest(z, f"join {end}-{ch[2]}")] + ch[::-1])
+
+    def connect(end: int, w: int) -> list[int] | None:
+        z = g.rows[end] & g.rows[w] & high & ~used
+        return [take_lowest(z, f"join {end}-{w}")] if z else None
+
+    _chain(piece, cherries, connect)
     # finish through the dense remainder with a Dirac path
-    pmask = mask_of(piece)
-    tmask = mask_of(tail)
-    rest = side_mask & ~pmask & ~tmask
+    rest = side_mask & ~used
     if not rest:
-        return piece if piece[-1] == t else piece + tail
+        return piece + tail
     end = piece[-1]
     r1 = g.rows[end] & rest
     if not r1:
@@ -943,20 +956,19 @@ def ham_cycle_two_cliques(g: Graph, cut: Cut, seed: int = 0) -> HamCycleCert:
             raise PreconditionError(f"side {name} has too many inside non-edges")
         lows.append(mask_of(v for v, d in zip(verts, degs) if d <= low_cap))
     # two disjoint crossing edges, lexicographically first
-    a1 = b1 = a2 = b2 = -1
+    ends = []
+    free_y = ymask
     for u in bits_of(xmask):
-        c = g.rows[u] & ymask
+        c = g.rows[u] & free_y
         if c:
-            a1, b1 = u, next(bits_of(c))
-            break
-    if a1 >= 0:
-        for u in bits_of(xmask & ~(1 << a1)):
-            c = g.rows[u] & ymask & ~(1 << b1)
-            if c:
-                a2, b2 = u, next(bits_of(c))
+            b = next(bits_of(c))
+            free_y ^= 1 << b
+            ends.append((u, b))
+            if len(ends) == 2:
                 break
-    if a2 < 0:
+    else:
         raise PreconditionError("need two disjoint crossing edges")
+    (a1, b1), (a2, b2) = ends
     px = _dense_side_path(g, xmask, lows[0], a1, a2, seed)
     py = _dense_side_path(g, ymask, lows[1], b2, b1, seed + 1)
     cert = HamCycleCert(tuple(px + py))
@@ -965,19 +977,17 @@ def ham_cycle_two_cliques(g: Graph, cut: Cut, seed: int = 0) -> HamCycleCert:
 
 
 def ham_cycle_near_bipartite(
-    g: Graph,
-    cut: Cut,
-    k_good_witness: LinearForest,
-    seed: int = 0,
+    g: Graph, cut: Cut, k_good_witness: LinearForest, seed: int = 0
 ) -> HamCycleCert:
     """Hamilton cycle for a near-balanced cut with dense crossing graph.
 
     The witness must be a linear forest inside the larger side X with
     exactly |X| - |Y| edges; its paths supply the within-side edges of the
     cycle.  Low-crossing-degree vertices are wrapped in cherries or pendant
-    arms, all pieces are chained by crossing-only connectors of length 2 or
-    3, and the balanced remainder is closed through the bipartite path
-    routine.
+    arms, all pieces are chained (`_chain`) by crossing-only connectors of
+    length 2 or 3, and the balanced remainder is closed through the
+    bipartite path routine, or joined directly when it is one vertex a
+    side.
     """
     _check_universe(g, cut)
     m = g.m
@@ -1010,7 +1020,7 @@ def ham_cycle_near_bipartite(
         )
 
     high_a, high_b = amask & ~low, bmask & ~low
-    used = 0
+    used = k_good_witness.vertex_mask()
 
     def grab(mask: int, who: str) -> int:
         nonlocal used
@@ -1020,93 +1030,58 @@ def ham_cycle_near_bipartite(
         used |= 1 << v
         return v
 
-    pieces: list[list[int]] = []
-    fmask = k_good_witness.vertex_mask()
-    used |= fmask
-    for path in k_good_witness.paths():
-        p, q = path[0], path[-1]
-        piece = list(path)
+    pieces = []
+    for piece in k_good_witness.paths():
+        p, q = piece[0], piece[-1]
         if low >> p & 1:
             piece.insert(0, grab(g.rows[p] & high_b & ~used, f"arm of {p}"))
         if low >> q & 1:
             piece.append(grab(g.rows[q] & high_b & ~used, f"arm of {q}"))
         pieces.append(piece)
-    for v in bits_of(low & ~fmask):
+    for v in bits_of(low & ~used):  # the low vertices off the witness
         used |= 1 << v
         other_high = high_b if amask >> v & 1 else high_a
         x = grab(g.rows[v] & other_high & ~used, f"cherry of {v}")
         y = grab(g.rows[v] & other_high & ~used, f"cherry of {v}")
         pieces.append([x, v, y])
+    # every low vertex is on a piece now, so no connector takes one
 
-    def side_of(v: int) -> int:
-        return 0 if amask >> v & 1 else 1
+    def connect(end: int, w: int) -> list[int] | None:
+        free = (amask | bmask) & ~used
+        end_side = amask >> end & 1
+        if end_side == amask >> w & 1:
+            # length-2 connector through the opposite side
+            z = g.rows[end] & g.rows[w] & free
+            return [grab(z, f"connector {end}-{w}")] if z else None
+        # length-3 connector: end - z - z2 - w, crossing only
+        for z2 in bits_of(g.rows[w] & free):
+            z = g.rows[end] & g.rows[z2] & free & (bmask if end_side else amask)
+            if z:
+                return [grab(z, f"connector {end}-{w}"), grab(1 << z2, f"connector {end}-{w}")]
+        return None
 
-    if not pieces:
-        a0 = next(bits_of(high_a))
-        b0 = grab(g.rows[a0] & high_b, f"partner of {a0}")
-        used |= 1 << a0
-        path = [a0, b0]
-    else:
-        path = pieces[0]
-        for nxt in pieces[1:]:
-            end = path[-1]
-            attached = False
-            for cand in (nxt, nxt[::-1]):
-                w = cand[0]
-                free = ~used & (amask | bmask)
-                if side_of(end) == side_of(w):
-                    # length-2 connector through the opposite side
-                    zpool = g.rows[end] & g.rows[w] & free
-                    zpool_high = zpool & (high_a | high_b)
-                    z = zpool_high or zpool
-                    if z:
-                        path = path + [grab(z, f"connector {end}-{w}")] + cand
-                        attached = True
-                        break
-                else:
-                    # length-3 connector: end - z - z2 - w, crossing only
-                    z2pool = g.rows[w] & free & (high_a | high_b)
-                    found = False
-                    for z2 in bits_of(z2pool):
-                        zpool = g.rows[end] & g.rows[z2] & free & ~(1 << z2)
-                        zpool &= bmask if side_of(end) == 0 else amask
-                        if zpool:
-                            z = grab(zpool, f"connector {end}-{w}")
-                            used |= 1 << z2
-                            path = path + [z, z2] + cand
-                            found = True
-                            break
-                    if found:
-                        attached = True
-                        break
-            if not attached:
-                raise VerificationError(
-                    f"merge failure at endpoints ({path[-1]}, {nxt[0]})"
-                )
-    # force the chain to end on opposite sides
-    if side_of(path[0]) == side_of(path[-1]):
-        other_high = high_b if side_of(path[-1]) == 0 else high_a
+    path = pieces[0] if pieces else [grab(high_a, "start")]
+    _chain(path, pieces[1:], connect)
+    # force the chain to end on opposite sides, then start it in A
+    if amask >> path[0] & 1 == amask >> path[-1] & 1:
+        other_high = high_b if amask >> path[-1] & 1 else high_a
         path.append(grab(g.rows[path[-1]] & other_high & ~used, "side-fix arm"))
-    used = mask_of(path)
-    a_end = path[0] if side_of(path[0]) == 0 else path[-1]
-    b_end = path[-1] if a_end == path[0] else path[0]
-    if path[0] != a_end:
-        path = path[::-1]
-    rest_a = amask & ~used
-    rest_b = bmask & ~used
+    if not amask >> path[0] & 1:
+        path.reverse()
+    rest_a, rest_b = amask & ~used, bmask & ~used
     if rest_a.bit_count() != rest_b.bit_count():
         raise VerificationError("remainder sides unbalanced (bug)")
-    if not rest_a:
-        cert = HamCycleCert(tuple(path))
-        cert.validate(g, g.full_mask())
-        return cert
-    x = next(bits_of(g.rows[b_end] & rest_a), -1)
-    y = next(bits_of(g.rows[a_end] & rest_b), -1)
-    if x < 0 or y < 0:
-        raise VerificationError("merge failure at endpoints (remainder hookup)")
-    cross = g.bipartite_restriction(rest_a, rest_b)
-    mid = _bipartite_path_scoped(cross, rest_a, rest_b, x, y, seed)
-    cert = HamCycleCert(tuple(path + mid))
+    if rest_a:
+        x = next(bits_of(g.rows[path[-1]] & rest_a), -1)
+        y = next(bits_of(g.rows[path[0]] & rest_b), -1)
+        if x < 0 or y < 0:
+            raise VerificationError("merge failure at endpoints (remainder hookup)")
+        if rest_a & (rest_a - 1):
+            cross = g.bipartite_restriction(rest_a, rest_b)
+            path += _bipartite_path_scoped(cross, rest_a, rest_b, x, y, seed)
+        else:  # one vertex a side, joined directly
+            path += (x, y)
+    cert = HamCycleCert(tuple(path))
     cert.validate(g, g.full_mask())
     return cert
 

@@ -4,7 +4,8 @@ Hamiltonicity routines.
 Each generator draws from the counter-based streams, builds an instance
 satisfying the corresponding routine's preconditions, and asserts those
 preconditions before returning -- a bad instance fails here, not inside
-the routine under test.
+the routine under test.  The Dirac and bipartite path instances draw from
+one generator, `_repaired_random`.
 """
 
 from __future__ import annotations
@@ -98,24 +99,32 @@ def near_bipartite_instance(m: int, seed: int) -> tuple[Graph, Cut, LinearForest
     return g, cut, forest
 
 
-def dirac_instance(m: int, seed: int) -> tuple[Graph, int, int]:
-    """Random graph repaired to min degree >= m/2 + 2, plus endpoints."""
-    rng = StreamRng(seed, 0)
+def _repaired_random(rng: StreamRng, allowed: list[int], target: int) -> tuple[int, ...]:
+    """Rows of a random graph on the pairs `allowed` admits (row v holds
+    v's admitted partners): each pair u < v is kept with probability
+    65/100, in order of u, then v; then each vertex in turn, while its
+    degree is below `target`, gains a uniform admitted partner it lacks."""
+    m = len(allowed)
     rows = [0] * m
     for u in range(m):
-        for v in range(u + 1, m):
+        for v in bits_of(allowed[u] >> (u + 1) << (u + 1)):
             if rng.below(100) < 65:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    target = m // 2 + 2
-    full = (1 << m) - 1
     for v in range(m):
         while rows[v].bit_count() < target:
-            missing = list(bits_of(full & ~rows[v] & ~(1 << v)))
+            missing = list(bits_of(allowed[v] & ~rows[v]))
             w = missing[rng.below(len(missing))]
             rows[v] |= 1 << w
             rows[w] |= 1 << v
-    g = Graph(m, tuple(rows))
+    return tuple(rows)
+
+
+def dirac_instance(m: int, seed: int) -> tuple[Graph, int, int]:
+    """Random graph repaired to min degree >= m/2 + 2, plus endpoints."""
+    rng = StreamRng(seed, 0)
+    full = (1 << m) - 1
+    g = Graph(m, _repaired_random(rng, [full ^ (1 << v) for v in range(m)], m // 2 + 2))
     assert 2 * g.min_degree() >= m + 2
     a = rng.below(m)
     b = (a + 1 + rng.below(m - 1)) % m
@@ -129,23 +138,9 @@ def bipartite_instance(
     >= m/4 + 2, plus endpoints on opposite sides."""
     rng = StreamRng(seed, 0)
     half = m // 2
-    rows = [0] * m
-    for u in range(half):
-        for v in range(half, m):
-            if rng.below(100) < 65:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
     lmask = (1 << half) - 1
     rmask = ((1 << m) - 1) ^ lmask
-    target = m // 4 + 2
-    for v in range(m):
-        other = rmask if v < half else lmask
-        while (rows[v] & other).bit_count() < target:
-            missing = list(bits_of(other & ~rows[v]))
-            w = missing[rng.below(len(missing))]
-            rows[v] |= 1 << w
-            rows[w] |= 1 << v
-    g = Graph(m, tuple(rows))
+    g = Graph(m, _repaired_random(rng, [rmask] * half + [lmask] * (m - half), m // 4 + 2))
     assert all(4 * (g.rows[v] & rmask).bit_count() >= m + 4 for v in bits_of(lmask))
     assert all(4 * (g.rows[v] & lmask).bit_count() >= m + 4 for v in bits_of(rmask))
     a = rng.below(half)

@@ -10,9 +10,9 @@ the square roots of the zeros of g(x) = -x/16 + 1/x + ln(x/4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, erf, exp, isqrt, lgamma, log, pi, sqrt
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, PreconditionError, VerificationError
 
@@ -22,8 +22,7 @@ _COMB_ANCHOR_MAX_N = 10**5
 _LN2 = log(2.0)
 
 
-@dataclass(frozen=True)
-class BinomTail:
+class BinomTail(NamedTuple):
     n: int
     t: int
     value: float | Fraction

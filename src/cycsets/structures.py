@@ -3,7 +3,7 @@
 Vertex covers (exact branch and bound on the scope's rows relabeled by
 `bitgraph.local_rows`, bounded by a greedy maximal matching) and linear
 forests, the witnesses the near-bipartite builder takes.  Both can be
-re-validated against their host graph; tie-breaking is
+re-validated against their host graph within a scope; tie-breaking is
 lowest-vertex-index-first throughout so all outputs are deterministic.
 """
 
@@ -11,31 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitgraph import Graph, VertexSet, bits_of, local_rows, mask_of, path_cover
+from .bitgraph import Graph, VertexSet, _add_edges, bits_of, local_rows, mask_of, path_cover
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_NODE_BUDGET = 10**7
 
 
-def _find(parent: dict[int, int], x: int) -> int:
-    """Root of x in a union-find forest kept as a dict (path halving)."""
-    while parent.get(x, x) != x:
-        parent[x] = parent.get(parent[x], parent[x])
-        x = parent[x]
-    return x
-
-
 @dataclass(frozen=True)
 class VertexCover:
     vertices: VertexSet
-    scope: VertexSet | None = None
+    scope: VertexSet
 
     @property
     def size(self) -> int:
         return self.vertices.size
 
     def validate(self, g: Graph) -> None:
-        scope_mask = self.scope.mask if self.scope is not None else g.full_mask()
+        scope_mask = self.scope.mask
         cov = self.vertices.mask
         if cov & ~scope_mask:
             raise PreconditionError("cover contains vertices outside its scope")
@@ -59,31 +51,33 @@ class LinearForest:
             m |= (1 << u) | (1 << v)
         return m
 
-    def validate(self, g: Graph, scope_mask: int | None = None) -> None:
-        deg: dict[int, int] = {}
-        parent: dict[int, int] = {}
-        for u, v in self.edges:
-            if not g.has_edge(u, v):
-                raise PreconditionError(f"forest pair ({u},{v}) is not an edge")
-            if scope_mask is not None and ((1 << u) | (1 << v)) & ~scope_mask:
-                raise PreconditionError(f"forest edge ({u},{v}) leaves the scope")
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-            if deg[u] > 2 or deg[v] > 2:
-                raise PreconditionError(f"degree > 2 at forest edge ({u},{v})")
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru == rv:
-                raise PreconditionError(f"cycle closed by forest edge ({u},{v})")
-            parent[ru] = rv
+    def validate(self, g: Graph, scope_mask: int) -> None:
+        """Refuse the forest unless its edges are distinct edges of g
+        between vertices of the scope, no vertex has three of them, and
+        they close no cycle.  A graph of maximum degree 2 is a forest iff
+        it has |V| - #components edges (`bitgraph.path_cover`); a repeated
+        edge counts twice, so it closes a cycle."""
+        rows = [0] * g.m
+        _add_edges(g.m, rows, self.edges)
+        mask = self.vertex_mask()
+        for v in bits_of(mask):
+            extra = rows[v] & ~g.rows[v]
+            if extra:
+                u = next(bits_of(extra))
+                raise PreconditionError(f"forest pair ({v},{u}) is not an edge")
+            if not scope_mask >> v & 1:
+                raise PreconditionError(f"forest vertex {v} leaves the scope")
+            if rows[v].bit_count() > 2:
+                raise PreconditionError(f"degree > 2 at forest vertex {v}")
+        if mask.bit_count() - len(path_cover(rows, mask)) != self.size:
+            raise PreconditionError("cycle closed by the forest's edges")
 
     def paths(self) -> list[list[int]]:
         """The forest's paths as vertex lists, each from its lower end, in
         order of that end (`bitgraph.path_cover`)."""
         mask = self.vertex_mask()
         rows = [0] * mask.bit_length()
-        for u, v in self.edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        _add_edges(len(rows), rows, self.edges)
         return path_cover(rows, mask)
 
 

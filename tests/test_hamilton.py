@@ -271,24 +271,24 @@ def test_not_ham_cert_rejects_forgeries():
 
 def test_order_certificates_reject_vertices_outside_the_graph():
     g = Graph.complete_bipartite(3, 3)
-    for scope in (None, g.full_mask()):
-        with pytest.raises(VerificationError, match="outside"):
-            HamCycleCert((0, 3, 1, -1)).validate(g, scope)
-        with pytest.raises(VerificationError, match="outside"):
-            HamCycleCert((9, 0, 3)).validate(g, scope)
-        with pytest.raises(VerificationError, match="outside"):
-            HamPathCert((9, 0)).validate(g, scope)
-        with pytest.raises(VerificationError, match="outside"):
-            HamPathCert((0, -3)).validate(g, scope)
+    scope = g.full_mask()
+    with pytest.raises(VerificationError, match="outside"):
+        HamCycleCert((0, 3, 1, -1)).validate(g, scope)
+    with pytest.raises(VerificationError, match="outside"):
+        HamCycleCert((9, 0, 3)).validate(g, scope)
+    with pytest.raises(VerificationError, match="outside"):
+        HamPathCert((9, 0)).validate(g, scope)
+    with pytest.raises(VerificationError, match="outside"):
+        HamPathCert((0, -3)).validate(g, scope)
     # in range, the same checks as before: repeats, cover, non-edges
     with pytest.raises(VerificationError, match="repeats"):
-        HamCycleCert((0, 3, 0, 4)).validate(g)
+        HamCycleCert((0, 3, 0, 4)).validate(g, scope)
     with pytest.raises(VerificationError, match="repeats"):
-        HamPathCert((0, 3, 0)).validate(g)
+        HamPathCert((0, 3, 0)).validate(g, scope)
     with pytest.raises(VerificationError, match="cover"):
-        HamCycleCert((0, 3, 1, 4)).validate(g, g.full_mask())
+        HamCycleCert((0, 3, 1, 4)).validate(g, scope)
     with pytest.raises(VerificationError, match="non-edge"):
-        HamCycleCert((0, 3, 1)).validate(g)
+        HamCycleCert((0, 3, 1)).validate(g, scope)
     HamCycleCert((0, 3, 1, 4, 2, 5)).validate(g, g.full_mask())
     HamPathCert((0, 3, 1, 4)).validate(g, 0b11011)
 
@@ -970,6 +970,31 @@ def test_small_regime_graphs_keep_their_certificates():
         orders.append(ham_cycle_near_bipartite(g, Cut(left, left.complement()), LinearForest(())).order)
     digest = hashlib.sha256(repr(orders).encode()).hexdigest()
     assert digest == "86af8e48e031353672c279a0c8444bd1e299f3887b268503c522c9565e8eef40"
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_two_cliques_on_two_small_cliques(k):
+    # a side of at most 5 vertices is complete in this regime: its path is
+    # s, the other side vertices, then t (k = 2..5 failed before)
+    g, cut = _two_small_cliques(k)
+    cert = ham_cycle_two_cliques(g, cut)
+    cert.validate(g, g.full_mask())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_near_bipartite_on_small_complete_bipartite_graphs(n):
+    # K_{2,2} leaves a remainder of one vertex a side, joined directly
+    left = VertexSet((1 << n) - 1, 2 * n)
+    g = Graph.complete_bipartite(n, n)
+    cert = ham_cycle_near_bipartite(g, Cut(left, left.complement()), LinearForest(()))
+    cert.validate(g, g.full_mask())
+
+
+@pytest.mark.parametrize("edge", [(700, 0), (-1, 5)])
+def test_near_bipartite_refuses_a_witness_edge_outside_the_graph(edge):
+    g, cut, _ = near_bipartite_instance(40, 1)
+    with pytest.raises(PreconditionError, match="bad edge"):
+        ham_cycle_near_bipartite(g, cut, LinearForest((edge,)))
 
 
 def _order_or_refusal(build) -> tuple[int, ...] | str:

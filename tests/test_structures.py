@@ -116,7 +116,7 @@ def test_linear_forest_paths_on_a_planted_forest():
             edges = [e for path in want for e in zip(path, path[1:])]
             rnd.shuffle(edges)
             forest = LinearForest(tuple(edges))
-            forest.validate(g)
+            forest.validate(g, g.full_mask())
             # each path from its lower end, in order of that end
             want = sorted((p if p[0] < p[-1] else p[::-1] for p in want), key=lambda p: p[0])
             assert forest.paths() == want
@@ -125,12 +125,16 @@ def test_linear_forest_paths_on_a_planted_forest():
 @pytest.mark.parametrize(
     "edges,scope,reason",
     [
-        (((0, 1), (0, 2), (0, 3)), None, "degree > 2"),
-        (((0, 1), (1, 2), (0, 2)), None, "cycle closed"),
+        (((0, 1), (0, 2), (0, 3)), 0b11111, "degree > 2"),
+        (((0, 1), (1, 2), (0, 2)), 0b11111, "cycle closed"),
         (((0, 1), (1, 4)), 0b01111, "leaves the scope"),
-        (((2, 4),), None, "is not an edge"),
+        (((2, 4),), 0b11111, "is not an edge"),
+        (((0, 1), (700, 0)), 0b11111, r"bad edge \(700,0\) for m=5"),
+        (((-1, 3),), 0b11111, r"bad edge \(-1,3\) for m=5"),
+        (((2, 3), (0, 1), (1, 0)), 0b11111, "cycle closed"),
     ],
-    ids=["degree3", "closed_cycle", "leaves_scope", "non_edge"],
+    ids=["degree3", "closed_cycle", "leaves_scope", "non_edge", "vertex_past_m",
+         "negative_vertex", "repeated_edge"],
 )
 def test_linear_forest_validate_rejects_forgeries(edges, scope, reason):
     g = without_edges(complete(5), [(2, 4)])
@@ -141,16 +145,14 @@ def test_linear_forest_validate_rejects_forgeries(edges, scope, reason):
 @pytest.mark.parametrize(
     "cover,scope,reason",
     [
-        ([0, 2], None, "not covered"),
+        ([0, 2], [0, 1, 2, 3, 4, 5], "not covered"),
         ([1, 3, 5], [0, 1, 2, 3, 4], "outside its scope"),
     ],
     ids=["uncovered_edge", "outside_scope"],
 )
 def test_vertex_cover_validate_rejects_forgeries(cover, scope, reason):
     g = cycle(6)
-    forged = VertexCover(
-        VertexSet.of(6, cover), VertexSet.of(6, scope) if scope is not None else None
-    )
+    forged = VertexCover(VertexSet.of(6, cover), VertexSet.of(6, scope))
     with pytest.raises(PreconditionError, match=reason):
         forged.validate(g)
 
