@@ -960,14 +960,19 @@ def _two_small_cliques(k: int) -> tuple[Graph, Cut]:
     return Graph.from_edges(m, edges), Cut(left, left.complement())
 
 
+def _complete_bipartite_halves(n: int) -> tuple[Graph, Cut]:
+    """K_{n,n} and the cut between its parts."""
+    left = VertexSet((1 << n) - 1, 2 * n)
+    return Graph.complete_bipartite(n, n), Cut(left, left.complement())
+
+
 def test_small_regime_graphs_keep_their_certificates():
     # two K_k (k = 6..8) and K_{n,n} (n = 3..8, empty witness): the sizes
     # the builders handled before the smallest ones were mended
     orders = [ham_cycle_two_cliques(*_two_small_cliques(k)).order for k in range(6, 9)]
     for n in range(3, 9):
-        left = VertexSet((1 << n) - 1, 2 * n)
-        g = Graph.complete_bipartite(n, n)
-        orders.append(ham_cycle_near_bipartite(g, Cut(left, left.complement()), LinearForest(())).order)
+        g, cut = _complete_bipartite_halves(n)
+        orders.append(ham_cycle_near_bipartite(g, cut, LinearForest(())).order)
     digest = hashlib.sha256(repr(orders).encode()).hexdigest()
     assert digest == "86af8e48e031353672c279a0c8444bd1e299f3887b268503c522c9565e8eef40"
 
@@ -975,7 +980,7 @@ def test_small_regime_graphs_keep_their_certificates():
 @pytest.mark.parametrize("k", range(2, 9))
 def test_two_cliques_on_two_small_cliques(k):
     # a side of at most 5 vertices is complete in this regime: its path is
-    # s, the other side vertices, then t (k = 2..5 failed before)
+    # s, the other side vertices, then t
     g, cut = _two_small_cliques(k)
     cert = ham_cycle_two_cliques(g, cut)
     cert.validate(g, g.full_mask())
@@ -984,9 +989,8 @@ def test_two_cliques_on_two_small_cliques(k):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_near_bipartite_on_small_complete_bipartite_graphs(n):
     # K_{2,2} leaves a remainder of one vertex a side, joined directly
-    left = VertexSet((1 << n) - 1, 2 * n)
-    g = Graph.complete_bipartite(n, n)
-    cert = ham_cycle_near_bipartite(g, Cut(left, left.complement()), LinearForest(()))
+    g, cut = _complete_bipartite_halves(n)
+    cert = ham_cycle_near_bipartite(g, cut, LinearForest(()))
     cert.validate(g, g.full_mask())
 
 
